@@ -3,7 +3,14 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-changed bench serve-bench shard-bench replica-bench read-bench bench-suite bench-compare trace-smoke
+.PHONY: test lint lint-changed bench serve-bench shard-bench replica-bench read-bench bench-suite bench-compare trace-smoke perfbench perfbench-selftest
+
+# Front-door serving benchmark (perfbench/): one workload, one seed;
+# TRACE=1 adds the per-layer table.  Override for another run, e.g.
+# make perfbench WORKLOAD=write_churn SEED=2 TRACE=1
+WORKLOAD ?= read_hot
+SEED ?= 1
+TRACE ?= 0
 
 # Shard counts / rounds for the sharded serving benchmark; override for
 # a quick smoke: make shard-bench SHARD_COUNTS=1,2 SHARD_ROUNDS=2
@@ -70,3 +77,14 @@ bench-suite:
 # surface (slow-op log, repro stats, Prometheus exposition) parses.
 trace-smoke:
 	$(PY) scripts/trace_smoke.py
+
+# The serving benchmark's generator and oracle self-test (no server,
+# about a second).
+perfbench-selftest:
+	python3 perfbench/selftest.py
+
+# One front-door serving benchmark run (see perfbench/README.md) at
+# the benchmark's fixed 30 s phase; the last line of output is the
+# run's JSON result.
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)

@@ -15,13 +15,20 @@ noise, but not further.  Scenarios present in the baseline and missing
 from the fresh run (or vice versa) are reported but only the tracked
 intersection gates.
 
+Each record carries its host's facts (``cpu_count``, ``python``,
+``seed``, ``git_rev``; see ``repro.bench.write_report``).  Two speedup
+records of one scenario that both carry ``cpu_count`` and disagree on
+it are refused rather than compared; records without the field compare
+as before.  Exact-match invariants (``single_block_query_rpcs``) are
+checked whatever the CPU count.
+
 Usage::
 
     PYTHONPATH=src python scripts/bench_compare.py [--repeats N]
         [--workers N] [--baseline PATH]
 
-Exit status 1 on any regression — wired to ``make bench-compare`` and
-the ``bench-compare`` CI job.
+Exit status 1 on any regression, 2 when a comparison was refused —
+wired to ``make bench-compare`` and the ``bench-compare`` CI job.
 """
 
 from __future__ import annotations
@@ -38,20 +45,16 @@ sys.path.insert(0, str(REPO_ROOT))  # for the benchmarks package
 TOLERANCE = 0.25
 
 
-def load_baseline(path: Path) -> dict[str, float]:
-    """Scenario name → committed speedup, for ratio-tracked scenarios."""
-    report = json.loads(path.read_text())
-    return {
-        name: record["speedup"]
-        for name, record in report.get("scenarios", {}).items()
-        if "speedup" in record
-    }
+def load_records(path: Path) -> dict[str, dict]:
+    """Scenario name → committed record."""
+    return dict(json.loads(path.read_text()).get("scenarios", {}))
 
 
-def fresh_speedups(
-    repeats: int, workers: int
-) -> tuple[dict[str, float], dict[str, int]]:
+def fresh_records(repeats: int, workers: int) -> dict[str, dict]:
+    """Re-run the tracked scenarios, each record stamped with this
+    host's facts exactly as ``repro.bench.write_report`` stamps them."""
     from repro.bench import (
+        host_metadata,
         run_parallel_scenarios,
         run_read_scenarios,
         run_replica_scenarios,
@@ -70,27 +73,82 @@ def fresh_speedups(
     # The read path: cached-vs-uncached ratio plus the routing
     # invariant (a warm single-block query costs exactly one RPC).
     scenarios.update(run_read_scenarios())
-    speedups = {
-        name: record["speedup"]
-        for name, record in scenarios.items()
-        if "speedup" in record
-    }
-    invariants = {
-        name: record["single_block_query_rpcs"]
-        for name, record in scenarios.items()
-        if "single_block_query_rpcs" in record
-    }
-    return speedups, invariants
+    host = host_metadata()
+    return {name: {**host, **record} for name, record in scenarios.items()}
 
 
-def load_invariants(path: Path) -> dict[str, int]:
-    """Scenario name → committed exact-match invariant values."""
-    report = json.loads(path.read_text())
-    return {
-        name: record["single_block_query_rpcs"]
-        for name, record in report.get("scenarios", {}).items()
-        if "single_block_query_rpcs" in record
-    }
+def refusal(baseline: dict, fresh: dict) -> str | None:
+    """Why two records of one scenario must not be compared, or
+    ``None``.  Records that both name their host's CPU count and
+    disagree on it timed different machines: a parallel or multi-
+    process ratio taken on one CPU says nothing about four.  Records
+    without the field (older baselines) compare as before."""
+    if "cpu_count" in baseline and "cpu_count" in fresh:
+        if baseline["cpu_count"] != fresh["cpu_count"]:
+            return (
+                f"cpu_count differs (baseline {baseline['cpu_count']}, "
+                f"fresh {fresh['cpu_count']})"
+            )
+    return None
+
+
+def compare(
+    baseline: dict[str, dict], fresh: dict[str, dict]
+) -> tuple[list[str], list[str], list[str]]:
+    """Gate fresh records against the baseline: ``(report lines,
+    regressed scenarios, refused scenarios)``."""
+    lines: list[str] = []
+    regressions: list[str] = []
+    refused: list[str] = []
+    tracked = sorted(name for name in baseline if "speedup" in baseline[name])
+    names = set(tracked) | {n for n in fresh if "speedup" in fresh[n]}
+    width = max((len(name) for name in names), default=0)
+    for name in tracked:
+        base = baseline[name]["speedup"]
+        if name not in fresh or "speedup" not in fresh[name]:
+            lines.append(
+                f"{name:{width}}  baseline {base:6.2f}x  "
+                "(not in fresh run — skipped)"
+            )
+            continue
+        reason = refusal(baseline[name], fresh[name])
+        if reason is not None:
+            lines.append(f"{name:{width}}  REFUSED: {reason}")
+            refused.append(name)
+            continue
+        got = fresh[name]["speedup"]
+        floor = base * (1 - TOLERANCE)
+        verdict = "ok" if got >= floor else "REGRESSED"
+        lines.append(
+            f"{name:{width}}  baseline {base:6.2f}x  "
+            f"fresh {got:6.2f}x  floor {floor:6.2f}x  {verdict}"
+        )
+        if got < floor:
+            regressions.append(name)
+    for name in sorted(names - set(tracked)):
+        lines.append(
+            f"{name:{width}}  fresh {fresh[name]['speedup']:6.2f}x  "
+            "(new — no baseline)"
+        )
+
+    # Exact-match invariants: RPC counts are promises, not timings, so
+    # there is no tolerance — fresh must equal the committed value —
+    # and no CPU count can excuse a difference.
+    for name in sorted(baseline):
+        if "single_block_query_rpcs" not in baseline[name]:
+            continue
+        if "single_block_query_rpcs" not in fresh.get(name, {}):
+            continue
+        expected = baseline[name]["single_block_query_rpcs"]
+        got = fresh[name]["single_block_query_rpcs"]
+        verdict = "ok" if got == expected else "REGRESSED"
+        lines.append(
+            f"{name}  single_block_query_rpcs baseline {expected}  "
+            f"fresh {got}  {verdict}"
+        )
+        if got != expected:
+            regressions.append(f"{name}:single_block_query_rpcs")
+    return lines, regressions, refused
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,52 +177,29 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline = load_baseline(args.baseline)
-    if not baseline:
+    baseline = load_records(args.baseline)
+    tracked = [name for name in baseline if "speedup" in baseline[name]]
+    if not tracked:
         print(f"no speedup-tracked scenarios in {args.baseline}")
         return 1
-    baseline_invariants = load_invariants(args.baseline)
-    fresh, fresh_invariants = fresh_speedups(args.repeats, args.workers)
-
-    regressions: list[str] = []
-    width = max(len(name) for name in sorted(baseline | fresh.keys()))
-    for name in sorted(baseline):
-        if name not in fresh:
-            print(f"{name:{width}}  baseline {baseline[name]:6.2f}x  (not in fresh run — skipped)")
-            continue
-        floor = baseline[name] * (1 - TOLERANCE)
-        verdict = "ok" if fresh[name] >= floor else "REGRESSED"
-        print(
-            f"{name:{width}}  baseline {baseline[name]:6.2f}x  "
-            f"fresh {fresh[name]:6.2f}x  floor {floor:6.2f}x  {verdict}"
-        )
-        if fresh[name] < floor:
-            regressions.append(name)
-    for name in sorted(set(fresh) - set(baseline)):
-        print(f"{name:{width}}  fresh {fresh[name]:6.2f}x  (new — no baseline)")
-
-    # Exact-match invariants: RPC counts are promises, not timings, so
-    # there is no tolerance — fresh must equal the committed value.
-    for name in sorted(baseline_invariants):
-        if name not in fresh_invariants:
-            continue
-        expected = baseline_invariants[name]
-        got = fresh_invariants[name]
-        verdict = "ok" if got == expected else "REGRESSED"
-        print(
-            f"{name}  single_block_query_rpcs baseline {expected}  "
-            f"fresh {got}  {verdict}"
-        )
-        if got != expected:
-            regressions.append(f"{name}:single_block_query_rpcs")
-
+    lines, regressions, refused = compare(
+        baseline, fresh_records(args.repeats, args.workers)
+    )
+    print("\n".join(lines))
     if regressions:
         print(
             f"FAIL: {len(regressions)} scenario(s) regressed more than "
             f"{int(TOLERANCE * 100)}% vs baseline: {', '.join(regressions)}"
         )
         return 1
-    print(f"all {len(baseline)} tracked scenario(s) within tolerance")
+    if refused:
+        print(
+            f"REFUSED: {len(refused)} scenario(s) were recorded at a "
+            f"different cpu_count: {', '.join(refused)}; re-record the "
+            "baseline on a host of this shape"
+        )
+        return 2
+    print(f"all {len(tracked)} tracked scenario(s) within tolerance")
     return 0
 
 

@@ -17,7 +17,9 @@ stamp, or be exempted with a reason.)
 Mirroring :mod:`repro.analysis.rules_spans`, the rule is config-driven:
 :class:`InvalidationConfig` maps ``module-suffix::qualname`` entry
 points (the state-mutation map — engine insert/delete/batch sites,
-store and WAL-replay apply sites, shard worker commit sites) to the
+store and WAL-replay apply sites, shard worker commit sites, and the
+shard router's write paths, which must invalidate its relation
+mirror through ``ShardRouter._invalidate``) to the
 call names that count as coverage for that entry.  A mutation site
 passes when its body contains a call to any acceptable name — a direct
 stamp (``_note_write`` / ``note_write`` / ``bump``) or a delegation to
@@ -98,6 +100,12 @@ def default_invalidation_config() -> InvalidationConfig:
             # written blocks itself (the serial fallback delegates to
             # engine.insert/delete, which stamp).
             "shard/worker.py::apply_slice": ("note_write",),
+            # Shard router: every write RPC bumps the write generation
+            # of the relations it names, so the router's relation
+            # mirror re-fetches them on the next gather.
+            "shard/router.py::ShardRouter.insert": ("_invalidate",),
+            "shard/router.py::ShardRouter.delete": ("_invalidate",),
+            "shard/router.py::ShardRouter.apply_batch": ("_invalidate",),
         },
         exempt={
             "shard/worker.py::ShardWorker._commit": (

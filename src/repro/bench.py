@@ -33,6 +33,7 @@ import os
 import platform
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -1063,23 +1064,50 @@ def run_read_scenarios(
     return scenarios
 
 
+def _git_rev() -> str:
+    """The checkout's commit, or ``"unknown"`` outside a git work tree."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=_repo_root(),
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = result.stdout.strip()
+    return rev if result.returncode == 0 and rev else "unknown"
+
+
+def host_metadata() -> dict:
+    """The facts every scenario record carries: the host's CPU count,
+    the interpreter, the seed every randomized workload derives from,
+    and the commit that was measured."""
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "seed": BENCH_SEED,
+        "git_rev": _git_rev(),
+    }
+
+
 def run_metadata(workers: int) -> dict:
-    """The run's provenance: pool size, host shape, interpreter, and
-    the seed every randomized workload derives from.
+    """The run's provenance: the host facts plus the pool size.
 
     ``effective_workers`` is what the host can actually run at once:
     asking for more workers than CPUs records honest metadata
     (``workers_capped=True``) instead of implying parallelism the
     machine never delivered."""
-    cpu_count = os.cpu_count() or 1
-    return {
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "effective_workers": min(workers, cpu_count),
-        "workers_capped": workers > cpu_count,
-        "python": platform.python_version(),
-        "seed": BENCH_SEED,
-    }
+    metadata = host_metadata()
+    cpu_count = metadata["cpu_count"]
+    metadata.update(
+        workers=workers,
+        effective_workers=min(workers, cpu_count),
+        workers_capped=workers > cpu_count,
+    )
+    return metadata
 
 
 def write_report(
@@ -1092,21 +1120,27 @@ def write_report(
     any per-test timings the benchmark suite recorded there).  ``spans``
     — the traced run's per-stage latency summaries
     (count/sum/min/max/p50/p95/p99 per span name) — lands under the
-    ``"spans"`` key; ``metadata`` (workers, cpu count, seed, ...) under
-    ``"metadata"``."""
+    ``"spans"`` key.  Every record is stamped with ``metadata``
+    (default :func:`host_metadata`; a record's own keys win), so each
+    scenario names the host it ran on even when several run families
+    merge into one report."""
     report: dict = {}
     if path.exists():
         try:
             report = json.loads(path.read_text())
         except (OSError, ValueError):
             report = {}
-    report.setdefault("scenarios", {}).update(scenarios)
+    stamp = host_metadata() if metadata is None else metadata
+    report.setdefault("scenarios", {}).update(
+        {name: {**stamp, **record} for name, record in scenarios.items()}
+    )
     if spans:
         # Merge like scenarios: `make bench` then `make serve-bench`
         # accumulates both families' histograms in one report.
         report.setdefault("spans", {}).update(spans)
-    if metadata:
-        report.setdefault("metadata", {}).update(metadata)
+    # Host facts live in the records now; a report-wide dict would
+    # carry whichever family ran last.
+    report.pop("metadata", None)
     report["unit"] = "seconds (wall clock, best of N)"
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
@@ -1247,23 +1281,12 @@ def main(argv: list[str] | None = None) -> int:
     spans = tracer.span_summaries()
     path = root / BENCH_PATH_NAME
     metadata = run_metadata(args.workers)
-    # Honest run provenance for the read path: the measured hit rate
-    # and coalesced-read count land next to workers/seed so a headline
-    # speedup can never outrun what the cache actually absorbed.
-    if "read_heavy_mix" in scenarios:
-        metadata["read_cache_hit_rate"] = scenarios["read_heavy_mix"][
-            "read_cache_hit_rate"
-        ]
-    if "read_heavy_mix_frontend" in scenarios:
-        metadata["coalesced_reads"] = scenarios["read_heavy_mix_frontend"][
-            "coalesced_reads"
-        ]
     if metadata["workers_capped"]:
         print(
             f"warning: --workers {metadata['workers']} exceeds the "
             f"{metadata['cpu_count']} available CPU(s); effective "
             f"parallelism is {metadata['effective_workers']} "
-            "(recorded as workers_capped in the report metadata)",
+            "(recorded as workers_capped in every scenario record)",
             file=sys.stderr,
         )
     write_report(scenarios, path, spans=spans, metadata=metadata)

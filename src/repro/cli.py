@@ -720,15 +720,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                         engine.query(state, args.target)
                 else:
                     engine.representative(state)
-                for cache_name, info in engine.cache_info().items():
-                    metrics[f"cache.{cache_name}.hits"] = info.hits
-                    metrics[f"cache.{cache_name}.misses"] = info.misses
-                if "read" in engine.cache_info():
-                    info = engine.cache_info()["read"]
-                    probes = info.hits + info.misses
-                    metrics["cache.read.hit_rate"] = (
-                        info.hits / probes if probes else 0.0
-                    )
+                from repro.service.metrics import cache_series
+
+                counters, gauges = cache_series(engine.cache_info())
+                metrics.update(counters)
+                metrics.update(gauges)
         if args.prometheus:
             counters = dict(metrics)
             counters.update(tracer.counter_snapshot())

@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from repro.foundations.errors import ServiceError
 
@@ -40,6 +40,26 @@ def labeled(name: str, **labels: object) -> str:
         f'{key}="{labels[key]}"' for key in sorted(labels)
     )
     return f"{name}{{{rendered}}}"
+
+
+def cache_series(
+    cache_info: Mapping[str, Any],
+) -> tuple[dict[str, Number], dict[str, Number]]:
+    """An engine's ``cache_info()`` as ``(counters, gauges)``: hits,
+    misses and evictions per cache, and the read cache's hit rate as a
+    gauge (a rate is a level, not a monotone count)."""
+    counters: dict[str, Number] = {}
+    gauges: dict[str, Number] = {}
+    for cache_name, info in cache_info.items():
+        counters[f"cache.{cache_name}.hits"] = info.hits
+        counters[f"cache.{cache_name}.misses"] = info.misses
+        counters[f"cache.{cache_name}.evictions"] = info.evictions
+        if cache_name == "read":
+            probes = info.hits + info.misses
+            gauges["cache.read.hit_rate"] = (
+                info.hits / probes if probes else 0.0
+            )
+    return counters, gauges
 
 
 class MetricsRegistry:

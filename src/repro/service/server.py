@@ -30,7 +30,7 @@ from repro.foundations.errors import ServiceError
 from repro.obs.exposition import prometheus_text
 from repro.obs.spans import Tracer, tracing
 from repro.schema.database_scheme import DatabaseScheme
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import MetricsRegistry, cache_series
 from repro.service.store import DurableStore
 from repro.state.consistency import MaintenanceOutcome
 from repro.state.database_state import DatabaseState
@@ -243,15 +243,9 @@ class SchemeServer:
         """Server counters merged with the engine's cache accounting
         (the read cache additionally reports its derived hit rate)."""
         merged = self.metrics.snapshot()
-        for cache_name, info in self.engine.cache_info().items():
-            merged[f"cache.{cache_name}.hits"] = info.hits
-            merged[f"cache.{cache_name}.misses"] = info.misses
-            merged[f"cache.{cache_name}.evictions"] = info.evictions
-            if cache_name == "read":
-                probes = info.hits + info.misses
-                merged["cache.read.hit_rate"] = (
-                    info.hits / probes if probes else 0.0
-                )
+        counters, gauges = cache_series(self.engine.cache_info())
+        merged.update(counters)
+        merged.update(gauges)
         return merged
 
     def stats(self) -> dict[str, object]:
@@ -274,16 +268,9 @@ class SchemeServer:
         counters = dict(kinds["counters"])
         counters.update(kinds["timers"])
         gauges = dict(kinds["gauges"])
-        for cache_name, info in self.engine.cache_info().items():
-            counters[f"cache.{cache_name}.hits"] = info.hits
-            counters[f"cache.{cache_name}.misses"] = info.misses
-            counters[f"cache.{cache_name}.evictions"] = info.evictions
-            if cache_name == "read":
-                # A rate is a level, not a monotone count: gauge it.
-                probes = info.hits + info.misses
-                gauges["cache.read.hit_rate"] = (
-                    info.hits / probes if probes else 0.0
-                )
+        cache_counters, cache_gauges = cache_series(self.engine.cache_info())
+        counters.update(cache_counters)
+        gauges.update(cache_gauges)
         counters.update(self.tracer.counter_snapshot())
         return prometheus_text(
             counters=counters,

@@ -27,7 +27,10 @@ Serial equivalence is the contract:
   relations all live there (block-local totals are exact); otherwise
   the referenced relations are gathered and the plan is evaluated
   router-side by a full-scheme engine, so cross-shard extension joins
-  (Theorem 4.1) return exactly the single-process answer.
+  (Theorem 4.1) return exactly the single-process answer.  Gathers
+  read through a *relation mirror*: the router keeps the last fetched
+  copy of each relation with the write generation it was fetched at,
+  and re-fetches only relations a write has named since.
 
 When the effective shard count is one — a single-block scheme, a
 non-decomposable scheme, or ``shards=1`` — the router degrades to an
@@ -40,8 +43,18 @@ from __future__ import annotations
 import multiprocessing
 import socket
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Hashable, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.engine import Update, WeakInstanceEngine
 from repro.core.partition import (
@@ -67,12 +80,13 @@ from repro.io import (
 from repro.obs.exposition import prometheus_text
 from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
-from repro.service.metrics import MetricsRegistry, labeled
+from repro.service.metrics import MetricsRegistry, cache_series, labeled
 from repro.service.server import SchemeServer, Session
 from repro.service.store import DurableStore
 from repro.shard.protocol import recv_frame, send_frame
 from repro.shard.worker import worker_main
 from repro.state.database_state import DatabaseState
+from repro.state.relation import Relation
 
 PathLike = Union[str, Path]
 
@@ -287,13 +301,30 @@ class ShardRouter:
         self._socks: list[socket.socket] = []
         self._locks: list[threading.Lock] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
+        # The relation mirror: name -> (write generation, Relation) of
+        # the last gathered copy.  The invalidation is exact because
+        # every worker write goes through this router under
+        # _write_lock, an update changes only the relation it names
+        # (so bumping that relation's generation around the write RPC
+        # invalidates exactly the copies the write can have changed),
+        # and a restarted router starts with an empty mirror.  An odd
+        # generation marks a write in flight (see _invalidate).
+        self._mirror_lock = threading.Lock()
+        self._generations: dict[str, int] = {}  # guarded-by: _mirror_lock
+        #: name -> (generation, Relation)
+        self._mirror: dict = {}  # guarded-by: _mirror_lock
+        # Stable empty stand-ins for the relations a gather skips.
+        self._placeholders = {
+            member.name: Relation(member.attributes)
+            for member in scheme.relations
+        }
         # A full-scheme engine for plan computation and the scatter-
         # gather query path; it never validates writes (shards do).
-        # Its read cache stays off: gathered states are fresh objects
-        # every time, so entries could never hit — the per-worker
-        # engines (which see stable states) carry the read cache.
+        # Gathered states are built from the mirror's stable Relation
+        # objects, so its block-versioned read cache and the compiled
+        # column caches hit until a write changes a touched relation.
         self._engine = WeakInstanceEngine(
-            scheme, compiled=compiled, read_cache=False
+            scheme, compiled=compiled, read_cache=read_cache
         )
         if self.map.shards <= 1:
             self._start_inline()
@@ -557,15 +588,12 @@ class ShardRouter:
         """The full committed state, assembled from every shard.
 
         On the inline path this is the server's state pointer (free);
-        sharded it is a scatter-gather — meant for inspection and the
-        line protocol's ``state`` command, not for hot paths."""
+        sharded it is a gather of every relation through the mirror —
+        meant for inspection and the line protocol's ``state``
+        command, not for hot paths."""
         if self._local is not None:
             return self._local.state
-        merged: dict[str, Any] = {}
-        for index in range(self.map.shards):
-            response = self._rpc(index, {"op": "fetch"})
-            merged.update(response["relations"])
-        return DatabaseState(self.scheme, merged)
+        return self._gather(self.scheme.names, install=False)
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
         """``[X]`` with plan-aware routing.
@@ -607,7 +635,7 @@ class ShardRouter:
                     },
                 )
                 return {tuple(row) for row in response["rows"]}
-            # Scatter-gather: fetch what the plan touches and evaluate
+            # Scatter-gather: gather what the plan touches and evaluate
             # with full-scheme code.  A multi-shard deployment implies
             # an accepted scheme, so "no plan" means an uncoverable
             # target (``SchemaError``) whose answer is empty on every
@@ -621,29 +649,116 @@ class ShardRouter:
                     for member in self.scheme.relations
                     if member.attributes & target
                 )
-            fetch: dict[int, list[str]] = {}
+            return self._engine.query(self._gather(names), target)
+
+    def _gather(
+        self, names: Iterable[str], install: bool = True
+    ) -> DatabaseState:
+        """A full-scheme state holding the current contents of
+        ``names`` (every other relation an empty placeholder).
+
+        Mirror copies whose generation still matches cost no RPC; the
+        rest are fetched from their owning shards in one fan-out.  Each
+        block of the result is one real state of its shard: a fetch RPC
+        is one snapshot of its shard, and a matching copy is exact at
+        every instant from the generation snapshot until its generation
+        next moves (see :meth:`_invalidate`).  So when a write began on
+        a reused relation before the fetch, every named relation of
+        that shard is re-fetched in one RPC.  With ``install`` a fetched
+        copy enters the mirror under the generation read before its
+        fetch, and only if that generation is even and has not moved,
+        so a gather racing a write never installs a stale copy; the
+        gather counters count only installing gathers."""
+        names = list(names)
+        reused: dict[str, Relation] = {}
+        with self._mirror_lock:
+            seen = {name: self._generations.get(name, 0) for name in names}
             for name in names:
-                fetch.setdefault(
-                    self.map.relation_shard[name], []
-                ).append(name)
-            merged: dict[str, Any] = {}
-            responses = self._fanout(
-                {
-                    index: {"op": "fetch", "relations": sorted(rels)}
-                    for index, rels in fetch.items()
-                }
+                entry = self._mirror.get(name)
+                if entry is not None and entry[0] == seen[name]:
+                    reused[name] = entry[1]
+        fetched = self._fetch([name for name in names if name not in reused])
+        if fetched and reused:
+            shard_of = self.map.relation_shard
+            fetched_shards = {shard_of[name] for name in fetched}
+            with self._mirror_lock:
+                moved = {
+                    shard_of[name]
+                    for name in reused
+                    if self._generations.get(name, 0) != seen[name]
+                } & fetched_shards
+            if moved:
+                again = [name for name in names if shard_of[name] in moved]
+                fetched.update(self._fetch(again))
+                for name in again:
+                    reused.pop(name, None)
+        if install:
+            self.metrics.increment(
+                "router.gather_relations_reused", len(reused)
             )
-            for index in sorted(responses):
-                response = responses[index]
-                if response is None:
-                    raise ServiceError(
-                        f"shard {index} closed its pipe mid-request"
-                    )
-                if not response.get("ok", False):
-                    raise _rebuild_error(response.get("error") or {})
-                merged.update(response["relations"])
-            gathered = DatabaseState(self.scheme, merged)
-            return self._engine.query(gathered, target)
+            self.metrics.increment(
+                "router.gather_relations_fetched", len(fetched)
+            )
+            with self._mirror_lock:
+                for name, relation in fetched.items():
+                    generation = seen[name]
+                    if generation % 2 == 0 and (
+                        self._generations.get(name, 0) == generation
+                    ):
+                        self._mirror[name] = (generation, relation)
+        return DatabaseState(
+            self.scheme, {**self._placeholders, **reused, **fetched}
+        )
+
+    def _fetch(self, names: Sequence[str]) -> dict[str, Relation]:
+        """Fresh copies of ``names``: one ``fetch`` RPC per owning
+        shard, all in one fan-out."""
+        if not names:
+            return {}
+        grouped: dict[int, list[str]] = {}
+        for name in names:
+            grouped.setdefault(self.map.relation_shard[name], []).append(
+                name
+            )
+        responses = self._fanout(
+            {
+                index: {"op": "fetch", "relations": sorted(rels)}
+                for index, rels in grouped.items()
+            }
+        )
+        relations: dict[str, Relation] = {}
+        for index in sorted(responses):
+            response = responses[index]
+            if response is None:
+                raise ServiceError(
+                    f"shard {index} closed its pipe mid-request"
+                )
+            if not response.get("ok", False):
+                raise _rebuild_error(response.get("error") or {})
+            for name, rows in response["relations"].items():
+                relations[name] = Relation(
+                    self._placeholders[name].attributes, rows
+                )
+        return relations
+
+    @contextmanager
+    def _invalidate(self, names: Iterable[str]) -> Iterator[None]:
+        """Bracket one write that may change ``names``: their write
+        generations turn odd before it (a write is in flight, so no
+        gather reuses or installs a copy of them) and even again after
+        it, whatever its outcome, so every copy taken before the write
+        stops matching and the next gather re-fetches it."""
+        written = {name for name in names if name in self.map.relation_shard}
+        self._bump(written)
+        try:
+            yield
+        finally:
+            self._bump(written)
+
+    def _bump(self, names: Iterable[str]) -> None:
+        with self._mirror_lock:
+            for name in names:
+                self._generations[name] = self._generations.get(name, 0) + 1
 
     # -- writes (serialized) --------------------------------------------------
     def insert(
@@ -661,14 +776,15 @@ class ShardRouter:
                     raise NotApplicableError(
                         f"unknown relation {relation_name!r}"
                     )
-            response = self._rpc(
-                shard,
-                {
-                    "op": "insert",
-                    "relation": relation_name,
-                    "values": dict(values),
-                },
-            )
+            with self._invalidate((relation_name,)):
+                response = self._rpc(
+                    shard,
+                    {
+                        "op": "insert",
+                        "relation": relation_name,
+                        "values": dict(values),
+                    },
+                )
             outcome = RouterInsertOutcome(response["outcome"])
             if not outcome.consistent:
                 self.metrics.increment("store.rejects")
@@ -695,14 +811,15 @@ class ShardRouter:
                     raise StateError(
                         f"no relation named {relation_name!r}"
                     )
-            self._rpc(
-                shard,
-                {
-                    "op": "delete",
-                    "relation": relation_name,
-                    "values": dict(values),
-                },
-            )
+            with self._invalidate((relation_name,)):
+                self._rpc(
+                    shard,
+                    {
+                        "op": "delete",
+                        "relation": relation_name,
+                        "values": dict(values),
+                    },
+                )
 
     def apply_batch(self, updates: Sequence[Update]) -> Any:
         """Atomic cross-shard batch with serial-equivalent semantics.
@@ -716,8 +833,10 @@ class ShardRouter:
         if self._local is not None:
             return self._local.apply_batch(updates)
         updates = list(updates)
+        written = [update[1] for update in updates]
         with self._write_lock, tracing(self.tracer):
-            return self._apply_batch_sharded(updates)
+            with self._invalidate(written):
+                return self._apply_batch_sharded(updates)
 
     def _apply_batch_sharded(self, updates: list[Update]) -> Any:
         pre_events: list[tuple[int, Exception]] = []
@@ -866,12 +985,22 @@ class ShardRouter:
             reports.append((index, response))
         return reports
 
+    def _engine_cache_series(self) -> tuple[dict, dict]:
+        """The gather engine's read-cache series, unlabeled: why a
+        cross-shard gather was a dict probe or a re-evaluation."""
+        info = self._engine.cache_info()
+        return cache_series({"read": info["read"]} if "read" in info else {})
+
     def metrics_snapshot(self) -> dict[str, Union[int, float]]:
-        """Router counters plus every worker's, the latter labeled
-        ``name{shard="K"}`` so shards never collide in one namespace."""
+        """Router counters (its gather engine's read cache included)
+        plus every worker's, the latter labeled ``name{shard="K"}`` so
+        shards never collide in one namespace."""
         if self._local is not None:
             return self._local.metrics_snapshot()
         merged = self.metrics.snapshot()
+        counters, gauges = self._engine_cache_series()
+        merged.update(counters)
+        merged.update(gauges)
         for index, report in self._shard_metric_kinds():
             for kind in ("counters", "gauges", "timers"):
                 for name, value in report[kind].items():
@@ -906,6 +1035,9 @@ class ShardRouter:
         counters.update(kinds["timers"])
         counters.update(self.tracer.counter_snapshot())
         gauges = dict(kinds["gauges"])
+        engine_counters, engine_gauges = self._engine_cache_series()
+        counters.update(engine_counters)
+        gauges.update(engine_gauges)
         for index, report in self._shard_metric_kinds():
             for name, value in report["counters"].items():
                 counters[labeled(name, shard=index)] = value

@@ -25,7 +25,7 @@ from typing import Any, Mapping, Optional, Sequence
 from repro.core.engine import WeakInstanceEngine
 from repro.io import scheme_from_dict, state_to_dict
 from repro.obs.spans import Tracer, tracing
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import MetricsRegistry, cache_series
 from repro.service.store import DurableStore
 from repro.shard.protocol import recv_frame, send_frame
 from repro.state.database_state import DatabaseState
@@ -351,16 +351,11 @@ class ShardWorker:
             kinds = self.metrics.snapshot_by_kind()
             counters = dict(kinds["counters"])
             gauges = dict(kinds["gauges"])
-            for cache_name, info in self.engine.cache_info().items():
-                counters[f"cache.{cache_name}.hits"] = info.hits
-                counters[f"cache.{cache_name}.misses"] = info.misses
-                counters[f"cache.{cache_name}.evictions"] = info.evictions
-                if cache_name == "read":
-                    # A rate is a level, not a monotone count: gauge it.
-                    probes = info.hits + info.misses
-                    gauges["cache.read.hit_rate"] = (
-                        info.hits / probes if probes else 0.0
-                    )
+            cache_counters, cache_gauges = cache_series(
+                self.engine.cache_info()
+            )
+            counters.update(cache_counters)
+            gauges.update(cache_gauges)
             counters.update(self.tracer.counter_snapshot())
             return {
                 "ok": True,

@@ -364,6 +364,33 @@ class TestCacheInvalidation:
         )
         assert "exempted mutation site gone no longer exists" in messages
 
+    def test_router_write_path_skipping_the_bump_is_flagged(self):
+        config = InvalidationConfig(
+            required={
+                f"fixture_invalidation_router.py::MiniRouter.{name}": (
+                    "_invalidate",
+                )
+                for name in ("insert", "delete", "apply_batch")
+            }
+        )
+        findings = check_invalidation(
+            [load("fixture_invalidation_router.py")], config
+        )
+        assert [(f.rule, f.severity) for f in findings] == [
+            ("cache-invalidation", "error")
+        ]
+        assert "MiniRouter.delete never stamps" in findings[0].message
+        assert "_invalidate(...)" in findings[0].message
+
+    def test_real_map_covers_the_router_write_paths(self):
+        from repro.analysis import default_invalidation_config
+
+        required = default_invalidation_config().required
+        for name in ("insert", "delete", "apply_batch"):
+            assert required[f"shard/router.py::ShardRouter.{name}"] == (
+                "_invalidate",
+            )
+
     def test_real_map_is_clean_on_src(self):
         """The committed state-mutation map holds over the real tree."""
         from repro.analysis import (

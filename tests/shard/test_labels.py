@@ -85,15 +85,27 @@ class TestAggregation:
         shard_series = [name for name in parsed if "shard=" in name]
         assert any('shard="0"' in name for name in shard_series)
         assert any('shard="1"' in name for name in shard_series)
-        # Router-side counters stay unlabeled.
+        # Router-side counters stay unlabeled, the gather engine's
+        # read cache and the mirror's reuse counters included.
         assert "repro_shard_rpcs_total" in parsed
+        assert parsed["repro_router_gather_relations_fetched_total"] >= 1
+        assert "repro_router_gather_relations_reused_total" in parsed
+        assert parsed["repro_cache_read_misses_total"] == 1
+        assert parsed["repro_cache_read_hit_rate"] == 0.0
+        assert 'repro_cache_read_hit_rate{shard="0"}' in parsed
 
     def test_stats_reports_per_shard_sections(self):
         router = ShardRouter.in_memory(example1_university(), 2)
         try:
             assert router.insert("R4", {"C": "c", "S": "s", "G": "A"})
+            router.query(("C", "S"))
+            router.query(("C", "S"))
             stats = router.stats()
         finally:
             router.close()
         assert sorted(stats["shards"]) == ["0", "1"]
         assert 'ops.insert{shard="1"}' in stats["metrics"]
+        metrics = stats["metrics"]
+        assert metrics["cache.read.hits"] == 1
+        assert metrics["cache.read.hit_rate"] == 0.5
+        assert metrics["router.gather_relations_reused"] >= 1

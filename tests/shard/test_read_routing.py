@@ -7,12 +7,30 @@ further; a target outside the universe has no plan and — because a
 multi-shard deployment implies an accepted scheme, where "no plan"
 means an uncoverable target whose answer is empty on every consistent
 state — is answered without contacting any shard at all.
+
+Cross-block gathers read through the router's relation mirror: a
+relation no write has named since it was last fetched costs no RPC,
+and every write path — accepted, rejected, aborted or failed —
+invalidates the relations it names.
 """
 
+import random
+import threading
+import time
+
+import pytest
+
 from repro.core.engine import WeakInstanceEngine
+from repro.foundations.errors import ServiceError
 from repro.service.metrics import labeled
 from repro.shard.router import ShardRouter
+from repro.state.database_state import DatabaseState
 from repro.workloads.paper import example1_university
+from repro.workloads.scaling import tiled_university
+from tests.shard.test_router_differential import (
+    PAPER_SCHEMES,
+    query_targets,
+)
 
 # One coherent university world: every relation holds the projection
 # of the same facts, so all five inserts are accepted.
@@ -113,3 +131,429 @@ class TestPartialFanout:
             assert _rpcs(router) - before == 0
         finally:
             router.close()
+
+
+def _worker_state(router):
+    """The merged state read straight from the workers, bypassing the
+    router's mirror."""
+    merged = {}
+    for index in range(router.shards):
+        merged.update(router._rpc(index, {"op": "fetch"})["relations"])
+    return DatabaseState(router.scheme, merged)
+
+
+def _assert_matches_engine(router, targets):
+    engine = WeakInstanceEngine(router.scheme, read_cache=False)
+    state = _worker_state(router)
+    for target in targets:
+        assert router.query(target) == engine.query(state, target), target
+
+
+def _cross_shard_targets(router, required=None):
+    """Targets whose plan names relations on more than one shard (and,
+    with ``required``, names that relation)."""
+    found = []
+    universe = sorted(router.scheme.universe)
+    for first in universe:
+        for second in universe:
+            if first >= second:
+                continue
+            target = frozenset((first, second))
+            try:
+                names = router._engine.plan(target).expression.relation_names()
+            except Exception:  # noqa: BLE001 - uncoverable: not a gather
+                continue
+            shards = {router.map.relation_shard[name] for name in names}
+            if len(shards) > 1 and (required is None or required in names):
+                found.append(target)
+    return found
+
+
+class TestRelationMirror:
+    def test_repeated_cross_block_query_costs_no_rpc(self):
+        router = _seeded_router()
+        engine, state = _oracle()
+        try:
+            target = frozenset("HR")
+            first = router.query(target)
+            before = _rpcs(router)
+            assert router.query(target) == first
+            assert _rpcs(router) - before == 0
+            assert first == engine.query(state, target)
+            snapshot = router.metrics_snapshot()
+            assert snapshot["router.gather_relations_fetched"] == 3
+            assert snapshot["router.gather_relations_reused"] == 3
+            # The second gather was a router read-cache hit.
+            assert snapshot["cache.read.hits"] == 1
+            assert snapshot["cache.read.misses"] == 1
+            assert snapshot["cache.read.hit_rate"] == 0.5
+        finally:
+            router.close()
+
+    def test_state_neither_fills_the_mirror_nor_counts(self):
+        router = _seeded_router()
+        try:
+            router.query(frozenset("HR"))
+            mirrored = set(router._mirror)
+            counters = {
+                name: router.metrics.snapshot()[name]
+                for name in (
+                    "router.gather_relations_fetched",
+                    "router.gather_relations_reused",
+                )
+            }
+            assert router.state == _worker_state(router)
+            assert set(router._mirror) == mirrored
+            for name, value in counters.items():
+                assert router.metrics.snapshot()[name] == value
+        finally:
+            router.close()
+
+    def test_write_refetches_only_the_written_relation(self):
+        router = ShardRouter.in_memory(tiled_university(2), 2)
+        try:
+            for name, values in WORLD:
+                tiled = {f"{attr}0": value for attr, value in values.items()}
+                assert router.insert(f"T0{name}", tiled).consistent
+            targets = _cross_shard_targets(router, required="T0R4")
+            assert targets
+            for target in targets:
+                router.query(target)
+            assert router.insert(
+                "T0R4", {"C0": "c2", "S0": "s1", "G0": "g2"}
+            ).consistent
+            sent = []
+            fanout = router._fanout
+
+            def recording(payloads):
+                sent.append(dict(payloads))
+                return fanout(payloads)
+
+            router._fanout = recording
+            before = _rpcs(router)
+            router.query(targets[0])
+            assert _rpcs(router) - before == 1
+            assert [list(payloads.values()) for payloads in sent] == [
+                [{"op": "fetch", "relations": ["T0R4"]}]
+            ]
+            _assert_matches_engine(router, targets)
+        finally:
+            router.close()
+
+    def test_rejected_insert_and_aborted_batch_keep_answers_exact(self):
+        router = _seeded_router()
+        try:
+            targets = _cross_shard_targets(router)
+            _assert_matches_engine(router, targets)
+            # Key conflict with the seeded (c1, s1) grade.
+            assert not router.insert(
+                "R4", {"C": "c1", "S": "s1", "G": "g9"}
+            ).consistent
+            _assert_matches_engine(router, targets)
+            outcome = router.apply_batch(
+                [
+                    ("insert", "R5", {"H": "h2", "S": "s2", "R": "r2"}),
+                    ("insert", "R4", {"C": "c1", "S": "s1", "G": "g9"}),
+                ]
+            )
+            assert not outcome.committed
+            _assert_matches_engine(router, targets)
+            assert router.apply_batch(
+                [
+                    ("insert", "R5", {"H": "h2", "S": "s2", "R": "r2"}),
+                    ("insert", "R4", {"C": "c2", "S": "s2", "G": "g2"}),
+                ]
+            ).committed
+            _assert_matches_engine(router, targets)
+        finally:
+            router.close()
+
+    def test_write_whose_rpc_raises_still_invalidates(self):
+        router = _seeded_router()
+        try:
+            target = frozenset("HR")
+            router.query(target)
+            rpc = router._rpc
+
+            def lost_reply(shard, payload):
+                # The worker applies the write; its reply is lost.
+                rpc(shard, payload)
+                raise ServiceError(f"shard {shard} closed its pipe")
+
+            router._rpc = lost_reply
+            with pytest.raises(ServiceError):
+                router.insert("R5", {"H": "h2", "S": "s2", "R": "r2"})
+            with pytest.raises(ServiceError):
+                router.delete("R1", {"H": "h1", "R": "r1", "C": "c1"})
+            router._rpc = rpc
+            rows = router.query(target)
+            assert ("h2", "r2") in rows
+            _assert_matches_engine(router, [target])
+        finally:
+            router.close()
+
+    def test_threaded_writers_read_their_own_writes(self):
+        router = ShardRouter.in_memory(example1_university(), 2)
+        targets = _cross_shard_targets(router)
+        errors = []
+        stop = threading.Event()
+
+        def writer(thread):
+            try:
+                for index in range(15):
+                    key = f"w{thread}-{index}"
+                    values = {"C": f"c{key}", "S": f"s{key}", "G": "A"}
+                    row = (values["C"], values["S"])
+                    assert router.insert("R4", values).consistent
+                    assert row in router.query("CS")
+                    if index % 3 == 2:
+                        router.delete("R4", values)
+                        assert row not in router.query("CS")
+            except BaseException as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        def reader():
+            try:
+                while not stop.is_set():
+                    for target in targets:
+                        router.query(target)
+            except BaseException as error:  # noqa: BLE001 - re-raised below
+                errors.append(error)
+
+        try:
+            # [CS] unions R4 (shard 1) with joins over shard 0.
+            assert frozenset("CS") in targets
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            writers = [
+                threading.Thread(target=writer, args=(thread,))
+                for thread in range(3)
+            ]
+            for thread in readers + writers:
+                thread.start()
+            for thread in writers:
+                thread.join()
+            stop.set()
+            for thread in readers:
+                thread.join()
+            assert errors == []
+            _assert_matches_engine(router, targets)
+        finally:
+            stop.set()
+            router.close()
+
+    def test_gather_never_mixes_a_reused_copy_with_a_later_fetch(self):
+        router = _conflict_router()
+        engine = WeakInstanceEngine(router.scheme, read_cache=False)
+        try:
+            assert router.insert(*CONFLICT_R1).consistent
+            router.query(CONFLICT_TARGET)  # R1, R2, R3, R5 now mirrored
+            # R3 goes stale; R1 stays fresh in the mirror.
+            assert router.insert(
+                "R3", {"H": "h9", "T": "t9", "C": "c9"}
+            ).consistent
+            fanout = router._fanout
+
+            def racing(payloads):
+                # Two writes land between the gather's generation
+                # snapshot and its fetch of R3: R1 loses its row, so
+                # the R3 row that conflicts with it is accepted.
+                router._fanout = fanout
+                router.delete(*CONFLICT_R1)
+                assert router.insert(*CONFLICT_R3).consistent
+                return fanout(payloads)
+
+            router._fanout = racing
+            rows = router.query(CONFLICT_TARGET)
+            after = _worker_state(router)
+            assert rows == engine.query(after, CONFLICT_TARGET)
+            assert rows == {("c2", "h", "s")}
+        finally:
+            router.close()
+
+    def test_gather_during_an_in_flight_batch_sees_one_side_of_it(self):
+        router = _conflict_router()
+        engine = WeakInstanceEngine(router.scheme, read_cache=False)
+        try:
+            assert router.insert(*CONFLICT_R1).consistent
+            router.query(CONFLICT_TARGET)
+            assert router.insert(
+                "R3", {"H": "h9", "T": "t9", "C": "c9"}
+            ).consistent
+            # The batch has reached the worker but its write has not
+            # finished: R1's mirror copy predates it, R3's is stale.
+            with router._invalidate(("R1", "R3")):
+                assert router._apply_batch_sharded(
+                    [("delete", *CONFLICT_R1), ("insert", *CONFLICT_R3)]
+                ).committed
+                rows = router.query(CONFLICT_TARGET)
+            after = _worker_state(router)
+            assert rows == engine.query(after, CONFLICT_TARGET)
+            assert router.query(CONFLICT_TARGET) == rows
+        finally:
+            router.close()
+
+    def test_threaded_gathers_see_only_serial_states(self):
+        router = _conflict_router()
+        engine = WeakInstanceEngine(router.scheme, read_cache=False)
+        # The writer cycles R1 row -> empty -> R3 row -> empty; no
+        # serial state holds both conflicting rows.  The unrelated rows
+        # make one relation stale while the other stays mirrored.
+        junk_r1 = ("R1", {"H": "h8", "R": "r8", "C": "c8"})
+        junk_r3 = ("R3", {"H": "h9", "T": "t9", "C": "c9"})
+        cycle = [
+            ("insert", junk_r3),
+            ("delete", junk_r3),
+            ("delete", CONFLICT_R1),
+            ("insert", CONFLICT_R3),
+            ("insert", junk_r1),
+            ("delete", junk_r1),
+            ("delete", CONFLICT_R3),
+            ("insert", CONFLICT_R1),
+        ]
+        try:
+            assert router.insert(*CONFLICT_R1).consistent
+            serial = []
+            for kind, args in cycle:
+                getattr(router, kind)(*args)
+                serial.append(_worker_state(router))
+            targets = [CONFLICT_TARGET, frozenset("CRS")]
+            allowed = {
+                target: [engine.query(state, target) for state in serial]
+                for target in targets
+            }
+            errors = []
+            seen = []
+            stop = threading.Event()
+
+            def writer():
+                try:
+                    for _ in range(40):
+                        for kind, args in cycle:
+                            outcome = getattr(router, kind)(*args)
+                            assert kind == "delete" or outcome.consistent
+                            # Let gathers start in every phase.
+                            time.sleep(0.0003)
+                except BaseException as error:  # noqa: BLE001 - re-raised below
+                    errors.append(error)
+
+            def reader():
+                try:
+                    while not stop.is_set():
+                        for target in targets:
+                            rows = router.query(target)
+                            seen.append(rows)
+                            assert rows in allowed[target], (target, rows)
+                except BaseException as error:  # noqa: BLE001 - re-raised below
+                    errors.append(error)
+
+            fanout = router._fanout
+
+            def slow_fanout(payloads):
+                # Widen the window between a gather's generation
+                # snapshot and its fetch (writes do not fan out).
+                time.sleep(0.001)
+                return fanout(payloads)
+
+            router._fanout = slow_fanout
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            writing = threading.Thread(target=writer)
+            for thread in readers + [writing]:
+                thread.start()
+            writing.join()
+            stop.set()
+            for thread in readers:
+                thread.join()
+            assert errors == []
+            assert seen
+            _assert_matches_engine(router, targets)
+        finally:
+            stop.set()
+            router.close()
+
+
+# Two rows of the block {R1, R2, R3} that conflict through R2's
+# (h, r, t): HR -> T, then HT -> C gives c2 against R1's c1.  R5 puts
+# [CHS] on two shards, so it is answered by a gather.
+CONFLICT_BASE = [
+    ("R2", {"H": "h", "R": "r", "T": "t"}),
+    ("R5", {"H": "h", "S": "s", "R": "r"}),
+]
+CONFLICT_R1 = ("R1", {"H": "h", "R": "r", "C": "c1"})
+CONFLICT_R3 = ("R3", {"H": "h", "T": "t", "C": "c2"})
+CONFLICT_TARGET = frozenset("CHS")
+
+
+def _conflict_router():
+    router = ShardRouter.in_memory(example1_university(), 4)
+    assert router.shards == 3
+    for name, values in CONFLICT_BASE:
+        assert router.insert(name, values).consistent
+    names = router._engine.plan(CONFLICT_TARGET).expression.relation_names()
+    assert {"R1", "R3", "R5"} <= set(names)
+    return router
+
+
+def _random_op(rng, scheme, inserted):
+    """One seeded write: an insert over a small value domain (so keys
+    collide and some inserts are rejected), a delete of a row inserted
+    earlier, or a two-update batch."""
+    relations = list(scheme.relations)
+
+    def insert():
+        member = rng.choice(relations)
+        values = {
+            attr: f"{attr}{rng.randrange(3)}"
+            for attr in sorted(member.attributes)
+        }
+        return ("insert", member.name, values)
+
+    roll = rng.random()
+    if roll < 0.2 and inserted:
+        name, values = rng.choice(inserted)
+        return ("delete", name, values)
+    if roll < 0.35:
+        return ("batch", [insert(), insert()])
+    return insert()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(PAPER_SCHEMES) + ["tiled_university"]
+)
+def test_mirror_matches_single_process_after_every_op(name):
+    if name == "tiled_university":
+        scheme = tiled_university(2)
+    else:
+        scheme = PAPER_SCHEMES[name]()
+    rng = random.Random(f"mirror-{name}")
+    engine = WeakInstanceEngine(scheme, read_cache=False)
+    state = engine.empty_state()
+    router = ShardRouter.in_memory(scheme, 2)
+    targets = query_targets(scheme) + sorted(
+        _cross_shard_targets(router), key=sorted
+    )
+    inserted = []
+    try:
+        for _ in range(30):
+            kind, *args = _random_op(rng, scheme, inserted)
+            if kind == "insert":
+                outcome = engine.insert(state, *args)
+                assert router.insert(*args).consistent == outcome.consistent
+                if outcome.consistent:
+                    state = outcome.state
+                    inserted.append(tuple(args))
+            elif kind == "delete":
+                state = engine.delete(state, *args)
+                router.delete(*args)
+            else:
+                outcome = engine.batch(state, args[0])
+                assert bool(router.apply_batch(args[0])) == bool(outcome)
+                if outcome:
+                    state = outcome.state
+            for target in targets:
+                assert router.query(target) == engine.query(state, target), (
+                    name,
+                    kind,
+                    target,
+                )
+    finally:
+        router.close()
