@@ -55,7 +55,7 @@ def main() -> None:
 
     engine = WeakInstanceEngine(scheme)
     state = engine.empty_state()
-    batch = engine.apply_batch(
+    batch = engine.batch(
         state,
         [
             ("insert", orders, {"O": "o1", "C": "acme", "D": "jan3"}),

@@ -69,7 +69,6 @@ def default_invalidation_config() -> InvalidationConfig:
                 "_batch_blocks",
                 "_batch_serial",
             ),
-            "core/engine.py::WeakInstanceEngine.apply_batch": ("batch",),
             "core/engine.py::WeakInstanceEngine._batch_serial": (
                 "insert",
                 "delete",
@@ -81,10 +80,7 @@ def default_invalidation_config() -> InvalidationConfig:
             # both the live write paths and the WAL-recovery replay.
             "service/store.py::DurableStore.insert": ("insert",),
             "service/store.py::DurableStore.delete": ("delete",),
-            "service/store.py::DurableStore.apply_batch": (
-                "batch",
-                "apply_batch",
-            ),
+            "service/store.py::DurableStore.apply_batch": ("batch",),
             "service/store.py::_apply_record": (
                 "insert",
                 "delete",

@@ -69,7 +69,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             "core/engine.py::WeakInstanceEngine.query": ("engine.query",),
             "core/engine.py::WeakInstanceEngine.plan": ("engine.plan",),
             "core/engine.py::WeakInstanceEngine.batch": ("engine.batch",),
-            "core/engine.py::WeakInstanceEngine._query_compiled": (
+            "core/engine.py::WeakInstanceEngine.evaluate": (
                 "engine.query.compiled",
             ),
             "core/engine.py::WeakInstanceEngine._query_cached": (

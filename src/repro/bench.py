@@ -156,29 +156,37 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
     )
 
     # The compiled maintenance hot path (repro.compile): the same [AE]
-    # plan through the engine's columnar kernel program versus the
-    # interpreted expression walk it replaced — single-worker, so the
-    # ratio is pure kernel-vs-interpreter, no pool effects.
-    from repro.core.ctm import InsertMaintainer
+    # plan through the engine's uncached evaluation step (the columnar
+    # kernel program) versus the interpreted expression walk —
+    # single-worker, so the ratio is pure kernel-vs-interpreter, no
+    # pool effects.  The fast side must not reach the read cache, or
+    # the ratio would time dict probes instead of kernels.
     from repro.core.engine import WeakInstanceEngine
+    from repro.core.maintenance import ExpressionRILookup, algebraic_insert
 
     engine = WeakInstanceEngine(state.scheme)
     plan = engine.plan(target)
     scenarios["compiled_total_projection_n256"] = _scenario(
         "e04 [AE] compiled kernels",
         state,
-        lambda: engine.query(state, target),
+        lambda: engine.evaluate(state, target),
         lambda: set(plan.expression.evaluate(state).row_vectors),
         repeats,
         lambda fast, slow: fast == slow,
     )
+    read_info = engine.read_cache.info()
+    if read_info.hits + read_info.misses:
+        raise AssertionError(
+            "compiled kernels scenario probed the read cache "
+            f"{read_info.hits + read_info.misses} time(s), expected 0"
+        )
 
     # Insert validation on the same family: a mixed accept/reject slate
-    # re-validated against one base state, through the compiled RI
-    # lookup versus the interpreted one.  Outcomes (decision and
-    # tuples-examined diagnostics) are asserted identical.
-    compiled_maintainer = InsertMaintainer(state.scheme)
-    interpreted_maintainer = InsertMaintainer(state.scheme, compiled=False)
+    # re-validated against one base state, through the engine's
+    # compiled RI lookup versus Algorithm 2 over the interpreted one
+    # (the e04 scheme is one key-equivalent block, so the state is its
+    # own block substate).  Outcomes (decision and tuples-examined
+    # diagnostics) are asserted identical.
     inserts = [
         ("R1", {"A": "a_fresh0", "B": "b_fresh0"}),
         ("R4", {"E": "e", "B": "b7"}),  # key conflict: rejected
@@ -188,21 +196,27 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
         ("R5", {"E": "e_fresh", "C": "c_fresh3"}),
     ]
 
-    def validate_slate(maintainer: InsertMaintainer) -> list:
+    def interpreted_insert(substate, name, values):
+        return algebraic_insert(
+            substate,
+            name,
+            values,
+            lookup=ExpressionRILookup(substate),
+            check_scheme=False,
+        )
+
+    def validate_slate(insert: Callable) -> list:
         return [
-            (
-                outcome.consistent,
-                outcome.tuples_examined,
-            )
+            (outcome.consistent, outcome.tuples_examined)
             for name, values in inserts
-            for outcome in (maintainer.insert(state, name, values),)
+            for outcome in (insert(state, name, values),)
         ]
 
     record = _scenario(
         "e04 compiled insert validation",
         state,
-        lambda: validate_slate(compiled_maintainer),
-        lambda: validate_slate(interpreted_maintainer),
+        lambda: validate_slate(engine.maintainer.insert),
+        lambda: validate_slate(interpreted_insert),
         repeats,
         lambda fast, slow: fast == slow,
     )
@@ -885,24 +899,26 @@ def run_read_scenarios(
                     },
                 )
             )
-    builder = WeakInstanceEngine(scheme, read_cache=False)
+    builder = WeakInstanceEngine(scheme)
     seeded = builder.batch(builder.empty_state(), seed_updates)
     assert seeded and seeded.state is not None
     state0 = seeded.state
     builder.close()
     scenarios: dict[str, dict] = {}
 
-    # -- single-process: cached vs uncached engine ---------------------------
+    # -- single-process: cached queries vs the uncached evaluation step ----
     cached = WeakInstanceEngine(scheme)
-    uncached = WeakInstanceEngine(scheme, read_cache=False)
+    uncached = WeakInstanceEngine(scheme)
 
-    def drive(engine: WeakInstanceEngine) -> Callable[[], list]:
+    def drive(
+        engine: WeakInstanceEngine, read: Callable[..., set]
+    ) -> Callable[[], list]:
         def run() -> list:
             state = state0
             results = []
             for op in operations:
                 if op[0] == "query":
-                    results.append(engine.query(state, op[1]))
+                    results.append(read(state, op[1]))
                 else:
                     outcome = engine.insert(state, op[1], op[2])
                     assert outcome.consistent
@@ -914,8 +930,8 @@ def run_read_scenarios(
     record = _scenario(
         "read_heavy_mix",
         state0,
-        drive(cached),
-        drive(uncached),
+        drive(cached, cached.query),
+        drive(uncached, uncached.evaluate),
         repeats,
         check_equal=lambda fast, slow: fast == slow,
     )

@@ -156,19 +156,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if globally else 2
 
 
-def _compiled(args: argparse.Namespace) -> bool:
-    """Whether the engine runs the columnar kernels (default) or the
-    ``--no-compile`` escape hatch forced the interpreted walk."""
-    return not getattr(args, "no_compile", False)
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
     tracer = _tracer_from_args(args)
     try:
         with tracing(tracer):
             scheme = load_scheme(args.scheme)
             state = load_state(scheme, args.state)
-            engine = WeakInstanceEngine(scheme, compiled=_compiled(args))
+            engine = WeakInstanceEngine(scheme)
             target = attrs(args.target)
             rows = engine.query(state, target)
         ordered = sorted(target)
@@ -202,13 +196,9 @@ def _open_or_create_store(args: argparse.Namespace):
     store_dir = Path(args.store)
     fsync_every = getattr(args, "fsync_every", 1)
     workers = getattr(args, "workers", 1)
-    compiled = _compiled(args)
     if (store_dir / SCHEME_FILE).exists():
         return DurableStore.open(
-            store_dir,
-            fsync_every=fsync_every,
-            workers=workers,
-            compiled=compiled,
+            store_dir, fsync_every=fsync_every, workers=workers
         )
     scheme_path = getattr(args, "scheme", None)
     if not scheme_path:
@@ -221,7 +211,6 @@ def _open_or_create_store(args: argparse.Namespace):
         load_scheme(scheme_path),
         fsync_every=fsync_every,
         workers=workers,
-        compiled=compiled,
     )
 
 
@@ -266,7 +255,7 @@ def _run_insert(args: argparse.Namespace) -> int:
         return 1
     scheme = load_scheme(args.scheme)
     state = load_state(scheme, args.state)
-    engine = WeakInstanceEngine(scheme, compiled=_compiled(args))
+    engine = WeakInstanceEngine(scheme)
     outcome = engine.insert(state, args.relation, args.values)
     if not outcome.consistent:
         _print_rejection(args.relation, outcome)
@@ -462,7 +451,6 @@ def _cmd_serve_sharded(
                 directory,
                 args.shards,
                 fsync_every=args.fsync_every,
-                compiled=_compiled(args),
                 tracer=tracer,
             )
             print(
@@ -481,7 +469,6 @@ def _cmd_serve_sharded(
                 load_scheme(args.scheme),
                 shards,
                 fsync_every=args.fsync_every,
-                compiled=_compiled(args),
                 tracer=tracer,
             )
             print(
@@ -496,10 +483,7 @@ def _cmd_serve_sharded(
             )
             return 1
         router = ShardRouter.in_memory(
-            load_scheme(args.scheme),
-            shards,
-            tracer=tracer,
-            compiled=_compiled(args),
+            load_scheme(args.scheme), shards, tracer=tracer
         )
         print(
             f"serving in-memory, {router.shards} shard(s) "
@@ -565,7 +549,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scheme=load_scheme(args.scheme),
             tracer=tracer,
             workers=getattr(args, "workers", 1),
-            compiled=_compiled(args),
         )
         print("serving in-memory (no --store: nothing will be persisted)")
     replica_set = None
@@ -573,9 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if replicas:
             from repro.service.replica import ReplicaSet
 
-            replica_set = ReplicaSet(
-                store, replicas, compiled=_compiled(args)
-            )
+            replica_set = ReplicaSet(store, replicas)
             print(
                 f"shipping WAL segments to {replicas} follower "
                 f"process(es) under {store.directory / 'replicas'}, "
@@ -678,11 +659,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     # registries (worker series carry a shard label).
                     from repro.shard.router import ShardRouter
 
-                    router = ShardRouter.open(
-                        args.store,
-                        compiled=_compiled(args),
-                        tracer=tracer,
-                    )
+                    router = ShardRouter.open(args.store, tracer=tracer)
                     try:
                         if args.target:
                             for _ in range(args.repeat):
@@ -712,9 +689,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                     return 1
                 scheme = load_scheme(args.scheme)
                 state = load_state(scheme, args.state)
-                engine = WeakInstanceEngine(
-                    scheme, compiled=_compiled(args)
-                )
+                engine = WeakInstanceEngine(scheme)
                 if args.target:
                     for _ in range(args.repeat):
                         engine.query(state, args.target)
@@ -1037,13 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("scheme", help="scheme JSON file")
     query.add_argument("state", help="state JSON file")
     query.add_argument("--target", required=True, help="attributes, e.g. ACG")
-    query.add_argument(
-        "--no-compile",
-        action="store_true",
-        dest="no_compile",
-        help="disable the compiled columnar kernels (interpreted "
-        "expression evaluation only)",
-    )
     _add_trace_flags(query)
     query.set_defaults(func=_cmd_query)
 
@@ -1070,13 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="engine worker pool size for block-parallel batches "
         "(default 1 = serial)",
-    )
-    insert.add_argument(
-        "--no-compile",
-        action="store_true",
-        dest="no_compile",
-        help="disable the compiled columnar kernels (interpreted "
-        "expression evaluation only)",
     )
     _add_trace_flags(insert)
     insert.set_defaults(func=_cmd_insert)
@@ -1108,13 +1069,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="engine worker pool size for block-parallel batches "
         "(default 1 = serial)",
-    )
-    serve.add_argument(
-        "--no-compile",
-        action="store_true",
-        dest="no_compile",
-        help="disable the compiled columnar kernels (interpreted "
-        "expression evaluation only)",
     )
     serve.add_argument(
         "--shards",
@@ -1217,13 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prometheus",
         action="store_true",
         help="Prometheus text exposition instead of the table",
-    )
-    stats.add_argument(
-        "--no-compile",
-        action="store_true",
-        dest="no_compile",
-        help="disable the compiled columnar kernels (interpreted "
-        "expression evaluation only)",
     )
     _add_trace_flags(stats)
     stats.set_defaults(func=_cmd_stats)

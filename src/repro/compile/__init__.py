@@ -14,9 +14,11 @@ maintainer) shares across all compiled evaluations: the program memo —
 an :class:`~repro.foundations.cache.LRUCache` keyed by
 ``(scheme_fingerprint, plan_fingerprint)`` — and the
 :class:`~repro.compile.columns.ColumnStore`.  The interpreted
-``Expression.evaluate`` walk stays the differential oracle; anything
-the compiler cannot flatten raises
-:class:`~repro.foundations.errors.CompileError` and callers fall back.
+``Expression.evaluate`` walk stays the differential oracle.  Every
+plan and RI selection the paper's schemes produce is a tree of scans,
+joins, projections and unions, all inside the kernel set, so there is
+no fallback: anything the compiler cannot flatten raises
+:class:`~repro.foundations.errors.CompileError` as a bug.
 """
 
 from __future__ import annotations

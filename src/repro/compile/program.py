@@ -28,8 +28,9 @@ Programs depend only on the expression (relation names and attribute
 sets), never on a state, so they are memoized across states — see
 :class:`repro.compile.KernelSpace` for the
 ``(scheme_fingerprint, plan_fingerprint)`` cache.  Expressions that
-embed data (``LiteralRelation``) raise :class:`CompileError`; callers
-fall back to the interpreted walk, which stays the differential oracle.
+embed data (``LiteralRelation``) raise :class:`CompileError`; no plan
+or RI selection the engine builds contains one.  The interpreted walk
+stays the differential oracle.
 """
 
 from __future__ import annotations
@@ -853,8 +854,7 @@ def compile_expression(
     ``params`` compiles the parameterized selection ``σ_{params=?}``
     over the expression — the prepared-statement form the compiled
     RI lookup binds per insert.  Raises :class:`CompileError` for
-    expressions outside the kernel set (callers fall back to the
-    interpreted evaluator).
+    expressions outside the kernel set.
     """
     parameters = attrs(params)
     unknown = parameters - expression.attributes

@@ -17,12 +17,10 @@ for schemes outside the class.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
 
 from repro.core.maintenance import (
-    ExpressionRILookup,
     StateIndex,
     algebraic_insert,
     ctm_insert,
@@ -111,21 +109,20 @@ class InsertMaintainer:
         scheme: DatabaseScheme,
         partition: Optional[SchemePartition] = None,
         kernels: Optional["KernelSpace"] = None,
-        compiled: bool = True,
     ) -> None:
         self.scheme = scheme
         self.partition = (
             partition if partition is not None else partition_scheme(scheme)
         )
         # Algorithm-2 validations run their bounded selections through
-        # compiled columnar kernels unless opted out; a maintainer built
-        # by an engine shares that engine's KernelSpace (program memo +
-        # column store), a standalone maintainer owns one.
-        if kernels is None and compiled:
+        # compiled columnar kernels; a maintainer built by an engine
+        # shares that engine's KernelSpace (program memo + column
+        # store), a standalone maintainer owns one.
+        if kernels is None:
             from repro.compile import KernelSpace
 
             kernels = KernelSpace()
-        self.kernels = kernels if compiled else None
+        self.kernels = kernels
         self.recognition = self.partition.recognition
         self._strategy: dict[str, str] = {}
         self._block_of: dict[str, DatabaseScheme] = {}
@@ -160,15 +157,12 @@ class InsertMaintainer:
         )
 
     def _lookup(self, substate: DatabaseState):
-        """The RI lookup for one Algorithm-2 validation: compiled
-        kernels when enabled, the interpreted expression walk otherwise.
-        The Corollary 3.1(b) branches are always scans, joins and
-        projections, all inside the kernel set."""
-        if self.kernels is not None:
-            from repro.compile import CompiledRILookup
+        """The RI lookup for one Algorithm-2 validation, on the compiled
+        kernels.  The Corollary 3.1(b) branches are always scans, joins
+        and projections, all inside the kernel set."""
+        from repro.compile import CompiledRILookup
 
-            return CompiledRILookup(substate, self.kernels)
-        return ExpressionRILookup(substate)
+        return CompiledRILookup(substate, self.kernels)
 
     def _substate(
         self, state: DatabaseState, block: DatabaseScheme
@@ -254,7 +248,6 @@ class InsertMaintainer:
         the serial batch's first failure.  One :class:`StateIndex` is
         kept exact across the loop for ctm blocks, replacing the
         per-insert rebuild of the single-insert path."""
-        started = time.perf_counter()
         is_ctm = self.partition.block_ctm[block_index]
         index = StateIndex(substate) if is_ctm else None
         current = substate
@@ -292,7 +285,6 @@ class InsertMaintainer:
                             applied=applied,
                             failed_index=global_index,
                             failure=outcome,
-                            seconds=time.perf_counter() - started,
                             ops=len(operations),
                         )
                     assert outcome.state is not None
@@ -312,7 +304,6 @@ class InsertMaintainer:
                     applied=applied,
                     error_index=global_index,
                     error=error,
-                    seconds=time.perf_counter() - started,
                     ops=len(operations),
                 )
             applied += 1
@@ -320,7 +311,6 @@ class InsertMaintainer:
             block_index=block_index,
             substate=current,
             applied=applied,
-            seconds=time.perf_counter() - started,
             ops=len(operations),
         )
 
@@ -395,7 +385,6 @@ class BlockOutcome:
     failure: Optional[MaintenanceOutcome] = None
     error_index: Optional[int] = None
     error: Optional[BaseException] = None
-    seconds: float = 0.0
 
     def __bool__(self) -> bool:
         return self.substate is not None

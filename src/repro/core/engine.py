@@ -11,8 +11,9 @@ downstream application needs:
   deletions are always consistency-preserving in the weak-instance
   model (the old weak instance still witnesses the smaller state), so
   only insertions need validation;
-* query evaluation routed to the cheapest correct method for the
-  scheme's class.
+* query evaluation behind a block-versioned result cache: the
+  compiled predetermined plan on a reducible scheme, the chase
+  outside the class.
 """
 
 from __future__ import annotations
@@ -24,24 +25,18 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.compile import KernelSpace
 from repro.core.ctm import BlockOutcome, InsertMaintainer
-from repro.core.parallel import BACKENDS, ParallelExecutor
+from repro.core.parallel import ParallelExecutor
 from repro.core.partition import SchemePartition, partition_scheme
-from repro.core.query import (
-    QueryPlan,
-    total_projection_plan,
-    total_projection_reducible,
-)
+from repro.core.query import QueryPlan, total_projection_plan
 from repro.core.readcache import ReadCache
 from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, sorted_attrs
 from repro.foundations.cache import MISSING, CacheInfo, LRUCache
 from repro.foundations.errors import (
-    CompileError,
     InconsistentStateError,
     SchemaError,
     StateError,
 )
-from repro.io import scheme_from_dict, scheme_to_dict
-from repro.obs.spans import current_tracer, span
+from repro.obs.spans import span
 from repro.schema.database_scheme import DatabaseScheme
 from repro.state.consistency import (
     ChaseResult,
@@ -98,18 +93,13 @@ class WeakInstanceEngine:
     object never changes; the cache entry keeps a strong reference to
     the state so the ``id`` cannot be recycled while the entry lives.
 
-    ``compiled=True`` (the default) routes reducible queries and the
-    Algorithm-2 insert validations through the columnar kernels of
-    :mod:`repro.compile`; ``compiled=False`` (the CLI's
-    ``--no-compile``) keeps every evaluation on the interpreted
-    expression walk.
-
-    ``read_cache=True`` (the default) keeps a block-versioned
-    query-result cache in front of both query routes (see
-    :mod:`repro.core.readcache`): a repeated ``[X]`` against a state
-    whose touched blocks are unchanged is a dict probe, and a write
-    only stops queries overlapping the written block from hitting.
-    ``read_cache_size`` bounds the number of cached answers.
+    Reducible queries and the Algorithm-2 insert validations run
+    through the columnar kernels of :mod:`repro.compile`.  A
+    block-versioned query-result cache sits in front of every query
+    (see :mod:`repro.core.readcache`): a repeated ``[X]`` against a
+    state whose touched blocks are unchanged is a dict probe, and a
+    write only stops queries overlapping the written block from
+    hitting.  ``read_cache_size`` bounds the number of cached answers.
     """
 
     def __init__(
@@ -118,31 +108,17 @@ class WeakInstanceEngine:
         plan_cache_size: int = 256,
         chase_cache_size: int = 64,
         workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
-        read_cache: bool = True,
         read_cache_size: int = 1024,
     ) -> None:
-        if parallel_backend not in BACKENDS:
-            raise StateError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
         self.scheme = scheme
         self.partition: SchemePartition = partition_scheme(scheme)
         self._compiled: LRUCache = LRUCache(plan_cache_size)
-        self.kernels: Optional[KernelSpace] = (
-            KernelSpace(programs=self._compiled) if compiled else None
-        )
+        self.kernels = KernelSpace(programs=self._compiled)
         self.maintainer = InsertMaintainer(
-            scheme,
-            partition=self.partition,
-            kernels=self.kernels,
-            compiled=compiled,
+            scheme, partition=self.partition, kernels=self.kernels
         )
         self.recognition = self.maintainer.recognition
         self.workers = max(1, int(workers))
-        self.parallel_backend = parallel_backend
         self._executor_lock = threading.Lock()
         self._executor: Optional[ParallelExecutor] = None  # guarded-by: _executor_lock
         self._plans: LRUCache = LRUCache(plan_cache_size)
@@ -154,11 +130,7 @@ class WeakInstanceEngine:
         self._block_chase: LRUCache = LRUCache(
             max(chase_cache_size, 4 * max(1, len(self.partition.blocks)))
         )
-        self.read_cache: Optional[ReadCache] = (
-            ReadCache(self.partition, maxsize=read_cache_size)
-            if read_cache
-            else None
-        )
+        self.read_cache = ReadCache(self.partition, maxsize=read_cache_size)
 
     @property
     def executor(self) -> Optional[ParallelExecutor]:
@@ -168,9 +140,7 @@ class WeakInstanceEngine:
             return None
         with self._executor_lock:
             if self._executor is None:
-                self._executor = ParallelExecutor(
-                    self.workers, backend=self.parallel_backend
-                )
+                self._executor = ParallelExecutor(self.workers)
             return self._executor
 
     def close(self) -> None:
@@ -302,21 +272,17 @@ class WeakInstanceEngine:
 
     def cache_info(self) -> dict[str, CacheInfo]:
         """Hit/miss/eviction accounting for the engine's memo layers."""
-        info = {
+        return {
             "plans": self._plans.info(),
             "compiled": self._compiled.info(),
             "chase": self._chase.info(),
             "block_chase": self._block_chase.info(),
+            "read": self.read_cache.info(),
         }
-        if self.read_cache is not None:
-            info["read"] = self.read_cache.info()
-        return info
 
     def _note_write(self, state: DatabaseState, relation_name: str) -> None:
         """Stamp a fresh read-cache version on the written relation's
         block of a just-produced state."""
-        if self.read_cache is None:
-            return
         self.read_cache.note_write(
             state, self.partition.block_index_of(relation_name)
         )
@@ -399,12 +365,6 @@ class WeakInstanceEngine:
                     )
             return self._batch_serial(state, updates)
 
-    def apply_batch(
-        self, state: DatabaseState, updates: Sequence[Update]
-    ) -> BatchOutcome:
-        """Alias of :meth:`batch` (the historical name)."""
-        return self.batch(state, updates)
-
     def _batch_serial(
         self, state: DatabaseState, updates: Sequence[Update]
     ) -> BatchOutcome:
@@ -428,7 +388,7 @@ class WeakInstanceEngine:
         return BatchOutcome(state=current, applied=len(updates))
 
     def _run_block_task(self, task) -> BlockOutcome:
-        """Thread-backend block task: runs under the dispatching
+        """One block's slice of a batch: runs under the dispatching
         context (the executor copies contextvars), so the block span and
         every nested chase/join span land in the caller's tracer."""
         block_index, substate, operations = task
@@ -442,45 +402,6 @@ class WeakInstanceEngine:
                 sp.add("rejected", 0 if outcome.failed_index is None else 1)
         return outcome
 
-    def _encode_block_task(
-        self, state: DatabaseState, block_index: int, operations
-    ) -> dict:
-        """Primitive payload for the process backend: states and
-        relations are slotted immutables that refuse pickling, so the
-        child rebuilds the block substate from plain dicts."""
-        names = self.partition.block_names[block_index]
-        return {
-            "block_index": block_index,
-            "scheme": scheme_to_dict(self.partition.blocks[block_index]),
-            "relations": {
-                name: [dict(values) for values in state[name]]
-                for name in names
-            },
-            "operations": [
-                (global_index, operation, relation_name, dict(values))
-                for global_index, operation, relation_name, values in operations
-            ],
-        }
-
-    def _decode_block_outcome(self, encoded: dict) -> BlockOutcome:
-        substate = None
-        if encoded["relations"] is not None:
-            substate = DatabaseState(
-                self.partition.blocks[encoded["block_index"]],
-                encoded["relations"],
-            )
-        return BlockOutcome(
-            block_index=encoded["block_index"],
-            substate=substate,
-            applied=encoded["applied"],
-            ops=encoded["ops"],
-            failed_index=encoded["failed_index"],
-            failure=encoded["failure"],
-            error_index=encoded["error_index"],
-            error=encoded["error"],
-            seconds=encoded["seconds"],
-        )
-
     def _batch_blocks(
         self,
         state: DatabaseState,
@@ -488,37 +409,11 @@ class WeakInstanceEngine:
         routed: Mapping[int, list],
         executor: ParallelExecutor,
     ) -> BatchOutcome:
-        ordered = sorted(routed.items())
-        if executor.backend == "process":
-            payloads = [
-                self._encode_block_task(state, block_index, operations)
-                for block_index, operations in ordered
-            ]
-            outcomes = [
-                self._decode_block_outcome(encoded)
-                for encoded in executor.map(_process_block_task, payloads)
-            ]
-            # A child process cannot share the parent's tracer; fold the
-            # measured block timings in from here instead.
-            tracer = current_tracer()
-            if tracer is not None:
-                for outcome in outcomes:
-                    tracer.record(
-                        "engine.block",
-                        outcome.seconds,
-                        {"ops": outcome.ops, "applied": outcome.applied},
-                    )
-        else:
-            tasks = [
-                (
-                    block_index,
-                    self.partition.substate(state, block_index),
-                    operations,
-                )
-                for block_index, operations in ordered
-            ]
-            outcomes = executor.map(self._run_block_task, tasks)
-
+        tasks = [
+            (block_index, self.partition.substate(state, block_index), operations)
+            for block_index, operations in sorted(routed.items())
+        ]
+        outcomes = executor.map(self._run_block_task, tasks)
         events = [
             outcome for outcome in outcomes if outcome.event_index is not None
         ]
@@ -544,9 +439,8 @@ class WeakInstanceEngine:
             name: merged.get(name, state[name]) for name in self.scheme.names
         }
         merged_state = DatabaseState(self.scheme, relations)
-        if self.read_cache is not None:
-            for block_index in routed:
-                self.read_cache.note_write(merged_state, block_index)
+        for block_index in routed:
+            self.read_cache.note_write(merged_state, block_index)
         return BatchOutcome(state=merged_state, applied=len(updates))
 
     def streaming(self, state: DatabaseState):
@@ -584,25 +478,26 @@ class WeakInstanceEngine:
             "no predetermined expression is available)"
         )
 
-    def _query_compiled(
-        self, state: DatabaseState, target: frozenset[str]
-    ) -> Optional[set[tuple[Hashable, ...]]]:
-        """``[X]`` through the compiled kernel program for the cached
-        plan, or ``None`` when the target has no predetermined plan (a
-        ``SchemaError`` target falls back to the block route, which
-        answers uncoverable targets with the empty set) or the plan
-        cannot be flattened into kernels."""
-        kernels = self.kernels
-        assert kernels is not None
+    def evaluate(
+        self, state: DatabaseState, attributes: AttrsLike
+    ) -> set[tuple[Hashable, ...]]:
+        """``[X]`` computed from ``state``, bypassing the read cache: the
+        compiled kernel program of the predetermined plan on a reducible
+        scheme, the chase outside the class.  A target no plan covers
+        (``SchemaError``, attributes outside the universe included) has
+        no total tuples, so its answer is empty."""
+        target = attrs(attributes)
+        if not self.reducible:
+            return self.representative(state).total_projection(target)
         try:
             plan = self.plan(target)
-            program = kernels.expression_program(
-                self.partition.fingerprint, plan.expression
-            )
-        except (SchemaError, CompileError):
-            return None
+        except SchemaError:
+            return set()
+        program = self.kernels.expression_program(
+            self.partition.fingerprint, plan.expression
+        )
         with span("engine.query.compiled") as sp:
-            rows = program.run_decoded(kernels.store, state)
+            rows = program.run_decoded(self.kernels.store, state)
             if sp:
                 sp.add("rows_out", len(rows))
         return rows
@@ -613,7 +508,6 @@ class WeakInstanceEngine:
         """Probe the block-versioned result cache for a prior answer
         under ``key``, or ``None`` on a miss (the caller evaluates and
         fills the entry)."""
-        assert self.read_cache is not None
         with span("engine.query.cached") as sp:
             rows = self.read_cache.get(key)
             if sp:
@@ -625,58 +519,15 @@ class WeakInstanceEngine:
     def query(
         self, state: DatabaseState, attributes: AttrsLike
     ) -> set[tuple[Hashable, ...]]:
-        """``[X]`` evaluated by the cheapest correct route: the
-        block-versioned result cache first, then the compiled kernels,
-        then the interpreted expression walk (or the full chase outside
-        the reducible class)."""
+        """``[X]``: the block-versioned result cache first, then
+        :meth:`evaluate` on a miss."""
         target = attrs(attributes)
         with span("engine.query") as sp:
-            rows = None
-            key = None
-            if self.read_cache is not None:
-                key = self.read_cache.key(state, target, self.plan)
-                rows = self._query_cached(key)
+            key = self.read_cache.key(state, target, self.plan)
+            rows = self._query_cached(key)
             if rows is None:
-                if self.reducible:
-                    if self.kernels is not None:
-                        rows = self._query_compiled(state, target)
-                    if rows is None:
-                        rows = total_projection_reducible(
-                            state, target, self.recognition
-                        )
-                else:
-                    rows = self.representative(state).total_projection(target)
-                if key is not None:
-                    self.read_cache.put(key, rows)
+                rows = self.evaluate(state, target)
+                self.read_cache.put(key, rows)
             if sp:
                 sp.add("rows_out", len(rows))
             return rows
-
-
-def _process_block_task(payload: dict) -> dict:
-    """Process-backend block task (top level: workers import it by
-    name).  Rebuilds the block as a standalone scheme — a single
-    key-equivalent block partitions to itself, so maintenance strategy
-    selection matches the parent's — applies the slice, and returns a
-    picklable rendering of the outcome."""
-    block = scheme_from_dict(payload["scheme"])
-    maintainer = InsertMaintainer(block)
-    substate = DatabaseState(block, payload["relations"])
-    outcome = maintainer.block_batch(substate, 0, payload["operations"])
-    relations = None
-    if outcome.substate is not None:
-        relations = {
-            name: [dict(values) for values in relation]
-            for name, relation in outcome.substate
-        }
-    return {
-        "block_index": payload["block_index"],
-        "relations": relations,
-        "applied": outcome.applied,
-        "ops": outcome.ops,
-        "failed_index": outcome.failed_index,
-        "failure": outcome.failure,
-        "error_index": outcome.error_index,
-        "error": outcome.error,
-        "seconds": outcome.seconds,
-    }

@@ -1,37 +1,31 @@
-"""A pluggable executor for share-nothing block tasks.
+"""A thread-pool executor for share-nothing block tasks.
 
 The independence decomposition guarantees block tasks touch disjoint
-relations, so they can run on a thread pool (the default: zero setup
-cost, shared immutable inputs) or a process pool (a config switch for
-CPU-bound fleets: inputs must be picklable, so callers hand the process
-backend primitive payloads).
+relations, so they can run on a thread pool over shared immutable
+inputs.  Putting blocks on other processes is the shard tier's job
+(:mod:`repro.shard`).
 
 ``workers=1`` — the default everywhere — never builds a pool and runs
 tasks inline, preserving single-threaded behavior byte-for-byte.
 
-Thread tasks run under :func:`contextvars.copy_context`, so the caller's
+Tasks run under :func:`contextvars.copy_context`, so the caller's
 ambient tracer (see :mod:`repro.obs.spans`) keeps collecting the spans
-a worker emits; process workers cannot share a tracer, so per-block
-spans are recorded by the parent from returned timings instead.
+a worker emits.
 """
 
 from __future__ import annotations
 
 import contextvars
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-from repro.foundations.errors import StateError
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
-BACKENDS = ("thread", "process")
-
 
 class ParallelExecutor:
-    """Map a function over independent items on a worker pool.
+    """Map a function over independent items on a thread pool.
 
     The pool is created lazily on the first parallel map and reused for
     the executor's lifetime; :meth:`close` (or use as a context manager)
@@ -39,29 +33,18 @@ class ParallelExecutor:
     map degenerates to an inline loop — no pool, no threads.
     """
 
-    def __init__(self, workers: int = 1, backend: str = "thread") -> None:
-        if backend not in BACKENDS:
-            raise StateError(
-                f"unknown parallel backend {backend!r}; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
+    def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
-        self.backend = backend
-        self._pool: Optional[Executor] = None  # guarded-by: _lock
+        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._pool is None:
-                if self.backend == "thread":
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self.workers,
-                        thread_name_prefix="repro-block",
-                    )
-                else:
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self.workers
-                    )
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.workers,
+                    thread_name_prefix="repro-block",
+                )
             return self._pool
 
     def map(
@@ -78,15 +61,12 @@ class ParallelExecutor:
         if self.workers <= 1 or len(materialized) <= 1:
             return [function(item) for item in materialized]
         pool = self._ensure_pool()
-        if self.backend == "thread":
-            # Propagate contextvars (the ambient span tracer) into the
-            # pool: ThreadPoolExecutor workers do not inherit them.
-            futures = [
-                pool.submit(contextvars.copy_context().run, function, item)
-                for item in materialized
-            ]
-        else:
-            futures = [pool.submit(function, item) for item in materialized]
+        # Propagate contextvars (the ambient span tracer) into the pool:
+        # ThreadPoolExecutor workers do not inherit them.
+        futures = [
+            pool.submit(contextvars.copy_context().run, function, item)
+            for item in materialized
+        ]
         return [future.result() for future in futures]
 
     def close(self) -> None:
@@ -102,7 +82,4 @@ class ParallelExecutor:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"ParallelExecutor(workers={self.workers}, "
-            f"backend={self.backend!r})"
-        )
+        return f"ParallelExecutor(workers={self.workers})"

@@ -161,12 +161,10 @@ class FollowerStore:
         self,
         directory: PathLike,
         *,
-        compiled: bool = True,
         fsync_every: int = 1,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.compiled = compiled
         self.fsync_every = fsync_every
         self.tracer = Tracer()
         self._scheme: Optional[DatabaseScheme] = None
@@ -295,7 +293,7 @@ class FollowerStore:
         ):
             raise ServiceError("malformed bootstrap snapshot")
         scheme = scheme_from_dict(scheme_dict)
-        engine = WeakInstanceEngine(scheme, compiled=self.compiled)
+        engine = WeakInstanceEngine(scheme)
         state = engine.load(snapshot["state"])
         # Persist the store files first: a promote after a crash of the
         # *primary* must find a complete store directory here.
@@ -673,7 +671,6 @@ def follower_main(conn: socket.socket, config: Mapping[str, Any]) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     follower = FollowerStore(
         config["directory"],
-        compiled=bool(config.get("compiled", True)),
         fsync_every=int(config.get("fsync_every", 1)),
     )
     try:
@@ -712,7 +709,6 @@ class ReplicaSet:
         directory: Optional[PathLike] = None,
         *,
         poll_interval: float = 0.05,
-        compiled: bool = True,
     ) -> None:
         if count < 1:
             raise ServiceError("a replica set needs at least one follower")
@@ -739,11 +735,7 @@ class ReplicaSet:
                 target=follower_main,
                 args=(
                     child_sock,
-                    {
-                        "directory": str(follower_dir),
-                        "compiled": compiled,
-                        "fsync_every": 1,
-                    },
+                    {"directory": str(follower_dir), "fsync_every": 1},
                 ),
                 name=f"repro-follower-{index}",
                 daemon=True,

@@ -86,9 +86,6 @@ class SchemeServer:
         state: Optional[DatabaseState] = None,
         tracer: Optional[Tracer] = None,
         workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
-        read_cache: bool = True,
     ) -> None:
         if (store is None) == (scheme is None):
             raise ServiceError(
@@ -115,13 +112,7 @@ class SchemeServer:
         else:
             assert scheme is not None
             self.scheme = scheme
-            self.engine = WeakInstanceEngine(
-                scheme,
-                workers=workers,
-                parallel_backend=parallel_backend,
-                compiled=compiled,
-                read_cache=read_cache,
-            )
+            self.engine = WeakInstanceEngine(scheme, workers=workers)
             self.metrics = MetricsRegistry()
             self._state = (
                 state if state is not None else self.engine.empty_state()
@@ -134,16 +125,8 @@ class SchemeServer:
         scheme: DatabaseScheme,
         state: Optional[DatabaseState] = None,
         workers: int = 1,
-        compiled: bool = True,
-        read_cache: bool = True,
     ) -> "SchemeServer":
-        return cls(
-            scheme=scheme,
-            state=state,
-            workers=workers,
-            compiled=compiled,
-            read_cache=read_cache,
-        )
+        return cls(scheme=scheme, state=state, workers=workers)
 
     @classmethod
     def serving(cls, store: DurableStore) -> "SchemeServer":
@@ -222,7 +205,7 @@ class SchemeServer:
                 outcome = self._store.apply_batch(updates)
                 self._state = self._store.state
             else:
-                outcome = self.engine.apply_batch(self._state, updates)
+                outcome = self.engine.batch(self._state, updates)
                 self.metrics.increment("ops.batch")
                 if outcome:
                     assert outcome.state is not None

@@ -185,9 +185,6 @@ class DurableStore:
         auto_compact: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
-        read_cache: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "DurableStore":
         """Initialise a fresh store directory (must not already hold
@@ -208,9 +205,6 @@ class DurableStore:
             auto_compact=auto_compact,
             metrics=metrics,
             workers=workers,
-            parallel_backend=parallel_backend,
-            compiled=compiled,
-            read_cache=read_cache,
             segment_bytes=segment_bytes,
         )
 
@@ -224,9 +218,6 @@ class DurableStore:
         auto_compact: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         workers: int = 1,
-        parallel_backend: str = "thread",
-        compiled: bool = True,
-        read_cache: bool = True,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         as_of_seq: Optional[int] = None,
     ) -> "DurableStore":
@@ -252,13 +243,7 @@ class DurableStore:
             if not scheme_path.exists():
                 raise StoreError(f"{directory} does not contain a store")
             scheme = load_scheme(scheme_path)
-            engine = WeakInstanceEngine(
-                scheme,
-                workers=workers,
-                parallel_backend=parallel_backend,
-                compiled=compiled,
-                read_cache=read_cache,
-            )
+            engine = WeakInstanceEngine(scheme, workers=workers)
 
             snapshot_path = directory / SNAPSHOT_FILE
             if snapshot_path.exists():
@@ -446,7 +431,7 @@ class DurableStore:
         applied, or none is and the rejection is logged as a diagnostic."""
         self._require_writable()
         with span("store.batch") as sp:
-            outcome = self.engine.apply_batch(self._state, updates)
+            outcome = self.engine.batch(self._state, updates)
             if outcome:
                 assert outcome.state is not None
                 for operation, relation_name, values in updates:

@@ -281,8 +281,6 @@ class ShardRouter:
         create_dirs: bool = False,
         tracer: Optional[Tracer] = None,
         fsync_every: int = 1,
-        compiled: bool = True,
-        read_cache: bool = True,
     ) -> None:
         self.scheme = scheme
         self.partition = partition_scheme(scheme)
@@ -291,8 +289,6 @@ class ShardRouter:
         self.metrics = MetricsRegistry()
         self.directory = Path(directory) if directory is not None else None
         self._fsync_every = fsync_every
-        self._compiled = compiled
-        self._read_cache = read_cache
         self._write_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
         self._sessions: dict[str, RouterSession] = {}  # guarded-by: _sessions_lock
@@ -323,9 +319,7 @@ class ShardRouter:
         # Gathered states are built from the mirror's stable Relation
         # objects, so its block-versioned read cache and the compiled
         # column caches hit until a write changes a touched relation.
-        self._engine = WeakInstanceEngine(
-            scheme, compiled=compiled, read_cache=read_cache
-        )
+        self._engine = WeakInstanceEngine(scheme)
         if self.map.shards <= 1:
             self._start_inline()
         else:
@@ -338,17 +332,9 @@ class ShardRouter:
         scheme: DatabaseScheme,
         shards: int = 1,
         tracer: Optional[Tracer] = None,
-        compiled: bool = True,
-        read_cache: bool = True,
     ) -> "ShardRouter":
         """A sharded deployment with nothing on disk."""
-        return cls(
-            scheme,
-            shards,
-            tracer=tracer,
-            compiled=compiled,
-            read_cache=read_cache,
-        )
+        return cls(scheme, shards, tracer=tracer)
 
     @classmethod
     def create(
@@ -358,9 +344,7 @@ class ShardRouter:
         shards: int = 1,
         *,
         fsync_every: int = 1,
-        compiled: bool = True,
         tracer: Optional[Tracer] = None,
-        read_cache: bool = True,
     ) -> "ShardRouter":
         """Initialise a fresh sharded store directory and serve it."""
         directory = Path(directory)
@@ -379,8 +363,6 @@ class ShardRouter:
             create_dirs=True,
             tracer=tracer,
             fsync_every=fsync_every,
-            compiled=compiled,
-            read_cache=read_cache,
         )
 
     @classmethod
@@ -390,9 +372,7 @@ class ShardRouter:
         shards: Optional[int] = None,
         *,
         fsync_every: int = 1,
-        compiled: bool = True,
         tracer: Optional[Tracer] = None,
-        read_cache: bool = True,
     ) -> "ShardRouter":
         """Recover a sharded store: every worker replays its own WAL.
 
@@ -426,8 +406,6 @@ class ShardRouter:
             directory=directory,
             tracer=tracer,
             fsync_every=fsync_every,
-            compiled=compiled,
-            read_cache=read_cache,
         )
 
     # -- startup --------------------------------------------------------------
@@ -451,23 +429,16 @@ class ShardRouter:
 
             if (shard_dir / SCHEME_FILE).exists():
                 store = DurableStore.open(
-                    shard_dir,
-                    fsync_every=self._fsync_every,
-                    compiled=self._compiled,
+                    shard_dir, fsync_every=self._fsync_every
                 )
             else:
                 store = DurableStore.create(
-                    shard_dir,
-                    self.scheme,
-                    fsync_every=self._fsync_every,
-                    compiled=self._compiled,
+                    shard_dir, self.scheme, fsync_every=self._fsync_every
                 )
             self._local = SchemeServer(store=store, tracer=self.tracer)
         else:
             self._local = SchemeServer(
-                scheme=self.scheme,
-                tracer=self.tracer,
-                compiled=self._compiled,
+                scheme=self.scheme, tracer=self.tracer
             )
 
     def _start_workers(self) -> None:
@@ -484,8 +455,6 @@ class ShardRouter:
                 "scheme": scheme_to_dict(self._shard_scheme(index)),
                 "store_dir": self._shard_dir(index),
                 "fsync_every": self._fsync_every,
-                "compiled": self._compiled,
-                "read_cache": self._read_cache,
             }
             process = context.Process(
                 target=worker_main,
@@ -988,8 +957,7 @@ class ShardRouter:
     def _engine_cache_series(self) -> tuple[dict, dict]:
         """The gather engine's read-cache series, unlabeled: why a
         cross-shard gather was a dict probe or a re-evaluation."""
-        info = self._engine.cache_info()
-        return cache_series({"read": info["read"]} if "read" in info else {})
+        return cache_series({"read": self._engine.cache_info()["read"]})
 
     def metrics_snapshot(self) -> dict[str, Union[int, float]]:
         """Router counters (its gather engine's read cache included)

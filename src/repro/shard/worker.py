@@ -141,9 +141,8 @@ def apply_slice(
         # post-write probe cheap and the writes_observed metric honest
         # (the serial path below inherits its stamps from
         # engine.insert/delete).
-        if engine.read_cache is not None:
-            for block_index in grouped:
-                engine.read_cache.note_write(next_state, block_index)
+        for block_index in grouped:
+            engine.read_cache.note_write(next_state, block_index)
         return next_state, None, len(operations)
     # Non-decomposable shard scheme: the serial loop, still at global
     # indices.  Correct for any scheme; only the amortization is lost.
@@ -213,8 +212,6 @@ class ShardWorker:
         tracer = Tracer()
         scheme = scheme_from_dict(config["scheme"])
         store_dir = config.get("store_dir")
-        compiled = bool(config.get("compiled", True))
-        read_cache = bool(config.get("read_cache", True))
         if store_dir is not None:
             from pathlib import Path
 
@@ -225,16 +222,12 @@ class ShardWorker:
                     store = DurableStore.open(
                         store_dir,
                         fsync_every=int(config.get("fsync_every", 1)),
-                        compiled=compiled,
-                        read_cache=read_cache,
                     )
                 else:
                     store = DurableStore.create(
                         store_dir,
                         scheme,
                         fsync_every=int(config.get("fsync_every", 1)),
-                        compiled=compiled,
-                        read_cache=read_cache,
                     )
             return cls(
                 shard=int(config["shard"]),
@@ -243,9 +236,7 @@ class ShardWorker:
                 store=store,
                 tracer=tracer,
             )
-        engine = WeakInstanceEngine(
-            scheme, compiled=compiled, read_cache=read_cache
-        )
+        engine = WeakInstanceEngine(scheme)
         return cls(
             shard=int(config["shard"]),
             engine=engine,

@@ -3,14 +3,17 @@ must reproduce the interpreted Algorithm-2 validations *exactly* —
 same accept/reject decisions, same instrumentation counters, and
 byte-identical rejection diagnostics (the WAL and the CLI serialize
 ``MaintenanceOutcome.to_dict()``, so even the diagnostics must not
-drift between the two routes)."""
+drift between the two routes).  The oracle is ``algebraic_insert``
+over ``ExpressionRILookup`` on the block substate."""
 
 import json
 
 import pytest
 
 from repro.core.ctm import InsertMaintainer
-from repro.core.engine import WeakInstanceEngine
+from repro.core.engine import BatchOutcome, WeakInstanceEngine
+from repro.core.maintenance import ExpressionRILookup, algebraic_insert
+from repro.state.consistency import maintain_by_chase
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from repro.workloads.paper import (
     ALL_SCHEMES,
@@ -26,6 +29,38 @@ from tests.compile.test_differential_query import saturated_state
 
 def outcome_bytes(outcome) -> str:
     return json.dumps(outcome.to_dict(), sort_keys=True)
+
+
+def uses_algorithm_2(maintainer, name) -> bool:
+    return maintainer.report().strategy_by_relation[name] == "algorithm-2"
+
+
+def interpreted_insert(maintainer, state, name, values):
+    """The insert's outcome with its Algorithm-2 validation run over the
+    interpreted RI lookup on the block substate.  Algorithm 5 and the
+    full chase use no RI lookup, so there the maintainer's own answer
+    stands."""
+    if not uses_algorithm_2(maintainer, name):
+        return maintainer.insert(state, name, values)
+    partition = maintainer.partition
+    sub = partition.substate(state, partition.block_index_of(name))
+    return algebraic_insert(
+        sub, name, values, lookup=ExpressionRILookup(sub), check_scheme=False
+    )
+
+
+def interpreted_batch(maintainer, state, updates) -> BatchOutcome:
+    """An all-insert batch, applied serially through
+    :func:`interpreted_insert`."""
+    current = state
+    for index, (_, name, values) in enumerate(updates):
+        outcome = interpreted_insert(maintainer, current, name, values)
+        if not outcome.consistent:
+            return BatchOutcome(
+                state=None, applied=index, failed_index=index, failure=outcome
+            )
+        current = current.insert(name, values)
+    return BatchOutcome(state=current, applied=len(updates))
 
 
 def converging_state() -> DatabaseState:
@@ -56,16 +91,13 @@ INSERT_SLATE = [
 
 class TestAlgorithm2Differential:
     def test_outcomes_byte_identical(self):
-        scheme = example4_split_scheme()
-        compiled = InsertMaintainer(scheme)
-        interpreted = InsertMaintainer(scheme, compiled=False)
-        assert compiled.kernels is not None
-        assert interpreted.kernels is None
+        maintainer = InsertMaintainer(example4_split_scheme())
         state = converging_state()
         decisions = []
         for name, values in INSERT_SLATE:
-            ours = compiled.insert(state, name, values)
-            oracle = interpreted.insert(state, name, values)
+            assert uses_algorithm_2(maintainer, name)
+            ours = maintainer.insert(state, name, values)
+            oracle = interpreted_insert(maintainer, state, name, values)
             assert ours.consistent == oracle.consistent, (name, values)
             assert ours.tuples_examined == oracle.tuples_examined
             assert outcome_bytes(ours) == outcome_bytes(oracle)
@@ -74,13 +106,11 @@ class TestAlgorithm2Differential:
         assert True in decisions and False in decisions
 
     def test_accepted_states_identical(self):
-        scheme = example4_split_scheme()
-        compiled = InsertMaintainer(scheme)
-        interpreted = InsertMaintainer(scheme, compiled=False)
+        maintainer = InsertMaintainer(example4_split_scheme())
         state = converging_state()
         for name, values in INSERT_SLATE:
-            ours = compiled.insert(state, name, values)
-            oracle = interpreted.insert(state, name, values)
+            ours = maintainer.insert(state, name, values)
+            oracle = interpreted_insert(maintainer, state, name, values)
             if not ours.consistent:
                 assert oracle.state is None and ours.state is None
                 continue
@@ -95,22 +125,22 @@ class TestAlgorithm2Differential:
     def test_block_batch_differential(self):
         # Example 4 is one key-equivalent block, so the whole state is
         # the block substate — this drives the batch-path _lookup site.
-        scheme = example4_split_scheme()
+        maintainer = InsertMaintainer(example4_split_scheme())
         state = converging_state()
         operations = [
             (index, "insert", name, values)
             for index, (name, values) in enumerate(INSERT_SLATE)
         ]
-        compiled = InsertMaintainer(scheme).block_batch(state, 0, operations)
-        interpreted = InsertMaintainer(scheme, compiled=False).block_batch(
-            state, 0, operations
+        compiled = maintainer.block_batch(state, 0, operations)
+        interpreted = interpreted_batch(
+            maintainer, state, [operation[1:] for operation in operations]
         )
         assert compiled.applied == interpreted.applied
         assert compiled.failed_index == interpreted.failed_index
-        if compiled.failure is not None:
-            assert outcome_bytes(compiled.failure) == outcome_bytes(
-                interpreted.failure
-            )
+        assert compiled.failure is not None
+        assert outcome_bytes(compiled.failure) == outcome_bytes(
+            interpreted.failure
+        )
 
 
 @pytest.mark.parametrize(
@@ -121,8 +151,7 @@ class TestAlgorithm2Differential:
 def test_paper_states_insert_differential(build_state):
     state = build_state()
     scheme = state.scheme
-    compiled = InsertMaintainer(scheme)
-    interpreted = InsertMaintainer(scheme, compiled=False)
+    maintainer = InsertMaintainer(scheme)
     for member in scheme.relations:
         order = sorted(member.attributes)
         slates = [
@@ -132,12 +161,21 @@ def test_paper_states_insert_differential(build_state):
              for i, a in enumerate(order)},  # half known, half fresh
         ]
         for values in slates:
-            ours = compiled.insert(state, member.name, values)
-            oracle = interpreted.insert(state, member.name, values)
-            assert outcome_bytes(ours) == outcome_bytes(oracle), (
-                member.name,
-                values,
-            )
+            ours = maintainer.insert(state, member.name, values)
+            if uses_algorithm_2(maintainer, member.name):
+                oracle = interpreted_insert(
+                    maintainer, state, member.name, values
+                )
+                assert outcome_bytes(ours) == outcome_bytes(oracle), (
+                    member.name,
+                    values,
+                )
+            else:
+                # Algorithm 5 probes no RI lookup: check the decision
+                # against the chase instead.
+                assert ours.consistent == maintain_by_chase(
+                    state, member.name, values
+                ).consistent, (member.name, values)
 
 
 @pytest.mark.parametrize("label", sorted(ALL_SCHEMES))
@@ -155,10 +193,9 @@ def test_engine_batch_differential(label):
              {a: (f"{a.lower()}0" if i == 0 else f"{a.lower()}9")
               for i, a in enumerate(sorted(member.attributes))})
         )
-    compiled = WeakInstanceEngine(scheme)
-    interpreted = WeakInstanceEngine(scheme, compiled=False)
-    ours = compiled.batch(state, updates)
-    oracle = interpreted.batch(state, updates)
+    engine = WeakInstanceEngine(scheme)
+    ours = engine.batch(state, updates)
+    oracle = interpreted_batch(engine.maintainer, state, updates)
     assert json.dumps(ours.to_dict(), sort_keys=True) == json.dumps(
         oracle.to_dict(), sort_keys=True
     )

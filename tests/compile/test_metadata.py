@@ -1,17 +1,11 @@
-"""Benchmark metadata honesty and the ``--no-compile`` escape hatch.
+"""Benchmark metadata honesty.
 
 ``BENCH_perf.json`` must never imply parallelism the host cannot
 deliver: requesting more workers than CPUs records the cap explicitly
 (``effective_workers``, ``workers_capped``) and warns on stderr.
 """
 
-import pytest
-
 import repro.bench as bench
-from repro.cli import main
-from repro.io import dump_scheme, dump_state
-from repro.state.database_state import DatabaseState, tuples_from_rows
-from repro.workloads.paper import example4_split_scheme
 
 
 class TestWorkersCapped:
@@ -69,54 +63,3 @@ class TestPerRecordHostFacts:
         monkeypatch.setattr(bench.subprocess, "run", missing)
         assert bench.host_metadata()["git_rev"] == "unknown"
 
-
-@pytest.fixture
-def e04_files(tmp_path):
-    scheme = example4_split_scheme()
-    scheme_path = tmp_path / "scheme.json"
-    dump_scheme(scheme, scheme_path)
-    state = DatabaseState(
-        scheme,
-        {
-            "R1": tuples_from_rows("AB", [("a", "b")]),
-            "R2": tuples_from_rows("AC", [("a", "c")]),
-            "R4": tuples_from_rows("EB", [("e", "b")]),
-            "R5": tuples_from_rows("EC", [("e", "c")]),
-        },
-    )
-    state_path = tmp_path / "state.json"
-    dump_state(state, state_path)
-    return scheme_path, state_path
-
-
-class TestNoCompileFlag:
-    def test_query_identical_with_and_without_kernels(
-        self, e04_files, capsys
-    ):
-        scheme_path, state_path = e04_files
-        arguments = [
-            "query", str(scheme_path), str(state_path), "--target", "AE"
-        ]
-        assert main(arguments) == 0
-        compiled_out = capsys.readouterr().out
-        assert main(arguments + ["--no-compile"]) == 0
-        interpreted_out = capsys.readouterr().out
-        assert compiled_out == interpreted_out
-        assert "('a', 'e')" in compiled_out or "a" in compiled_out
-
-    def test_insert_identical_with_and_without_kernels(
-        self, e04_files, capsys, tmp_path
-    ):
-        scheme_path, state_path = e04_files
-        verdicts = []
-        for extra in ([], ["--no-compile"]):
-            code = main(
-                [
-                    "insert", str(scheme_path), str(state_path),
-                    "--relation", "R4", "--values", "E=e,B=b7",
-                ]
-                + extra
-            )
-            verdicts.append((code, capsys.readouterr().out))
-        assert verdicts[0] == verdicts[1]
-        assert verdicts[0][0] == 2  # the key clash must be refused

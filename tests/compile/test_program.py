@@ -1,6 +1,6 @@
 """Compiled-program behavior: kernel output vs. the interpreted
-expression walk, the ``CompileError`` escape hatch, and the
-``KernelSpace`` memo layers."""
+expression walk, ``CompileError`` for shapes outside the kernel set,
+and the ``KernelSpace`` memo layers."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.compile import (
     plan_fingerprint,
 )
 from repro.core.engine import WeakInstanceEngine
+from repro.core.query import total_projection_reducible
 from repro.foundations.attrs import attrs
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from repro.workloads.paper import example4_split_scheme, example5_state
@@ -36,14 +37,13 @@ class TestCompiledProgram:
 
     def test_engine_query_falls_back_when_target_has_no_plan(self):
         # An attribute outside every relation has no predetermined
-        # expression; the compiled route must defer to the interpreted
-        # block route, which answers uncoverable targets with ∅.
+        # expression; the engine answers ∅ without a kernel program,
+        # exactly as the interpreted block route does.
         engine = WeakInstanceEngine(example4_split_scheme())
-        interpreted = WeakInstanceEngine(
-            example4_split_scheme(), compiled=False
-        )
         state = example5_state(3)
-        assert engine.query(state, "AZ") == interpreted.query(state, "AZ")
+        assert engine.query(state, "AZ") == set()
+        assert total_projection_reducible(state, "AZ") == set()
+        assert engine.cache_info()["compiled"].size == 0
 
 
 class TestKernelSpace:
@@ -78,15 +78,6 @@ class TestKernelSpace:
         info = engine.cache_info()
         assert "compiled" in info
         assert info["compiled"].size >= 1
-
-    def test_no_compile_engine_has_no_kernels(self):
-        engine = WeakInstanceEngine(example4_split_scheme(), compiled=False)
-        assert engine.kernels is None
-        assert "compiled" in engine.cache_info()
-        state = example5_state(3)
-        assert engine.query(state, "AE") == WeakInstanceEngine(
-            example4_split_scheme()
-        ).query(state, "AE")
 
     def test_selection_programs_memoized_per_key(self):
         scheme = example4_split_scheme()

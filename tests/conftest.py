@@ -1,4 +1,5 @@
-"""Shared test configuration: hypothesis profiles and reusable strategies.
+"""Shared test configuration: hypothesis profiles, reusable strategies
+and the interpreted query oracle.
 
 The strategies here generate the structured inputs the property-based
 tests need — attribute sets, fd sets, schemes of the constructive random
@@ -8,14 +9,19 @@ own seeding.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from repro.core.query import total_projection_reducible
+from repro.core.reducible import recognize_independence_reducible
 from repro.fd.fd import FD
 from repro.fd.fdset import FDSet
+from repro.foundations.attrs import attrs
+from repro.state.consistency import chase_state
 from repro.workloads.random_schemes import (
     random_berge_acyclic_scheme,
     random_independent_scheme,
@@ -117,3 +123,20 @@ def arbitrary_schemes(draw):
 def rng() -> random.Random:
     """A per-test deterministic RNG."""
     return random.Random(20260704)
+
+
+@functools.lru_cache(maxsize=64)
+def _recognition(scheme):
+    return recognize_independence_reducible(scheme)
+
+
+def query_oracle(state, target) -> set:
+    """``[X]`` by the paper's interpreted routes — Theorem 4.1's block
+    evaluation on a reducible scheme, the chase outside the class — the
+    reference every engine, router and replica answer is checked
+    against."""
+    target = attrs(target)
+    recognition = _recognition(state.scheme)
+    if recognition.accepted:
+        return total_projection_reducible(state, target, recognition)
+    return chase_state(state).tableau.total_projection(target)

@@ -67,7 +67,7 @@ class TestUpdates:
     def test_batch_all_or_nothing(self):
         engine = university_engine()
         state = engine.empty_state()
-        outcome = engine.apply_batch(
+        outcome = engine.batch(
             state,
             [
                 ("insert", "R1", {"H": "h", "R": "r", "C": "c1"}),
@@ -81,7 +81,7 @@ class TestUpdates:
 
     def test_batch_success(self):
         engine = university_engine()
-        outcome = engine.apply_batch(
+        outcome = engine.batch(
             engine.empty_state(),
             [
                 ("insert", "R1", {"H": "h", "R": "r", "C": "c"}),
@@ -95,7 +95,7 @@ class TestUpdates:
     def test_batch_rejects_unknown_operation(self):
         engine = university_engine()
         with pytest.raises(StateError):
-            engine.apply_batch(
+            engine.batch(
                 engine.empty_state(), [("upsert", "R1", {})]
             )
 
@@ -103,7 +103,7 @@ class TestUpdates:
         import json
 
         engine = university_engine()
-        outcome = engine.apply_batch(
+        outcome = engine.batch(
             engine.empty_state(),
             [
                 ("insert", "R1", {"H": "h", "R": "r", "C": "c1"}),
@@ -120,7 +120,7 @@ class TestUpdates:
 
     def test_batch_outcome_to_dict_on_success(self):
         engine = university_engine()
-        outcome = engine.apply_batch(
+        outcome = engine.batch(
             engine.empty_state(),
             [("insert", "R1", {"H": "h", "R": "r", "C": "c"})],
         )

@@ -27,10 +27,6 @@ N_RANDOM_BATCHES = 25
 
 
 class TestParallelExecutor:
-    def test_unknown_backend_is_rejected(self):
-        with pytest.raises(StateError):
-            ParallelExecutor(2, backend="fiber")
-
     def test_single_worker_runs_inline(self):
         executor = ParallelExecutor(1)
         assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
@@ -86,11 +82,9 @@ def _equal_outcomes(scheme, serial, parallel) -> None:
         assert serial.failure.witness == parallel.failure.witness
 
 
-def _engines(scheme, workers=4, backend="thread"):
+def _engines(scheme, workers=4):
     serial = WeakInstanceEngine(scheme)
-    parallel = WeakInstanceEngine(
-        scheme, workers=workers, parallel_backend=backend
-    )
+    parallel = WeakInstanceEngine(scheme, workers=workers)
     return serial, parallel
 
 
@@ -229,38 +223,6 @@ class TestFailureOrdering:
             parallel_outcome = parallel.batch(state, updates)
             assert serial_outcome.failed_index == 0
             _equal_outcomes(scheme, serial_outcome, parallel_outcome)
-        finally:
-            parallel.close()
-
-
-class TestProcessBackend:
-    def test_process_backend_smoke(self):
-        """The process pool round-trips primitive payloads and matches
-        the serial outcome on an accepted and a rejected batch."""
-        scheme = tiled_university(2)
-        state = DatabaseState(
-            scheme,
-            {"T0R4": [{"C0": "c0", "S0": "s0", "G0": "A"}]},
-        )
-        accepted = [
-            ("insert", "T0R4", {"C0": "c1", "S0": "s1", "G0": "A"}),
-            ("insert", "T1R4", {"C1": "c1", "S1": "s1", "G1": "B"}),
-        ]
-        rejected = accepted + [
-            ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
-        ]
-        serial, parallel = _engines(scheme, workers=2, backend="process")
-        try:
-            _equal_outcomes(
-                scheme,
-                serial.batch(state, accepted),
-                parallel.batch(state, accepted),
-            )
-            _equal_outcomes(
-                scheme,
-                serial.batch(state, rejected),
-                parallel.batch(state, rejected),
-            )
         finally:
             parallel.close()
 

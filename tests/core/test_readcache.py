@@ -3,8 +3,8 @@
 The load-bearing property is *exactness*: a cached answer may be
 served if and only if no block its plan touches has changed.  The
 differential suite drives identical interleaved write/query sequences
-through a cached and an uncached engine across every paper scheme and
-requires byte-identical answers; the unit tests pin the invalidation
+through the engine and through the interpreted query oracle across
+every paper scheme and requires byte-identical answers; the unit tests pin the invalidation
 rule itself — a cross-block write must preserve other blocks' entries,
 a same-block write must not.
 """
@@ -17,6 +17,7 @@ from repro.core.engine import WeakInstanceEngine
 from repro.core.partition import partition_scheme
 from repro.core.readcache import BlockVersions, ReadCache
 from repro.workloads.paper import ALL_SCHEMES, example1_university
+from tests.conftest import query_oracle
 
 
 def _seed_values(member, index):
@@ -52,9 +53,12 @@ def _operations(scheme, seed, rounds=6):
     return operations
 
 
-def _drive(engine, operations, repeat_queries=1):
+def _drive(engine, operations, repeat_queries=1, query=None):
     """Apply the operation list, returning every observable outcome
-    (insert verdicts and sorted query answers)."""
+    (insert verdicts and sorted query answers).  Queries go through
+    ``query(state, target)``, the engine's own by default."""
+    if query is None:
+        query = engine.query
     state = engine.empty_state()
     observed = []
     for kind, name_or_target, values in operations:
@@ -69,7 +73,7 @@ def _drive(engine, operations, repeat_queries=1):
             observed.append(("delete", True))
         else:
             for _ in range(repeat_queries):
-                rows = engine.query(state, name_or_target)
+                rows = query(state, name_or_target)
                 observed.append(("query", tuple(sorted(rows))))
     return observed
 
@@ -80,13 +84,13 @@ class TestDifferential:
         scheme = ALL_SCHEMES[name]()
         operations = _operations(scheme, seed=20260808)
         cached = WeakInstanceEngine(scheme)
-        uncached = WeakInstanceEngine(scheme, read_cache=False)
-        # The cached engine answers every query twice (the second from
-        # the cache when nothing moved); the uncached engine is the
-        # oracle, so its single answers are repeated for comparison.
+        # The engine answers every query twice (the second from the
+        # cache when nothing moved); the interpreted oracle's single
+        # answers are repeated for comparison.
         got = _drive(cached, operations, repeat_queries=2)
         want = []
-        for record in _drive(uncached, operations):
+        oracle = WeakInstanceEngine(scheme)
+        for record in _drive(oracle, operations, query=query_oracle):
             want.append(record)
             if record[0] == "query":
                 want.append(record)
@@ -178,17 +182,12 @@ class TestInvalidation:
         assert rows == engine.query(result.state, first.attributes)
         engine.close()
 
-    def test_disabled_cache_reports_no_read_layer(self):
-        engine = WeakInstanceEngine(example1_university(), read_cache=False)
-        assert "read" not in engine.cache_info()
-        assert engine.read_cache is None
-
 
 class TestBlockVersions:
     def test_version_is_stable_until_the_block_changes(self):
         scheme = example1_university()
         partition = partition_scheme(scheme)
-        engine = WeakInstanceEngine(scheme, read_cache=False)
+        engine = WeakInstanceEngine(scheme)
         versions = BlockVersions(partition)
         state = engine.empty_state()
         v0 = versions.version(state, 0)

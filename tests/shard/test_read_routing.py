@@ -27,6 +27,7 @@ from repro.shard.router import ShardRouter
 from repro.state.database_state import DatabaseState
 from repro.workloads.paper import example1_university
 from repro.workloads.scaling import tiled_university
+from tests.conftest import query_oracle
 from tests.shard.test_router_differential import (
     PAPER_SCHEMES,
     query_targets,
@@ -54,13 +55,14 @@ def _seeded_router(shards=4):
 
 
 def _oracle():
-    engine = WeakInstanceEngine(example1_university(), read_cache=False)
+    """The single-process state the seeded router must answer for."""
+    engine = WeakInstanceEngine(example1_university())
     state = engine.empty_state()
     for name, values in WORLD:
         outcome = engine.insert(state, name, values)
         assert outcome.consistent
         state = outcome.state
-    return engine, state
+    return state
 
 
 def _rpcs(router):
@@ -70,7 +72,7 @@ def _rpcs(router):
 class TestSingleShardQueries:
     def test_single_block_query_is_exactly_one_rpc(self):
         router = _seeded_router()
-        engine, state = _oracle()
+        state = _oracle()
         try:
             # One target per block; each plan's relations live on a
             # single shard, so each query must be a single RPC.
@@ -82,7 +84,7 @@ class TestSingleShardQueries:
                 before = _rpcs(router)
                 rows = router.query(target)
                 assert _rpcs(router) - before == 1
-                assert rows == engine.query(state, target)
+                assert rows == query_oracle(state, target)
         finally:
             router.close()
 
@@ -102,7 +104,7 @@ class TestSingleShardQueries:
 class TestPartialFanout:
     def test_cross_block_query_gathers_only_owning_shards(self):
         router = _seeded_router()
-        engine, state = _oracle()
+        state = _oracle()
         try:
             # HR's plan touches R1, R2 (shard 2) and R5 (shard 0) —
             # shard 1 must stay idle.
@@ -115,19 +117,19 @@ class TestPartialFanout:
             snapshot = router.metrics.snapshot()
             assert snapshot.get(idle, 0) == idle_before
             assert snapshot.get("router.gather_queries", 0) == 1
-            assert rows == engine.query(state, target)
+            assert rows == query_oracle(state, target)
         finally:
             router.close()
 
     def test_no_plan_query_answers_empty_without_any_rpc(self):
         router = _seeded_router()
-        engine, state = _oracle()
+        state = _oracle()
         try:
             target = frozenset({"Z"})  # outside the universe: no plan
             before = _rpcs(router)
             rows = router.query(target)
             assert rows == set()
-            assert rows == engine.query(state, target)
+            assert rows == query_oracle(state, target)
             assert _rpcs(router) - before == 0
         finally:
             router.close()
@@ -143,10 +145,9 @@ def _worker_state(router):
 
 
 def _assert_matches_engine(router, targets):
-    engine = WeakInstanceEngine(router.scheme, read_cache=False)
     state = _worker_state(router)
     for target in targets:
-        assert router.query(target) == engine.query(state, target), target
+        assert router.query(target) == query_oracle(state, target), target
 
 
 def _cross_shard_targets(router, required=None):
@@ -172,14 +173,14 @@ def _cross_shard_targets(router, required=None):
 class TestRelationMirror:
     def test_repeated_cross_block_query_costs_no_rpc(self):
         router = _seeded_router()
-        engine, state = _oracle()
+        state = _oracle()
         try:
             target = frozenset("HR")
             first = router.query(target)
             before = _rpcs(router)
             assert router.query(target) == first
             assert _rpcs(router) - before == 0
-            assert first == engine.query(state, target)
+            assert first == query_oracle(state, target)
             snapshot = router.metrics_snapshot()
             assert snapshot["router.gather_relations_fetched"] == 3
             assert snapshot["router.gather_relations_reused"] == 3
@@ -343,7 +344,6 @@ class TestRelationMirror:
 
     def test_gather_never_mixes_a_reused_copy_with_a_later_fetch(self):
         router = _conflict_router()
-        engine = WeakInstanceEngine(router.scheme, read_cache=False)
         try:
             assert router.insert(*CONFLICT_R1).consistent
             router.query(CONFLICT_TARGET)  # R1, R2, R3, R5 now mirrored
@@ -365,14 +365,13 @@ class TestRelationMirror:
             router._fanout = racing
             rows = router.query(CONFLICT_TARGET)
             after = _worker_state(router)
-            assert rows == engine.query(after, CONFLICT_TARGET)
+            assert rows == query_oracle(after, CONFLICT_TARGET)
             assert rows == {("c2", "h", "s")}
         finally:
             router.close()
 
     def test_gather_during_an_in_flight_batch_sees_one_side_of_it(self):
         router = _conflict_router()
-        engine = WeakInstanceEngine(router.scheme, read_cache=False)
         try:
             assert router.insert(*CONFLICT_R1).consistent
             router.query(CONFLICT_TARGET)
@@ -387,14 +386,13 @@ class TestRelationMirror:
                 ).committed
                 rows = router.query(CONFLICT_TARGET)
             after = _worker_state(router)
-            assert rows == engine.query(after, CONFLICT_TARGET)
+            assert rows == query_oracle(after, CONFLICT_TARGET)
             assert router.query(CONFLICT_TARGET) == rows
         finally:
             router.close()
 
     def test_threaded_gathers_see_only_serial_states(self):
         router = _conflict_router()
-        engine = WeakInstanceEngine(router.scheme, read_cache=False)
         # The writer cycles R1 row -> empty -> R3 row -> empty; no
         # serial state holds both conflicting rows.  The unrelated rows
         # make one relation stale while the other stays mirrored.
@@ -418,7 +416,7 @@ class TestRelationMirror:
                 serial.append(_worker_state(router))
             targets = [CONFLICT_TARGET, frozenset("CRS")]
             allowed = {
-                target: [engine.query(state, target) for state in serial]
+                target: [query_oracle(state, target) for state in serial]
                 for target in targets
             }
             errors = []
@@ -525,7 +523,7 @@ def test_mirror_matches_single_process_after_every_op(name):
     else:
         scheme = PAPER_SCHEMES[name]()
     rng = random.Random(f"mirror-{name}")
-    engine = WeakInstanceEngine(scheme, read_cache=False)
+    engine = WeakInstanceEngine(scheme)
     state = engine.empty_state()
     router = ShardRouter.in_memory(scheme, 2)
     targets = query_targets(scheme) + sorted(
@@ -550,7 +548,7 @@ def test_mirror_matches_single_process_after_every_op(name):
                 if outcome:
                     state = outcome.state
             for target in targets:
-                assert router.query(target) == engine.query(state, target), (
+                assert router.query(target) == query_oracle(state, target), (
                     name,
                     kind,
                     target,
