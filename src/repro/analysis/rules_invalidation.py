@@ -66,14 +66,18 @@ def default_invalidation_config() -> InvalidationConfig:
             "core/engine.py::WeakInstanceEngine.delete": ("_note_write",),
             "core/engine.py::WeakInstanceEngine.modify": ("insert",),
             "core/engine.py::WeakInstanceEngine.batch": (
-                "_batch_blocks",
-                "_batch_serial",
+                "_apply_blocks",
+                "_apply_serial",
             ),
-            "core/engine.py::WeakInstanceEngine._batch_serial": (
+            "core/engine.py::WeakInstanceEngine.apply_slice": (
+                "_apply_blocks",
+                "_apply_serial",
+            ),
+            "core/engine.py::WeakInstanceEngine._apply_serial": (
                 "insert",
                 "delete",
             ),
-            "core/engine.py::WeakInstanceEngine._batch_blocks": (
+            "core/engine.py::WeakInstanceEngine._apply_blocks": (
                 "note_write",
             ),
             # Store: applies through the engine's stamping mutators —
@@ -91,11 +95,9 @@ def default_invalidation_config() -> InvalidationConfig:
                 "insert",
                 "delete",
             ),
-            # Shard worker: apply_slice is the per-shard mutation
-            # kernel — its block-routed fast path must stamp the
-            # written blocks itself (the serial fallback delegates to
-            # engine.insert/delete, which stamp).
-            "shard/worker.py::apply_slice": ("note_write",),
+            # Shard worker: prepare validates its slice through the
+            # engine's stamping batch kernel.
+            "shard/worker.py::ShardWorker._prepare": ("apply_slice",),
             # Shard router: every write RPC bumps the write generation
             # of the relations it names, so the router's relation
             # mirror re-fetches them on the next gather.
@@ -105,8 +107,9 @@ def default_invalidation_config() -> InvalidationConfig:
         },
         exempt={
             "shard/worker.py::ShardWorker._commit": (
-                "installs the state prepared by apply_slice, which "
-                "stamped the written blocks"
+                "installs the state prepared by "
+                "WeakInstanceEngine.apply_slice, which stamped the "
+                "written blocks"
             ),
             "service/store.py::DurableStore.commit_batch": (
                 "logs a batch whose state was produced (and stamped) "

@@ -69,6 +69,9 @@ def default_config(repo_root: Path) -> SpanConfig:
             "core/engine.py::WeakInstanceEngine.query": ("engine.query",),
             "core/engine.py::WeakInstanceEngine.plan": ("engine.plan",),
             "core/engine.py::WeakInstanceEngine.batch": ("engine.batch",),
+            "core/engine.py::WeakInstanceEngine.apply_slice": (
+                "engine.batch",
+            ),
             "core/engine.py::WeakInstanceEngine.evaluate": (
                 "engine.query.compiled",
             ),

@@ -375,7 +375,9 @@ class BlockOutcome:
     (``failed_index``/``failure`` set, block-level diagnostics intact),
     or a captured error (``error_index``/``error`` set).  Indexes are
     global batch positions, so the engine can take the minimum across
-    blocks to reproduce the serial batch's first failure."""
+    blocks to reproduce the serial batch's first failure.  An outcome
+    spanning a whole slice rather than one block has ``block_index``
+    -1."""
 
     block_index: int
     substate: Optional[DatabaseState]

@@ -26,7 +26,11 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence
 from repro.compile import KernelSpace
 from repro.core.ctm import BlockOutcome, InsertMaintainer
 from repro.core.parallel import ParallelExecutor
-from repro.core.partition import SchemePartition, partition_scheme
+from repro.core.partition import (
+    RoutedUpdate,
+    SchemePartition,
+    partition_scheme,
+)
 from repro.core.query import QueryPlan, total_projection_plan
 from repro.core.readcache import ReadCache
 from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, sorted_attrs
@@ -356,36 +360,99 @@ class WeakInstanceEngine:
         with span("engine.batch") as sp:
             if sp:
                 sp.add("updates", len(updates))
-            executor = self.executor
-            if executor is not None and self.partition.parallelizable:
-                routed = self.partition.route_updates(updates)
-                if routed is not None:
-                    return self._batch_blocks(
-                        state, updates, routed, executor
-                    )
-            return self._batch_serial(state, updates)
-
-    def _batch_serial(
-        self, state: DatabaseState, updates: Sequence[Update]
-    ) -> BatchOutcome:
-        current = state
-        for index, (operation, relation_name, values) in enumerate(updates):
-            if operation == "insert":
-                outcome = self.insert(current, relation_name, values)
-                if not outcome.consistent:
-                    return BatchOutcome(
-                        state=None,
-                        applied=index,
-                        failed_index=index,
-                        failure=outcome,
-                    )
-                assert outcome.state is not None
-                current = outcome.state
-            elif operation == "delete":
-                current = self.delete(current, relation_name, values)
+            operations = [
+                (index, operation, relation_name, values)
+                for index, (operation, relation_name, values) in enumerate(
+                    updates
+                )
+            ]
+            routed = None
+            if self.executor is not None and self.partition.parallelizable:
+                routed = self.partition.route_updates(operations)
+            if routed is None:
+                outcome = self._apply_serial(state, operations)
             else:
-                raise StateError(f"unknown batch operation {operation!r}")
-        return BatchOutcome(state=current, applied=len(updates))
+                outcome = self._apply_blocks(state, routed)
+            if outcome.error is not None:
+                # The serial loop raises here: every earlier update
+                # (across all blocks) succeeded.
+                raise outcome.error
+            if outcome.failure is not None:
+                return BatchOutcome(
+                    state=None,
+                    applied=outcome.failed_index,
+                    failed_index=outcome.failed_index,
+                    failure=outcome.failure,
+                )
+            return BatchOutcome(state=outcome.substate, applied=len(updates))
+
+    def apply_slice(
+        self, state: DatabaseState, operations: Sequence[RoutedUpdate]
+    ) -> BlockOutcome:
+        """Apply one slice of a larger batch — a shard's share of a
+        router batch — whose operations carry their global batch
+        indices.
+
+        Returns the slice's next state as ``substate``, or its earliest
+        event at its global index: a rejection, or an error captured
+        rather than raised.  That event is what the serial batch decides
+        at that position (Section 4.2: an insertion is globally safe iff
+        its block's updated substate is consistent), so the caller can
+        take the minimum across slices.  Any accepted scheme runs per
+        block; the rest, and slices that cannot be routed, run the
+        per-update loop."""
+        with span("engine.batch") as sp:
+            if sp:
+                sp.add("updates", len(operations))
+            routed = None
+            if self.partition.accepted:
+                routed = self.partition.route_updates(operations)
+            if routed is None:
+                return self._apply_serial(state, operations)
+            return self._apply_blocks(state, routed)
+
+    def _apply_serial(
+        self, state: DatabaseState, operations: Sequence[RoutedUpdate]
+    ) -> BlockOutcome:
+        """The per-update loop: stops at the first rejection or raised
+        error and reports it at its global index."""
+        current = state
+        for applied, (index, operation, relation_name, values) in enumerate(
+            operations
+        ):
+            try:
+                if operation == "insert":
+                    outcome = self.insert(current, relation_name, values)
+                    if not outcome.consistent:
+                        return BlockOutcome(
+                            block_index=-1,
+                            substate=None,
+                            applied=applied,
+                            failed_index=index,
+                            failure=outcome,
+                            ops=len(operations),
+                        )
+                    assert outcome.state is not None
+                    current = outcome.state
+                elif operation == "delete":
+                    current = self.delete(current, relation_name, values)
+                else:
+                    raise StateError(f"unknown batch operation {operation!r}")
+            except Exception as error:  # noqa: BLE001 — replayed by rank
+                return BlockOutcome(
+                    block_index=-1,
+                    substate=None,
+                    applied=applied,
+                    error_index=index,
+                    error=error,
+                    ops=len(operations),
+                )
+        return BlockOutcome(
+            block_index=-1,
+            substate=current,
+            applied=len(operations),
+            ops=len(operations),
+        )
 
     def _run_block_task(self, task) -> BlockOutcome:
         """One block's slice of a batch: runs under the dispatching
@@ -402,34 +469,26 @@ class WeakInstanceEngine:
                 sp.add("rejected", 0 if outcome.failed_index is None else 1)
         return outcome
 
-    def _batch_blocks(
-        self,
-        state: DatabaseState,
-        updates: Sequence[Update],
-        routed: Mapping[int, list],
-        executor: ParallelExecutor,
-    ) -> BatchOutcome:
+    def _apply_blocks(
+        self, state: DatabaseState, routed: Mapping[int, list[RoutedUpdate]]
+    ) -> BlockOutcome:
+        """Run each block's operations through ``block_batch`` — on the
+        executor when there is one, inline otherwise — and return the
+        earliest event across blocks, or the merged next state."""
         tasks = [
             (block_index, self.partition.substate(state, block_index), operations)
             for block_index, operations in sorted(routed.items())
         ]
-        outcomes = executor.map(self._run_block_task, tasks)
+        executor = self.executor
+        if executor is None:
+            outcomes = [self._run_block_task(task) for task in tasks]
+        else:
+            outcomes = executor.map(self._run_block_task, tasks)
         events = [
             outcome for outcome in outcomes if outcome.event_index is not None
         ]
         if events:
-            first = min(events, key=lambda outcome: outcome.event_index)
-            if first.error is not None:
-                # The serial loop would have raised here: every earlier
-                # update (across all blocks) succeeded.
-                raise first.error
-            assert first.failed_index is not None
-            return BatchOutcome(
-                state=None,
-                applied=first.failed_index,
-                failed_index=first.failed_index,
-                failure=first.failure,
-            )
+            return min(events, key=lambda outcome: outcome.event_index)
         merged: dict[str, object] = {}
         for outcome in outcomes:
             assert outcome.substate is not None
@@ -441,7 +500,10 @@ class WeakInstanceEngine:
         merged_state = DatabaseState(self.scheme, relations)
         for block_index in routed:
             self.read_cache.note_write(merged_state, block_index)
-        return BatchOutcome(state=merged_state, applied=len(updates))
+        ops = sum(len(operations) for operations in routed.values())
+        return BlockOutcome(
+            block_index=-1, substate=merged_state, applied=ops, ops=ops
+        )
 
     def streaming(self, state: DatabaseState):
         """Per-block materialized views over ``state`` — the insert-heavy

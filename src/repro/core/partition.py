@@ -107,24 +107,23 @@ class SchemePartition:
         )
 
     def route_updates(
-        self, updates: Sequence[tuple[str, str, Mapping[str, Hashable]]]
+        self, operations: Sequence[RoutedUpdate]
     ) -> Optional[dict[int, list[RoutedUpdate]]]:
-        """Group a batch by target block, preserving global order.
+        """Group operations (each carrying its global batch index) by
+        target block, preserving their order.
 
         Returns ``None`` when the batch cannot be routed — an unknown
         operation or relation — so callers fall back to the serial path
         and surface the error with its original semantics (an unknown
         op after a rejected insert must still report the rejection)."""
         grouped: dict[int, list[RoutedUpdate]] = {}
-        for index, (operation, relation_name, values) in enumerate(updates):
-            if operation not in ("insert", "delete"):
+        for routed in operations:
+            if routed[1] not in ("insert", "delete"):
                 return None
-            block = self._block_index.get(relation_name)
+            block = self._block_index.get(routed[2])
             if block is None:
                 return None
-            grouped.setdefault(block, []).append(
-                (index, operation, relation_name, values)
-            )
+            grouped.setdefault(block, []).append(routed)
         return grouped
 
 

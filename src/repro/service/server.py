@@ -37,7 +37,8 @@ from repro.state.database_state import DatabaseState
 
 
 class Session:
-    """A named handle on a :class:`SchemeServer`.
+    """A named handle on a :class:`SchemeServer` or on a
+    :class:`~repro.shard.router.ShardRouter`, which has the same API.
 
     Thread-safe to share, cheap to create; all methods delegate to the
     server and bump both the server's and the session's counters.

@@ -59,7 +59,7 @@ from repro.io import (
 )
 from repro.obs.spans import span
 from repro.schema.database_scheme import DatabaseScheme
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import MetricsRegistry, cache_series
 from repro.service.wal import (
     DEFAULT_SEGMENT_BYTES,
     WalRecord,
@@ -518,15 +518,9 @@ class DurableStore:
         """Store counters merged with the engine's cache accounting
         (the read cache additionally reports its derived hit rate)."""
         merged = self.metrics.snapshot()
-        for cache_name, info in self.engine.cache_info().items():
-            merged[f"cache.{cache_name}.hits"] = info.hits
-            merged[f"cache.{cache_name}.misses"] = info.misses
-            merged[f"cache.{cache_name}.evictions"] = info.evictions
-            if cache_name == "read":
-                probes = info.hits + info.misses
-                merged["cache.read.hit_rate"] = (
-                    info.hits / probes if probes else 0.0
-                )
+        counters, gauges = cache_series(self.engine.cache_info())
+        merged.update(counters)
+        merged.update(gauges)
         return merged
 
     # -- durability -----------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.shard.protocol import (
 from repro.shard.router import (
     RouterBatchOutcome,
     RouterInsertOutcome,
-    RouterSession,
     ShardMap,
     ShardRouter,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "FrontendClient",
     "RouterBatchOutcome",
     "RouterInsertOutcome",
-    "RouterSession",
     "ShardFrontend",
     "ShardMap",
     "ShardRouter",

@@ -199,14 +199,6 @@ class ShardFrontend:
                     if not isinstance(request, Mapping):
                         raise ServiceError("request frame must be an object")
                     response = self._dispatch(request)
-                except ReproError as error:
-                    response = {
-                        "ok": False,
-                        "error": {
-                            "type": type(error).__name__,
-                            "message": str(error),
-                        },
-                    }
                 except Exception as error:  # noqa: BLE001 - boundary
                     response = {
                         "ok": False,

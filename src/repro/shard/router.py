@@ -17,12 +17,13 @@ Serial equivalence is the contract:
 * **Batches** reuse the min-global-event-index rule of
   :meth:`~repro.core.engine.WeakInstanceEngine.batch`: the router
   assigns global indices before fan-out, workers apply their slice
-  through the same :meth:`~repro.core.ctm.InsertMaintainer.block_batch`
-  kernel, and the earliest failure across shards is reported
-  byte-identically to the single-process path.  Cross-shard atomicity
-  is two-phase (prepare everywhere, then commit everywhere); a crash
-  between the phases can leave a partial batch across shard WALs — the
-  documented gap a future replication tier closes.
+  through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice`
+  (the batch's own block kernel), and the earliest failure across
+  shards is reported byte-identically to the single-process path.
+  Cross-shard atomicity is two-phase (prepare everywhere, then commit
+  everywhere); a crash between the phases can leave a partial batch
+  across shard WALs — the documented gap a future replication tier
+  closes.
 * **Queries** route to one shard when the full-scheme plan's base
   relations all live there (block-local totals are exact); otherwise
   the referenced relations are gathered and the plan is evaluated
@@ -263,12 +264,6 @@ class RouterBatchOutcome:
         }
 
 
-class RouterSession(Session):
-    """A named session handle over a :class:`ShardRouter` — the same
-    bound API and per-session accounting as the single-process
-    :class:`~repro.service.server.Session`."""
-
-
 class ShardRouter:
     """Fan inserts, batches and queries out over per-block workers."""
 
@@ -291,7 +286,7 @@ class ShardRouter:
         self._fsync_every = fsync_every
         self._write_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
-        self._sessions: dict[str, RouterSession] = {}  # guarded-by: _sessions_lock
+        self._sessions: dict[str, Session] = {}  # guarded-by: _sessions_lock
         self._closed = False
         self._local: Optional[SchemeServer] = None
         self._socks: list[socket.socket] = []
@@ -528,12 +523,12 @@ class ShardRouter:
         return responses
 
     # -- sessions -------------------------------------------------------------
-    def session(self, name: str) -> RouterSession:
+    def session(self, name: str) -> Session:
         """The session named ``name`` (created on first use)."""
         with self._sessions_lock:
             existing = self._sessions.get(name)
             if existing is None:
-                existing = RouterSession(self, name)
+                existing = Session(self, name)
                 self._sessions[name] = existing
                 self.metrics.increment("server.sessions_opened")
             return existing

@@ -4,10 +4,10 @@ Each worker owns the relations of one shard — a union of partition
 blocks — behind either a full :class:`~repro.service.store.DurableStore`
 (own WAL, snapshots, delta basis, KernelSpace) or an in-memory engine.
 It speaks the length-prefixed JSON protocol over the socketpair the
-router handed it at fork time and applies batch slices with the same
-per-block :meth:`~repro.core.ctm.InsertMaintainer.block_batch` kernel
-the single-process engine uses, so the events it reports carry the
-*global* batch indices the router's min-event merge needs.
+router handed it at fork time and applies batch slices through
+:meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
+single-process batch's own per-block kernel — so the events it reports
+carry the *global* batch indices the router's min-event merge needs.
 
 Batches are two-phase: ``prepare`` validates the slice against the
 current state and stashes the would-be next state; ``commit`` logs and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import signal
 import socket
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
 from repro.io import scheme_from_dict, state_to_dict
@@ -47,135 +47,6 @@ WORKER_OPS = (
     "sync",
     "shutdown",
 )
-
-
-class SliceEvent:
-    """One shard's earliest batch event, at its global index."""
-
-    __slots__ = ("index", "outcome_dict", "error_type", "error_message")
-
-    def __init__(
-        self,
-        index: int,
-        outcome_dict: Optional[dict] = None,
-        error_type: Optional[str] = None,
-        error_message: Optional[str] = None,
-    ) -> None:
-        self.index = index
-        self.outcome_dict = outcome_dict
-        self.error_type = error_type
-        self.error_message = error_message
-
-    def to_wire(self) -> dict[str, Any]:
-        if self.outcome_dict is not None:
-            return {
-                "kind": "reject",
-                "index": self.index,
-                "outcome": self.outcome_dict,
-            }
-        return {
-            "kind": "error",
-            "index": self.index,
-            "type": self.error_type,
-            "message": self.error_message,
-        }
-
-
-def apply_slice(
-    engine: WeakInstanceEngine,
-    state: DatabaseState,
-    operations: Sequence[tuple[int, str, str, Mapping[str, Any]]],
-) -> tuple[Optional[DatabaseState], Optional[SliceEvent], int]:
-    """Apply one shard's slice of a batch to its state.
-
-    ``operations`` carry global batch indices.  Returns ``(next_state,
-    event, applied)``: on success the slice's resulting state; on the
-    first failure the event at its global index — exactly what the
-    serial single-process batch would decide at that position, because
-    the per-block work runs through the same
-    :meth:`~repro.core.ctm.InsertMaintainer.block_batch` kernel."""
-    partition = engine.partition
-    if partition.accepted:
-        grouped: dict[int, list] = {}
-        for operation in operations:
-            block = partition.block_index_of(operation[2])
-            grouped.setdefault(block, []).append(operation)
-        outcomes = [
-            engine.maintainer.block_batch(
-                partition.substate(state, block_index), block_index, ops
-            )
-            for block_index, ops in sorted(grouped.items())
-        ]
-        events = [
-            outcome
-            for outcome in outcomes
-            if outcome.event_index is not None
-        ]
-        if events:
-            first = min(events, key=lambda outcome: outcome.event_index)
-            if first.error is not None:
-                event = SliceEvent(
-                    first.error_index,
-                    error_type=type(first.error).__name__,
-                    error_message=str(first.error),
-                )
-            else:
-                assert first.failure is not None
-                event = SliceEvent(
-                    first.failed_index,
-                    outcome_dict=first.failure.to_dict(),
-                )
-            return None, event, 0
-        merged: dict[str, object] = {}
-        for outcome in outcomes:
-            assert outcome.substate is not None
-            for name in partition.block_names[outcome.block_index]:
-                merged[name] = outcome.substate[name]
-        relations = {
-            name: merged.get(name, state[name])
-            for name in engine.scheme.names
-        }
-        next_state = DatabaseState(engine.scheme, relations)
-        # Stamp the written blocks: lazy identity-keyed versioning keeps
-        # an unstamped state sound, but the bump keeps the first
-        # post-write probe cheap and the writes_observed metric honest
-        # (the serial path below inherits its stamps from
-        # engine.insert/delete).
-        for block_index in grouped:
-            engine.read_cache.note_write(next_state, block_index)
-        return next_state, None, len(operations)
-    # Non-decomposable shard scheme: the serial loop, still at global
-    # indices.  Correct for any scheme; only the amortization is lost.
-    current = state
-    applied = 0
-    for global_index, operation, relation_name, values in operations:
-        try:
-            if operation == "insert":
-                outcome = engine.insert(current, relation_name, values)
-                if not outcome.consistent:
-                    return (
-                        None,
-                        SliceEvent(
-                            global_index, outcome_dict=outcome.to_dict()
-                        ),
-                        applied,
-                    )
-                assert outcome.state is not None
-                current = outcome.state
-            else:
-                current = engine.delete(current, relation_name, values)
-        except Exception as error:  # noqa: BLE001 — replayed by rank
-            return (
-                None,
-                SliceEvent(
-                    global_index,
-                    error_type=type(error).__name__,
-                    error_message=str(error),
-                ),
-                applied,
-            )
-        applied += 1
-    return current, None, applied
 
 
 class ShardWorker:
@@ -380,20 +251,31 @@ class ShardWorker:
             ]
         ]
         self._pending = None
-        next_state, event, applied = apply_slice(
-            self.engine, self._state, operations
-        )
-        if event is not None:
-            return {"ok": True, "applied": applied, "event": event.to_wire()}
-        assert next_state is not None
-        self._pending = (
-            [
-                (operation, relation_name, values)
-                for _, operation, relation_name, values in operations
-            ],
-            next_state,
-        )
-        return {"ok": True, "applied": applied, "event": None}
+        outcome = self.engine.apply_slice(self._state, operations)
+        event: Optional[dict[str, Any]] = None
+        if outcome.error is not None:
+            event = {
+                "kind": "error",
+                "index": outcome.error_index,
+                "type": type(outcome.error).__name__,
+                "message": str(outcome.error),
+            }
+        elif outcome.failure is not None:
+            event = {
+                "kind": "reject",
+                "index": outcome.failed_index,
+                "outcome": outcome.failure.to_dict(),
+            }
+        else:
+            assert outcome.substate is not None
+            self._pending = (
+                [
+                    (operation, relation_name, values)
+                    for _, operation, relation_name, values in operations
+                ],
+                outcome.substate,
+            )
+        return {"ok": True, "applied": outcome.applied, "event": event}
 
     def _commit(self) -> dict[str, Any]:
         if self._pending is None:

@@ -106,8 +106,12 @@ class Tableau:
     def total_projection(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
         """The restricted projection ``π!_X``: project rows that are total
         on ``X`` onto ``X`` (paper, Section 2.1).  Values are returned as
-        tuples ordered by the canonical attribute order."""
-        ordered = sorted_attrs(attrs(attributes))
+        tuples ordered by the canonical attribute order.  No row is total
+        on an attribute outside the universe, so such an ``X`` gives ∅."""
+        target = attrs(attributes)
+        if not target <= self.universe:
+            return set()
+        ordered = sorted_attrs(target)
         result: set[tuple[Hashable, ...]] = set()
         for row in self._rows:
             if row.is_total_on(ordered):

@@ -16,6 +16,7 @@ from repro.core.engine import WeakInstanceEngine
 from repro.core.parallel import ParallelExecutor
 from repro.foundations.errors import StateError
 from repro.state.database_state import DatabaseState
+from repro.workloads.paper import example2_not_algebraic
 from repro.workloads.scaling import tiled_university
 from repro.workloads.states import (
     conflicting_insert_candidate,
@@ -225,6 +226,95 @@ class TestFailureOrdering:
             _equal_outcomes(scheme, serial_outcome, parallel_outcome)
         finally:
             parallel.close()
+
+
+#: The global batch indices a slice's operations carry: a shard's share
+#: of a larger batch is never contiguous.
+SLICE_INDEXES = (2, 5, 6, 11)
+
+
+def _slice_case(label):
+    """``(scheme, state, ok0, ok1, reject, error)`` for a scheme: two
+    updates that apply (the second a delete), one insert the state
+    rejects and one malformed insert that raises."""
+    if label == "tiled_university":
+        scheme = tiled_university(2)
+        stored = {"C0": "c1", "S0": "s1", "G0": "B"}
+        state = DatabaseState(
+            scheme, {"T0R4": [{"C0": "c0", "S0": "s0", "G0": "A"}, stored]}
+        )
+        return (
+            scheme,
+            state,
+            ("insert", "T1R4", {"C1": "c", "S1": "s", "G1": "A"}),
+            ("delete", "T0R4", stored),
+            ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
+            ("insert", "T1R4", {"WRONG": "attrs"}),
+        )
+    scheme = example2_not_algebraic()
+    state = DatabaseState(
+        scheme, {"R1": [{"A": 1, "B": 2}], "R2": [{"B": 2, "C": 3}]}
+    )
+    return (
+        scheme,
+        state,
+        ("insert", "R1", {"A": 5, "B": 6}),
+        ("delete", "R1", {"A": 5, "B": 6}),
+        ("insert", "R3", {"A": 1, "C": 4}),
+        ("insert", "R1", {"WRONG": "attrs"}),
+    )
+
+
+class TestApplySlice:
+    """``WeakInstanceEngine.apply_slice`` — the shard workers' route —
+    decides exactly what ``batch`` decides, at the slice's global
+    indices."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("label", ["tiled_university", "example2"])
+    @pytest.mark.parametrize(
+        "ordering", ["clean", "reject_then_error", "error_then_reject"]
+    )
+    def test_slice_matches_batch(self, workers, label, ordering):
+        scheme, state, ok0, ok1, reject, error = _slice_case(label)
+        updates, event_at = {
+            "clean": ([ok0, ok1], None),
+            "reject_then_error": ([ok0, reject, ok1, error], 1),
+            "error_then_reject": ([ok0, error, ok1, reject], 1),
+        }[ordering]
+        operations = [
+            (index, *update) for index, update in zip(SLICE_INDEXES, updates)
+        ]
+        batch_engine = WeakInstanceEngine(scheme, workers=workers)
+        slice_engine = WeakInstanceEngine(scheme, workers=workers)
+        try:
+            outcome = slice_engine.apply_slice(state, operations)
+            if ordering == "error_then_reject":
+                with pytest.raises(StateError) as raised:
+                    batch_engine.batch(state, updates)
+                assert type(outcome.error) is raised.type
+                assert str(outcome.error) == str(raised.value)
+                assert outcome.error_index == SLICE_INDEXES[event_at]
+                assert outcome.failure is None
+                assert outcome.substate is None
+                return
+            expected = batch_engine.batch(state, updates)
+            assert outcome.error is None
+            if ordering == "clean":
+                assert expected and outcome.failed_index is None
+                for name in scheme.names:
+                    assert (
+                        outcome.substate[name].row_vectors
+                        == expected.state[name].row_vectors
+                    )
+                return
+            assert expected.failed_index == event_at
+            assert outcome.failed_index == SLICE_INDEXES[event_at]
+            assert outcome.substate is None
+            assert outcome.failure.to_dict() == expected.failure.to_dict()
+        finally:
+            batch_engine.close()
+            slice_engine.close()
 
 
 class TestBlockChaseCache:

@@ -90,9 +90,9 @@ class TestRouting:
     def test_route_preserves_global_order_within_blocks(self):
         partition = partition_scheme(tiled_university(2))
         updates = [
-            ("insert", "T0R4", {"C0": "c", "S0": "s", "G0": "g"}),
-            ("insert", "T1R4", {"C1": "c", "S1": "s", "G1": "g"}),
-            ("delete", "T0R4", {"C0": "c", "S0": "s", "G0": "g"}),
+            (0, "insert", "T0R4", {"C0": "c", "S0": "s", "G0": "g"}),
+            (1, "insert", "T1R4", {"C1": "c", "S1": "s", "G1": "g"}),
+            (2, "delete", "T0R4", {"C0": "c", "S0": "s", "G0": "g"}),
         ]
         routed = partition.route_updates(updates)
         assert routed is not None
@@ -112,10 +112,10 @@ class TestRouting:
     def test_unroutable_batches_return_none(self):
         partition = partition_scheme(example1_university())
         assert (
-            partition.route_updates([("upsert", "R4", {})]) is None
+            partition.route_updates([(0, "upsert", "R4", {})]) is None
         )  # unknown op
         assert (
-            partition.route_updates([("insert", "NOPE", {})]) is None
+            partition.route_updates([(0, "insert", "NOPE", {})]) is None
         )  # unknown relation
 
 

@@ -94,6 +94,27 @@ class TestAggregation:
         assert parsed["repro_cache_read_hit_rate"] == 0.0
         assert 'repro_cache_read_hit_rate{shard="0"}' in parsed
 
+    def test_shard_batches_record_engine_spans(self):
+        """A worker prepares its slice through the engine's batch
+        kernel, so every shard's report shows its batch and block
+        spans."""
+        router = ShardRouter.in_memory(example1_university(), 2)
+        try:
+            outcome = router.apply_batch(
+                [
+                    ("insert", "R4", {"C": "c", "S": "s", "G": "A"}),
+                    ("insert", "R1", {"C": "c", "H": "h", "R": "r"}),
+                ]
+            )
+            stats = router.stats()
+        finally:
+            router.close()
+        assert outcome.committed
+        for shard in ("0", "1"):
+            spans = stats["shards"][shard]["spans"]
+            assert "engine.batch" in spans
+            assert "engine.block" in spans
+
     def test_stats_reports_per_shard_sections(self):
         router = ShardRouter.in_memory(example1_university(), 2)
         try:

@@ -8,7 +8,11 @@ from repro.cli import main
 from repro.io import dump_scheme, dump_state, load_scheme
 from repro.service.wal import segment_paths
 from repro.state.database_state import DatabaseState, tuples_from_rows
-from repro.workloads.paper import example1_university, example12_reducible
+from repro.workloads.paper import (
+    example1_university,
+    example2_not_algebraic,
+    example12_reducible,
+)
 
 
 @pytest.fixture
@@ -436,6 +440,22 @@ class TestServe:
         assert "unknown command" in out
         assert "error:" in out  # R9 does not exist, loop keeps serving
         assert "C\tS" in out
+
+    def test_serve_answers_outside_target_outside_the_class(
+        self, tmp_path, capsys
+    ):
+        """On a non-reducible scheme a target naming an attribute
+        outside the universe answers ∅ (header only), as it does on a
+        reducible one, and the loop keeps serving."""
+        scheme_path = tmp_path / "example2.json"
+        dump_scheme(example2_not_algebraic(), scheme_path)
+        script = self._script(
+            tmp_path, "insert R1 A=1,B=2\nquery AZ\nquery AB\nexit\n"
+        )
+        code = main(["serve", str(scheme_path), "--script", str(script)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "> query AZ\nA\tZ\n> query AB\nA\tB\n1\t2\n" in out
 
     def test_serve_without_scheme_or_store_errors(self, capsys):
         assert main(["serve"]) == 1
