@@ -3,9 +3,9 @@
 
 Drives a real traced workload through the CLI — a durable store fed by
 ``repro insert --trace``, interrogated by ``repro stats`` in JSON and
-Prometheus form, and a ``repro serve`` session issuing the ``stats`` and
-``prometheus`` protocol commands — then asserts every surface produces
-output that *parses*:
+Prometheus form, and ``repro serve`` sessions (one inline shard and
+``--shards 2``) issuing the ``prometheus`` protocol command — then
+asserts every surface produces output that *parses*:
 
 * the slow-op log is JSONL with the documented record shape;
 * ``repro stats --json`` reports span histograms with percentiles;
@@ -118,22 +118,33 @@ def main() -> int:
         print(f"repro stats --prometheus OK ({len(series)} series)")
 
         # 4. The serve protocol's `prometheus` command must emit a
-        #    parseable document too (stdin mode: no command echo).
-        serve_out = run_cli(
-            "serve",
-            str(scheme_path),
-            stdin=(
-                "insert R4 C=CS101,S=bob,G=B\n"
-                "query CS\n"
-                "prometheus\n"
-                "exit\n"
-            ),
+        #    parseable document too (stdin mode: no command echo), on
+        #    both router backends: one inline shard and two worker
+        #    processes, whose series carry a shard label.
+        serve_stdin = (
+            "insert R4 C=CS101,S=bob,G=B\n"
+            "query CSG\n"
+            "prometheus\n"
+            "exit\n"
         )
-        start = serve_out.index("# TYPE")
-        series = parse_exposition(serve_out[start:])
+        serve_out = run_cli("serve", str(scheme_path), stdin=serve_stdin)
+        series = parse_exposition(serve_out[serve_out.index("# TYPE"):])
         assert series["repro_span_engine_insert_seconds_count"] == 1
         assert series["repro_ops_query_total"] == 1
         print(f"serve prometheus OK ({len(series)} series)")
+
+        serve_out = run_cli(
+            "serve", str(scheme_path), "--shards", "2", stdin=serve_stdin
+        )
+        series = parse_exposition(serve_out[serve_out.index("# TYPE"):])
+        for op in ("insert", "query"):
+            labelled = [
+                value
+                for name, value in series.items()
+                if name.startswith(f'repro_ops_{op}_total{{shard="')
+            ]
+            assert sum(labelled) == 1, (op, labelled)
+        print(f"serve --shards 2 prometheus OK ({len(series)} series)")
 
     print("trace smoke: all surfaces parse")
     return 0

@@ -106,9 +106,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             "shard/router.py::ShardRouter.apply_batch": ("tracing",),
             "shard/router.py::ShardRouter._rpc": ("shard.rpc",),
             "shard/router.py::ShardRouter.snapshot": ("tracing",),
-            "shard/frontend.py::ShardFrontend._execute": (
-                "front.request",
-            ),
+            "shard/frontend.py::dispatch": ("front.request",),
             "tableau/chase.py::chase": ("chase.tableau",),
             "tableau/chase.py::chase_relations": ("chase.relations",),
             "tableau/chase.py::DeltaChase.extend": ("chase.delta",),
@@ -191,7 +189,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             "service/replica.py::FollowerStore.close": "resource teardown",
             "service/replica.py::WalShipper.lag": "reporting",
             # Frontend: lifecycle only; every request runs through
-            # _execute, which opens front.request.
+            # dispatch, which opens front.request.
             "shard/frontend.py::ShardFrontend.start": "socket bind",
             "shard/frontend.py::ShardFrontend.serve_forever": (
                 "accept loop; front.request spans fire per request"

@@ -23,11 +23,13 @@ Subcommands::
             [--out SCHEME.json]
         Synthesize a cover-embedding 3NF scheme from fds.
 
-    python -m repro serve [SCHEME.json] [--store DIR] [--script FILE]
-        Run the session server over a line protocol (stdin or a script
-        file).  With --store, every accepted update is WAL-logged and
-        the store recovers on restart; without, the server is
-        in-memory.  `help` lists the protocol's commands.
+    python -m repro serve [SCHEME.json] [--store DIR] [--shards N]
+            [--script FILE | --port P]
+        Serve a ShardRouter over the line protocol (stdin or a script
+        file) or, with --port, the asyncio frame frontend; both answer
+        through one dispatcher.  With --store, every accepted update is
+        WAL-logged and the store recovers on restart; without, nothing
+        is persisted.  `help` lists the line protocol's commands.
 
     python -m repro replay --store DIR [--json] [--out STATE.json]
         Recover a durable store (snapshot + WAL replay, torn-tail
@@ -114,7 +116,12 @@ def _parse_values(text: str) -> dict[str, str]:
                 f"expected ATTR=value, got {piece!r}"
             )
         attribute, _, value = piece.partition("=")
-        values[attribute.strip()] = value.strip()
+        attribute = attribute.strip()
+        if attribute in values:
+            raise argparse.ArgumentTypeError(
+                f"attribute {attribute!r} given twice"
+            )
+        values[attribute] = value.strip()
     if not values:
         raise argparse.ArgumentTypeError("no values given")
     return values
@@ -175,14 +182,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tracer.close()
 
 
-def _print_rejection(relation_name: str, outcome) -> None:
-    """The satellite diagnostic: a rejected insert explains itself with
-    the full MaintenanceOutcome rendering, not a bare exit code."""
+def _print_rejection(relation_name: str, outcome: dict) -> None:
+    """A rejected insert explains itself with the full outcome
+    rendering (``MaintenanceOutcome.to_dict()``), not a bare exit code."""
     print(
         f"REJECTED: inserting into {relation_name} would make the "
         "state inconsistent"
     )
-    print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(outcome, indent=2, sort_keys=True))
 
 
 def _open_or_create_store(args: argparse.Namespace):
@@ -230,7 +237,7 @@ def _run_insert(args: argparse.Namespace) -> int:
         try:
             outcome = store.insert(args.relation, args.values)
             if not outcome.consistent:
-                _print_rejection(args.relation, outcome)
+                _print_rejection(args.relation, outcome.to_dict())
                 print(
                     "(rejection logged durably in "
                     f"{store.directory / 'wal'})"
@@ -258,7 +265,7 @@ def _run_insert(args: argparse.Namespace) -> int:
     engine = WeakInstanceEngine(scheme)
     outcome = engine.insert(state, args.relation, args.values)
     if not outcome.consistent:
-        _print_rejection(args.relation, outcome)
+        _print_rejection(args.relation, outcome.to_dict())
         return 2
     print(
         f"accepted (examined {outcome.tuples_examined} stored tuples)"
@@ -273,27 +280,82 @@ def _run_insert(args: argparse.Namespace) -> int:
 
 SERVE_HELP = """\
 commands:
-  session NAME                switch to (or open) the named session
+  session NAME                run later commands in the named session
   insert REL A=a,B=b,...      validate + apply one insertion
   delete REL A=a,B=b,...      apply one deletion
   query ATTRS                 evaluate the total projection [ATTRS]
   state                       print the committed state as JSON
-  metrics                     print server + engine-cache counters
+  metrics                     print router + engine-cache counters
   stats                       print span histograms + counters as JSON
   prometheus                  print the Prometheus text exposition
   snapshot                    force a snapshot + WAL reset (durable only)
-  sessions                    list the open sessions
+  sessions                    list the sessions requests have named
   help                        this text
   exit                        stop serving"""
 
+#: Line-protocol commands that are one frontend request each (``help``,
+#: ``exit`` and ``session`` are the loop's own).
+LINE_OPS = (
+    "insert",
+    "delete",
+    "query",
+    "state",
+    "metrics",
+    "stats",
+    "prometheus",
+    "snapshot",
+    "sessions",
+)
 
-def _serve_loop(server, lines, echo: bool = False, read_replicas=None) -> int:
-    """Drive the server over the line protocol.  Returns an exit code;
-    protocol errors are reported per line, not fatal.  With
-    ``read_replicas`` (a :class:`~repro.service.replica.ReplicaSet`),
-    ``query`` is offloaded to a caught-up follower — read-your-writes
-    is preserved by the replica set's sequence floor."""
-    session = server.session("default")
+
+def _line_request(command: str, rest: str, session: str) -> dict:
+    """The frontend request frame one protocol line stands for."""
+    request = {"op": command, "session": session}
+    if command in ("insert", "delete"):
+        relation_name, _, spec = rest.partition(" ")
+        request["relation"] = relation_name
+        request["values"] = _parse_values(spec)
+    elif command == "query":
+        request["target"] = rest
+    return request
+
+
+def _print_reply(command: str, rest: str, reply: dict) -> None:
+    """Render one dispatcher reply the way the line protocol prints it."""
+    if not reply["ok"]:
+        print(f"error: {reply['error']['message']}")
+    elif command == "insert":
+        outcome = reply["outcome"]
+        if outcome["consistent"]:
+            print(f"accepted ({outcome['tuples_examined']} examined)")
+        else:
+            _print_rejection(rest.partition(" ")[0], outcome)
+    elif command == "delete":
+        print("deleted")
+    elif command == "query":
+        print("\t".join(sorted(attrs(rest))))
+        for row in reply["rows"]:
+            print("\t".join(str(value) for value in row))
+    elif command == "state":
+        print(json.dumps(reply["state"], sort_keys=True))
+    elif command in ("metrics", "stats"):
+        print(json.dumps(reply[command], indent=2, sort_keys=True))
+    elif command == "prometheus":
+        print(reply["text"], end="")
+    elif command == "snapshot":
+        print("snapshot written")
+    else:
+        print(", ".join(reply["sessions"]))
+
+
+def _serve_loop(router, lines, echo: bool = False) -> int:
+    """Drive the router over the line protocol.  Returns an exit code;
+    protocol errors are reported per line, not fatal.  Each request
+    line goes through :func:`repro.shard.frontend.dispatch`, the same
+    function the ``--port`` frontend answers frames with."""
+    from repro.shard.frontend import dispatch
+
+    session = "default"
     for raw in lines:
         line = raw.strip()
         if echo and line:
@@ -302,59 +364,25 @@ def _serve_loop(server, lines, echo: bool = False, read_replicas=None) -> int:
             continue
         command, _, rest = line.partition(" ")
         rest = rest.strip()
-        try:
-            if command in ("exit", "quit"):
-                break
-            elif command == "help":
-                print(SERVE_HELP)
-            elif command == "session":
-                if not rest:
-                    raise ReproError("session needs a name")
-                session = server.session(rest)
+        if command in ("exit", "quit"):
+            break
+        if command == "help":
+            print(SERVE_HELP)
+        elif command == "session":
+            if rest:
+                session = rest
                 print(f"session {rest}")
-            elif command == "sessions":
-                print(", ".join(server.session_names()))
-            elif command == "insert":
-                relation_name, _, spec = rest.partition(" ")
-                outcome = session.insert(relation_name, _parse_values(spec))
-                if outcome.consistent:
-                    print(f"accepted ({outcome.tuples_examined} examined)")
-                else:
-                    _print_rejection(relation_name, outcome)
-            elif command == "delete":
-                relation_name, _, spec = rest.partition(" ")
-                session.delete(relation_name, _parse_values(spec))
-                print("deleted")
-            elif command == "query":
-                target = attrs(rest)
-                if read_replicas is not None:
-                    rows = read_replicas.query(target)
-                else:
-                    rows = session.query(target)
-                print("\t".join(sorted(target)))
-                for row in sorted(rows):
-                    print("\t".join(str(value) for value in row))
-            elif command == "state":
-                print(
-                    json.dumps(state_to_dict(session.state()), sort_keys=True)
-                )
-            elif command == "metrics":
-                print(
-                    json.dumps(
-                        server.metrics_snapshot(), indent=2, sort_keys=True
-                    )
-                )
-            elif command == "stats":
-                print(json.dumps(server.stats(), indent=2, sort_keys=True))
-            elif command == "prometheus":
-                print(server.prometheus(), end="")
-            elif command == "snapshot":
-                server.snapshot()
-                print("snapshot written")
             else:
-                print(f"error: unknown command {command!r} (try `help`)")
-        except (ReproError, argparse.ArgumentTypeError) as error:
-            print(f"error: {error}")
+                print("error: session needs a name")
+        elif command not in LINE_OPS:
+            print(f"error: unknown command {command!r} (try `help`)")
+        else:
+            try:
+                request = _line_request(command, rest, session)
+            except argparse.ArgumentTypeError as error:
+                print(f"error: {error}")
+                continue
+            _print_reply(command, rest, dispatch(router, request))
     return 0
 
 
@@ -386,18 +414,14 @@ def _restore_shutdown_handlers(previous: dict) -> None:
         signal_mod.signal(signum, handler)
 
 
-def _serve_lines(
-    server: object, args: argparse.Namespace, read_replicas=None
-) -> int:
+def _serve_lines(router: object, args: argparse.Namespace) -> int:
     """Run the line protocol with supervised-shutdown semantics."""
     previous = _install_shutdown_handlers()
     try:
         if args.script:
             with open(args.script) as handle:
-                return _serve_loop(
-                    server, handle, echo=True, read_replicas=read_replicas
-                )
-        return _serve_loop(server, sys.stdin, read_replicas=read_replicas)
+                return _serve_loop(router, handle, echo=True)
+        return _serve_loop(router, sys.stdin)
     except KeyboardInterrupt:
         print("\nshutting down")
         return 0
@@ -436,137 +460,64 @@ def _serve_frontend_blocking(router: object, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_sharded(
-    args: argparse.Namespace, tracer: Optional[Tracer]
-) -> int:
+def _open_router(args: argparse.Namespace, tracer: Optional[Tracer]):
+    """The one :class:`~repro.shard.router.ShardRouter` ``serve`` runs.
+
+    An existing store (sharded, or a plain store served in place as
+    one shard) is opened; a new ``--store`` directory is created plain
+    without ``--shards`` and sharded with it; no ``--store`` serves in
+    memory."""
     from pathlib import Path
 
-    from repro.shard.router import SHARD_FILE, ShardRouter
+    from repro.foundations.errors import ServiceError
+    from repro.service.store import SCHEME_FILE, SHARD_FILE
+    from repro.shard.router import ShardRouter
 
-    shards = args.shards if args.shards is not None else 1
-    if args.store:
-        directory = Path(args.store)
-        if (directory / SHARD_FILE).exists():
-            router = ShardRouter.open(
-                directory,
-                args.shards,
-                fsync_every=args.fsync_every,
-                tracer=tracer,
-            )
-            print(
-                f"serving sharded store {directory} "
-                f"({router.shards} shard(s))"
-            )
-        else:
-            if not args.scheme:
-                print(
-                    "error: creating a sharded store needs a scheme file",
-                    file=sys.stderr,
-                )
-                return 1
-            router = ShardRouter.create(
-                directory,
-                load_scheme(args.scheme),
-                shards,
-                fsync_every=args.fsync_every,
-                tracer=tracer,
-            )
-            print(
-                f"created sharded store {directory} "
-                f"({router.shards} shard(s))"
-            )
+    store = Path(args.store) if args.store else None
+    if store is not None and (store / SCHEME_FILE).exists():
+        router = ShardRouter.open(
+            store, args.shards, fsync_every=args.fsync_every, tracer=tracer
+        )
+        verb = "serving"
     else:
         if not args.scheme:
-            print(
-                "error: serve needs a scheme file or --store DIR",
-                file=sys.stderr,
+            raise ServiceError(
+                "serve needs a scheme file or an existing --store"
             )
-            return 1
-        router = ShardRouter.in_memory(
-            load_scheme(args.scheme), shards, tracer=tracer
+        scheme = load_scheme(args.scheme)
+        if store is None:
+            router = ShardRouter.in_memory(
+                scheme, args.shards or 1, tracer=tracer
+            )
+            print(
+                f"serving in-memory, {router.shards} shard(s) "
+                "(no --store: nothing will be persisted)"
+            )
+            return router
+        router = ShardRouter.create(
+            store,
+            scheme,
+            args.shards,
+            fsync_every=args.fsync_every,
+            tracer=tracer,
         )
-        print(
-            f"serving in-memory, {router.shards} shard(s) "
-            "(no --store: nothing will be persisted)"
-        )
-    try:
-        if args.port is not None:
-            return _serve_frontend_blocking(router, args)
-        return _serve_lines(router, args)
-    finally:
-        router.close()
-        if tracer is not None:
-            tracer.close()
+        verb = "created"
+    kind = "sharded store" if (store / SHARD_FILE).exists() else "store"
+    print(f"{verb} {kind} {store} ({router.shards} shard(s))")
+    return router
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.service.server import SchemeServer
-
     tracer = _tracer_from_args(args)
-    # --shards / --port, or a directory already laid out as a sharded
-    # store, select the sharded serving tier.
-    if (
-        getattr(args, "shards", None) is not None
-        or getattr(args, "port", None) is not None
-        or (args.store and (Path(args.store) / "shard.json").exists())
-    ):
-        if getattr(args, "replicas", None):
-            print(
-                "error: --replicas follows the durable (non-sharded) "
-                "serving path; drop --shards/--port to use it",
-                file=sys.stderr,
-            )
-            return 1
-        return _cmd_serve_sharded(args, tracer)
-    replicas = getattr(args, "replicas", None)
-    if replicas is not None and not args.store:
-        print(
-            "error: --replicas needs --store DIR (followers replay the "
-            "store's WAL segments)",
-            file=sys.stderr,
-        )
-        return 1
-    store = None
-    if args.store:
-        store = _open_or_create_store(args)
-        server = SchemeServer(store=store, tracer=tracer)
-        print(
-            f"serving {store.directory} "
-            f"(seq {store.last_seq}, recovery: replayed "
-            f"{store.recovery.replayed}, "
-            f"{store.recovery.discarded_bytes} byte(s) repaired)"
-        )
-    else:
-        if not args.scheme:
-            print(
-                "error: serve needs a scheme file or --store DIR",
-                file=sys.stderr,
-            )
-            return 1
-        server = SchemeServer(
-            scheme=load_scheme(args.scheme),
-            tracer=tracer,
-            workers=getattr(args, "workers", 1),
-        )
-        print("serving in-memory (no --store: nothing will be persisted)")
-    replica_set = None
     try:
-        if replicas:
-            from repro.service.replica import ReplicaSet
-
-            replica_set = ReplicaSet(store, replicas)
-            print(
-                f"shipping WAL segments to {replicas} follower "
-                f"process(es) under {store.directory / 'replicas'}, "
-                "offloading reads to caught-up followers"
-            )
-        return _serve_lines(server, args, read_replicas=replica_set)
+        router = _open_router(args, tracer)
+        try:
+            if args.port is not None:
+                return _serve_frontend_blocking(router, args)
+            return _serve_lines(router, args)
+        finally:
+            router.close()
     finally:
-        if replica_set is not None:
-            replica_set.close()
-        server.close()
         if tracer is not None:
             tracer.close()
 
@@ -1043,7 +994,9 @@ def build_parser() -> argparse.ArgumentParser:
     insert.set_defaults(func=_cmd_insert)
 
     serve = commands.add_parser(
-        "serve", help="run the session server over a line protocol"
+        "serve",
+        help="serve a store through the shard router, over the line "
+        "protocol or (with --port) the asyncio frontend",
     )
     serve.add_argument(
         "scheme",
@@ -1064,26 +1017,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="batch WAL fsyncs (default 1 = strict durability)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine worker pool size for block-parallel batches "
-        "(default 1 = serial)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="serve through the sharded tier with this many worker "
-        "processes (clamped to the scheme's block count; omit to "
-        "reuse a sharded store's stored count)",
-    )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help="ship WAL segments to this many follower processes "
-        "(durable non-sharded serving only; needs --store)",
+        help="spread the scheme's independent blocks over this many "
+        "worker processes (clamped to the block count; default 1 = "
+        "inline, no workers; an existing store keeps its own count)",
     )
     serve.add_argument(
         "--host",

@@ -13,15 +13,19 @@ restartable server:
   atomic snapshots, crash recovery by replaying validated updates,
   segment compaction, point-in-time recovery (``as_of_seq``);
 * :mod:`repro.service.server` — :class:`SchemeServer`: named sessions,
-  single-writer lock, lock-free snapshot reads;
+  single-writer lock, lock-free snapshot reads; the shard router
+  (:mod:`repro.shard.router`) runs one inline as its single shard, and
+  ``repro serve`` always serves through that router;
 * :mod:`repro.service.replica` — :class:`WalShipper` streaming sealed
   segments (plus the tailed active one) to :class:`FollowerStore`
-  processes that replay incrementally and can be promoted on failover;
+  replicas that replay incrementally and can be promoted on failover
+  (used by the failover bench and the shipping suites; no serving
+  command deploys followers);
 * :mod:`repro.service.metrics` — thread-safe operation counters.
 """
 
 from repro.service.metrics import MetricsRegistry
-from repro.service.replica import FollowerStore, ReplicaSet, WalShipper
+from repro.service.replica import FollowerStore, WalShipper
 from repro.service.server import SchemeServer, Session
 from repro.service.store import DurableStore, RecoveryReport
 from repro.service.wal import (
@@ -40,7 +44,6 @@ __all__ = [
     "FollowerStore",
     "MetricsRegistry",
     "RecoveryReport",
-    "ReplicaSet",
     "SchemeServer",
     "Session",
     "WalRecord",

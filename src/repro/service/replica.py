@@ -3,15 +3,15 @@
 The segmented log makes replication a file-shipping problem: sealed
 segments are immutable, so a :class:`WalShipper` on the primary streams
 their bytes (plus the growing tail of the active segment) to
-:class:`FollowerStore` processes over the same length-prefixed JSON
-frame protocol the sharded tier speaks
-(:mod:`repro.shard.protocol`).  A follower writes the records into
-identically-named segment files — its log is byte-for-byte the
-primary's — and replays each state-changing record through its own
-:class:`~repro.core.engine.WeakInstanceEngine`.  Replay extends the
-engine's delta-chase basis incrementally (the PR-4 property the paper's
-block-local chase semantics guarantee), so follower apply cost follows
-each record's cascade, not the state size, and the follower's immutable
+:class:`FollowerStore` replicas as JSON-ready request dicts (the
+shape of the sharded tier's frames, :mod:`repro.shard.protocol`).  A
+follower writes the records into identically-named segment files — its
+log is byte-for-byte the primary's — and replays each state-changing
+record through its own :class:`~repro.core.engine.WeakInstanceEngine`.
+Replay extends the engine's delta-chase basis incrementally (a
+property the paper's block-local chase semantics guarantee), so
+follower apply cost follows each record's cascade, not the state size,
+and the follower's immutable
 :class:`~repro.state.database_state.DatabaseState` snapshots serve
 lock-free reads the whole time.
 
@@ -33,26 +33,22 @@ Failure handling:
   directory, and the scan doubles as a CRC audit of everything the
   follower wrote.
 
-:class:`ReplicaSet` packages the deployment the CLI's ``serve
---replicas N`` uses: forked follower processes (the
-:func:`follower_main` loop mirrors the shard worker's) fed by a
-background shipping thread, with ``sync()`` draining the pipeline for
-tests and shutdown.
+The shipper talks to followers through a transport with one
+``send(payload) -> reply`` call; :class:`LocalTransport` dispatches in
+process, which is what the failover bench and the shipping suites use.
+No serving command deploys followers: ``repro serve`` spreads blocks
+over shard processes instead, and per-shard followers wait for a
+deployment that needs them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import signal
-import socket
-import threading
 import time
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.engine import WeakInstanceEngine
-from repro.foundations.attrs import attrs
 from repro.foundations.errors import ServiceError, StoreError, WALError
 from repro.io import (
     dump_json_atomic,
@@ -72,13 +68,11 @@ from repro.service.store import (
     RecoveryReport,
 )
 from repro.service.wal import (
-    DEFAULT_SEGMENT_BYTES,
     WriteAheadLog,
     _decode_line,
     segment_index,
     segment_name,
 )
-from repro.shard.protocol import recv_frame, send_frame
 from repro.state.database_state import DatabaseState
 
 PathLike = Union[str, Path]
@@ -127,32 +121,11 @@ class LocalTransport:
         pass
 
 
-class SocketTransport:
-    """One request/response round trip per frame over a socketpair."""
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-
-    def send(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        send_frame(self.sock, payload)
-        reply = recv_frame(self.sock)
-        if reply is None:
-            raise ServiceError("follower closed its pipe mid-request")
-        return _check_reply(reply)
-
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
 class FollowerStore:
     """A read-only replica fed record frames by a :class:`WalShipper`.
 
-    Kept separate from the process loop (:func:`follower_main`) so
-    tests can drive it in-process over a :class:`LocalTransport`, the
-    same split the sharded tier uses for its workers.  Not thread-safe
+    Driven through :meth:`handle`, one request dict per call — in
+    process over a :class:`LocalTransport`.  Not thread-safe
     on the write path — one shipper feeds it; reads hand out immutable
     state snapshots and need no lock.
     """
@@ -654,207 +627,3 @@ class WalShipper:
                 break
             chosen = index
         return chosen
-
-
-def follower_main(conn: socket.socket, config: Mapping[str, Any]) -> None:
-    """The forked follower's entire life: serve replication RPCs until
-    EOF/shutdown, tear down cleanly.
-
-    Mirrors the shard worker loop: SIGTERM exits cleanly, SIGINT is
-    ignored so a Ctrl-C aimed at the serving process group cannot kill
-    followers before the primary coordinates shutdown."""
-
-    def _terminate(signum: int, frame: object) -> None:  # pragma: no cover
-        raise SystemExit(0)
-
-    signal.signal(signal.SIGTERM, _terminate)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    follower = FollowerStore(
-        config["directory"],
-        fsync_every=int(config.get("fsync_every", 1)),
-    )
-    try:
-        while True:
-            request = recv_frame(conn)
-            if request is None or request.get("op") == "shutdown":
-                if request is not None:
-                    send_frame(conn, {"ok": True})
-                break
-            send_frame(conn, follower.handle(request))
-    except (SystemExit, BrokenPipeError, ConnectionResetError):
-        pass
-    finally:
-        follower.close()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class ReplicaSet:
-    """Forked follower processes fed by a background shipping thread.
-
-    The deployment behind ``serve --replicas N``: follower ``k`` lives
-    in ``<base>/follower-<k>`` (a complete store directory, ready to
-    be promoted by failover tooling), and a daemon thread polls the
-    primary's log every ``poll_interval`` seconds, shipping whatever
-    the serving threads appended.  ``sync()`` drains the pipeline on
-    demand; ``close()`` drains, shuts the followers down and reaps the
-    processes."""
-
-    def __init__(
-        self,
-        store: DurableStore,
-        count: int,
-        directory: Optional[PathLike] = None,
-        *,
-        poll_interval: float = 0.05,
-    ) -> None:
-        if count < 1:
-            raise ServiceError("a replica set needs at least one follower")
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ServiceError(
-                "follower replication needs the fork start method (POSIX)"
-            )
-        self.store = store
-        self.poll_interval = poll_interval
-        base = (
-            Path(directory)
-            if directory is not None
-            else store.directory / "replicas"
-        )
-        base.mkdir(parents=True, exist_ok=True)
-        self.directories: list[Path] = []
-        self._procs: list[Any] = []
-        self._transports: list[SocketTransport] = []
-        context = multiprocessing.get_context("fork")
-        for index in range(count):
-            follower_dir = base / f"follower-{index}"
-            parent_sock, child_sock = socket.socketpair()
-            process = context.Process(
-                target=follower_main,
-                args=(
-                    child_sock,
-                    {"directory": str(follower_dir), "fsync_every": 1},
-                ),
-                name=f"repro-follower-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_sock.close()
-            self.directories.append(follower_dir)
-            self._procs.append(process)
-            self._transports.append(SocketTransport(parent_sock))
-        self.shipper = WalShipper(store, self._transports)
-        # One ping per follower: a child that died on startup surfaces
-        # here, not on the first shipped record.
-        self._lock = threading.Lock()
-        self._next_read = 0  # guarded-by: _lock (round-robin cursor)
-        for transport in self._transports:
-            transport.send({"op": "ping"})
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-wal-shipper", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                with self._lock:
-                    self.shipper.ship()
-            except (ServiceError, OSError):
-                # A follower died mid-ship; stop polling — close()
-                # will report reality via the remaining statuses.
-                return
-            self._stop.wait(self.poll_interval)
-
-    def sync(self) -> list[dict[str, Any]]:
-        """Ship everything appended so far and fsync the followers."""
-        with self._lock:
-            return self.shipper.sync()
-
-    def statuses(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [
-                transport.send({"op": "status"})
-                for transport in self._transports
-            ]
-
-    def query(self, attributes: Any) -> set:
-        """``[X]`` offloaded to a caught-up follower.
-
-        Read-your-writes: the primary's ``last_seq`` at call time is
-        the sequence floor — a follower may answer only once it has
-        applied at least that much of the log, so every write the
-        caller committed before asking is visible in the answer.
-        Followers are tried round-robin; if all lag, the pipeline gets
-        one shipping nudge and one more pass, and only then does the
-        primary answer itself.  The call therefore never returns stale
-        data and never fails on a healthy primary.
-        """
-        floor = self.store.last_seq
-        payload = {"op": "query", "target": sorted(attrs(attributes))}
-        with self._lock:
-            for attempt in range(2):
-                count = len(self._transports)
-                for offset in range(count):
-                    index = (self._next_read + offset) % count
-                    transport = self._transports[index]
-                    try:
-                        status = transport.send({"op": "status"})
-                        if status.get("applied_seq", -1) < floor:
-                            continue
-                        reply = transport.send(payload)
-                    except (ServiceError, OSError):
-                        # A dead or unbootstrapped follower is a lag
-                        # case, not an error: try the next one.
-                        continue
-                    self._next_read = (index + 1) % count
-                    self.store.metrics.increment("replica.reads_offloaded")
-                    return {tuple(row) for row in reply["rows"]}
-                if attempt == 0:
-                    try:
-                        self.shipper.ship()
-                    except (ServiceError, OSError):
-                        break
-        self.store.metrics.increment("replica.read_fallbacks")
-        return self.store.query(attributes)
-
-    def close(self) -> None:
-        """Final drain, then shut followers down and reap them."""
-        self._stop.set()
-        self._thread.join(timeout=10)
-        try:
-            with self._lock:
-                self.shipper.sync()
-        except (ServiceError, OSError):
-            pass
-        for transport in self._transports:
-            try:
-                transport.send({"op": "shutdown"})
-            except (ServiceError, OSError):
-                pass
-            transport.close()
-        for process in self._procs:
-            process.join(timeout=10)
-            if process.is_alive():  # pragma: no cover
-                process.terminate()
-                process.join(timeout=5)
-
-    def __enter__(self) -> "ReplicaSet":
-        return self
-
-    def __exit__(self, *_: object) -> None:
-        self.close()
-
-
-def iter_follower_dirs(base: PathLike) -> Iterator[Path]:
-    """The follower store directories under a replica-set base, in
-    index order — what failover tooling promotes from."""
-    base = Path(base)
-    if not base.is_dir():
-        return
-    for path in sorted(base.iterdir()):
-        if path.is_dir() and path.name.startswith("follower-"):
-            yield path

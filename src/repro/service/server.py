@@ -86,7 +86,6 @@ class SchemeServer:
         scheme: Optional[DatabaseScheme] = None,
         state: Optional[DatabaseState] = None,
         tracer: Optional[Tracer] = None,
-        workers: int = 1,
     ) -> None:
         if (store is None) == (scheme is None):
             raise ServiceError(
@@ -113,7 +112,7 @@ class SchemeServer:
         else:
             assert scheme is not None
             self.scheme = scheme
-            self.engine = WeakInstanceEngine(scheme, workers=workers)
+            self.engine = WeakInstanceEngine(scheme)
             self.metrics = MetricsRegistry()
             self._state = (
                 state if state is not None else self.engine.empty_state()
@@ -125,9 +124,8 @@ class SchemeServer:
         cls,
         scheme: DatabaseScheme,
         state: Optional[DatabaseState] = None,
-        workers: int = 1,
     ) -> "SchemeServer":
-        return cls(scheme=scheme, state=state, workers=workers)
+        return cls(scheme=scheme, state=state)
 
     @classmethod
     def serving(cls, store: DurableStore) -> "SchemeServer":

@@ -72,6 +72,8 @@ from repro.state.database_state import DatabaseState
 PathLike = Union[str, Path]
 
 SCHEME_FILE = "scheme.json"
+#: The block->shard map of a sharded store (see :mod:`repro.shard.router`).
+SHARD_FILE = "shard.json"
 SNAPSHOT_FILE = "snapshot.json"
 #: Directory of WAL segments inside the store.
 WAL_DIR = "wal"
@@ -242,6 +244,11 @@ class DurableStore:
             scheme_path = directory / SCHEME_FILE
             if not scheme_path.exists():
                 raise StoreError(f"{directory} does not contain a store")
+            if (directory / SHARD_FILE).exists():
+                raise StoreError(
+                    f"{directory} is a sharded store; serve it with "
+                    f"`repro serve --store {directory}`"
+                )
             scheme = load_scheme(scheme_path)
             engine = WeakInstanceEngine(scheme, workers=workers)
 

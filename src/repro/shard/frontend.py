@@ -1,12 +1,11 @@
 """The asyncio front door: many concurrent sessions, one router.
 
-The single-process CLI drives a :class:`~repro.service.server
-.SchemeServer` over a blocking line loop — one client at a time.  This
-module replaces that accept model for sharded deployments: an
-:class:`asyncio` server speaks the same length-prefixed JSON frames as
-the router↔worker pipes (:mod:`repro.shard.protocol`), so thousands of
-concurrent connections multiplex onto one :class:`~repro.shard.router
-.ShardRouter`.
+An :class:`asyncio` server speaks the same length-prefixed JSON frames
+as the router↔worker pipes (:mod:`repro.shard.protocol`), so thousands
+of concurrent connections multiplex onto one
+:class:`~repro.shard.router.ShardRouter`.  Every request — a frame here,
+a line of ``repro serve``'s line protocol in the CLI — is answered by
+one function, :func:`dispatch`.
 
 Each request runs under ``span("front.request")`` inside the router's
 tracer, off the event loop in a worker thread (router calls block on
@@ -50,6 +49,9 @@ FRONT_OPS = (
     "snapshot",
     "sessions",
 )
+
+#: The operations that act through a named session.
+SESSION_OPS = ("insert", "delete", "batch", "query", "state")
 
 
 class ShardFrontend:
@@ -191,65 +193,76 @@ class ShardFrontend:
                     sp.add("joined", 1)
         self.router.metrics.increment("front.coalesced_reads")
 
-    # -- dispatch (worker thread) ---------------------------------------------
     def _execute(self, request: Any) -> dict[str, Any]:
-        with tracing(self.router.tracer):
-            with span("front.request") as sp:
-                try:
-                    if not isinstance(request, Mapping):
-                        raise ServiceError("request frame must be an object")
-                    response = self._dispatch(request)
-                except Exception as error:  # noqa: BLE001 - boundary
-                    response = {
-                        "ok": False,
-                        "error": {
-                            "type": type(error).__name__,
-                            "message": str(error),
-                        },
-                    }
-                if sp:
-                    sp.add("errors", 0 if response.get("ok") else 1)
-        return response
+        """One request, answered in an executor thread."""
+        return dispatch(self.router, request)
 
-    def _dispatch(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        op = request.get("op")
-        if op not in FRONT_OPS:
-            raise ServiceError(f"unknown frontend operation {op!r}")
-        router = self.router
-        if op == "ping":
-            return {"ok": True, "shards": router.shards}
-        if op == "sessions":
-            return {"ok": True, "sessions": router.session_names()}
-        if op == "metrics":
-            return {"ok": True, "metrics": router.metrics_snapshot()}
-        if op == "stats":
-            return {"ok": True, "stats": router.stats()}
-        if op == "prometheus":
-            return {"ok": True, "text": router.prometheus()}
-        if op == "snapshot":
-            router.snapshot()
-            return {"ok": True}
-        session = router.session(str(request.get("session", "default")))
-        if op == "insert":
-            outcome = session.insert(
-                str(request["relation"]), dict(request["values"])
-            )
-            return {"ok": True, "outcome": outcome.to_dict()}
-        if op == "delete":
-            session.delete(str(request["relation"]), dict(request["values"]))
-            return {"ok": True}
-        if op == "batch":
-            updates = [
-                (str(operation), str(relation_name), dict(values))
-                for operation, relation_name, values in request["updates"]
-            ]
-            outcome = session.apply_batch(updates)
-            return {"ok": True, "outcome": outcome.to_dict()}
-        if op == "query":
-            rows = session.query(attrs(request["target"]))
-            return {"ok": True, "rows": sorted(list(row) for row in rows)}
-        assert op == "state"
-        return {"ok": True, "state": state_to_dict(session.state())}
+
+def dispatch(router: Any, request: Any) -> dict[str, Any]:
+    """Answer one request against ``router``: the reply frame, with any
+    error turned into an ``{"ok": false, "error": {type, message}}``
+    reply.  Both of ``repro serve``'s doors — the asyncio frontend and
+    the line protocol — call this, so they share every operation."""
+    with tracing(router.tracer):
+        with span("front.request") as sp:
+            try:
+                if not isinstance(request, Mapping):
+                    raise ServiceError("request frame must be an object")
+                op = request.get("op")
+                if op not in FRONT_OPS:
+                    raise ServiceError(f"unknown frontend operation {op!r}")
+                if op in SESSION_OPS:
+                    session = router.session(
+                        str(request.get("session", "default"))
+                    )
+                response: dict[str, Any] = {"ok": True}
+                if op == "ping":
+                    response["shards"] = router.shards
+                elif op == "sessions":
+                    response["sessions"] = router.session_names()
+                elif op == "metrics":
+                    response["metrics"] = router.metrics_snapshot()
+                elif op == "stats":
+                    response["stats"] = router.stats()
+                elif op == "prometheus":
+                    response["text"] = router.prometheus()
+                elif op == "snapshot":
+                    router.snapshot()
+                elif op == "insert":
+                    outcome = session.insert(
+                        str(request["relation"]), dict(request["values"])
+                    )
+                    response["outcome"] = outcome.to_dict()
+                elif op == "delete":
+                    session.delete(
+                        str(request["relation"]), dict(request["values"])
+                    )
+                elif op == "batch":
+                    updates = [
+                        (str(operation), str(relation_name), dict(values))
+                        for operation, relation_name, values in request[
+                            "updates"
+                        ]
+                    ]
+                    response["outcome"] = session.apply_batch(
+                        updates
+                    ).to_dict()
+                elif op == "query":
+                    rows = session.query(attrs(request["target"]))
+                    response["rows"] = sorted(list(row) for row in rows)
+                else:
+                    response["state"] = state_to_dict(session.state())
+            except Exception as error:  # noqa: BLE001 - boundary
+                response = {
+                    "ok": False,
+                    "error": {
+                        "type": type(error).__name__,
+                        "message": str(error),
+                    },
+                }
+            if sp:
+                sp.add("errors", 0 if response.get("ok") else 1)
+    return response
 
 
 class FrontendClient:

@@ -36,7 +36,10 @@ Serial equivalence is the contract:
 When the effective shard count is one — a single-block scheme, a
 non-decomposable scheme, or ``shards=1`` — the router degrades to an
 inline :class:`~repro.service.server.SchemeServer` with no worker
-processes and no IPC on any path.
+processes and no IPC on any path.  That is also how a plain
+:class:`~repro.service.store.DurableStore` directory (no ``shard.json``)
+is served: in place, as the router's one inline shard.  ``repro serve``
+always builds a router, so this module is the CLI's only serving stack.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from repro.foundations.errors import (
     ReproError,
     ServiceError,
     StateError,
+    StoreError,
 )
 from repro.io import (
     dump_json_atomic,
@@ -83,7 +87,7 @@ from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import MetricsRegistry, cache_series, labeled
 from repro.service.server import SchemeServer, Session
-from repro.service.store import DurableStore
+from repro.service.store import SCHEME_FILE, SHARD_FILE, DurableStore
 from repro.shard.protocol import recv_frame, send_frame
 from repro.shard.worker import worker_main
 from repro.state.database_state import DatabaseState
@@ -91,7 +95,6 @@ from repro.state.relation import Relation
 
 PathLike = Union[str, Path]
 
-SHARD_FILE = "shard.json"
 SHARD_DIR_PREFIX = "shard-"
 
 
@@ -273,7 +276,6 @@ class ShardRouter:
         shards: int = 1,
         *,
         directory: Optional[PathLike] = None,
-        create_dirs: bool = False,
         tracer: Optional[Tracer] = None,
         fsync_every: int = 1,
     ) -> None:
@@ -336,26 +338,30 @@ class ShardRouter:
         cls,
         directory: PathLike,
         scheme: DatabaseScheme,
-        shards: int = 1,
+        shards: Optional[int] = 1,
         *,
         fsync_every: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> "ShardRouter":
-        """Initialise a fresh sharded store directory and serve it."""
+        """Initialise a fresh store directory and serve it.
+
+        A shard count lays out a sharded store (``shard.json`` plus one
+        store per shard); ``shards=None`` creates a plain
+        :class:`~repro.service.store.DurableStore`, which the
+        single-store commands (``replay``, ``recover``, ``insert
+        --store``) open too."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if (directory / SHARD_FILE).exists():
-            raise ServiceError(
-                f"{directory} already contains a sharded store"
-            )
-        shard_map = shard_map_for(scheme, shards)
-        dump_scheme(scheme, directory / "scheme.json")
-        dump_json_atomic(shard_map.to_dict(), directory / SHARD_FILE)
+        if (directory / SCHEME_FILE).exists():
+            raise StoreError(f"{directory} already contains a store")
+        if shards is not None:
+            shard_map = shard_map_for(scheme, shards)
+            dump_scheme(scheme, directory / SCHEME_FILE)
+            dump_json_atomic(shard_map.to_dict(), directory / SHARD_FILE)
         return cls(
             scheme,
-            shards,
+            shards or 1,
             directory=directory,
-            create_dirs=True,
             tracer=tracer,
             fsync_every=fsync_every,
         )
@@ -369,35 +375,37 @@ class ShardRouter:
         fsync_every: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> "ShardRouter":
-        """Recover a sharded store: every worker replays its own WAL.
+        """Recover a store: every shard replays its own WAL.
 
-        The block→shard assignment is fixed at create time; passing a
-        different ``shards`` here is an error (re-sharding would need a
-        data migration this PR does not ship)."""
+        A plain :class:`~repro.service.store.DurableStore` directory
+        (no ``shard.json``) opens as one inline shard.  The block→shard
+        assignment is fixed at create time; a ``shards`` whose
+        effective count differs is an error (re-sharding would need a
+        data migration that does not exist)."""
         directory = Path(directory)
         meta_path = directory / SHARD_FILE
-        if not meta_path.exists():
-            raise ServiceError(
-                f"{directory} does not contain a sharded store"
-            )
-        meta = load_json(meta_path)
-        scheme = load_scheme(directory / "scheme.json")
-        if meta.get("fingerprint") != scheme_fingerprint(scheme):
-            raise ServiceError(
-                f"{meta_path} does not match the scheme in {directory}"
-            )
-        stored = int(meta["requested"])
+        if not (directory / SCHEME_FILE).exists():
+            raise StoreError(f"{directory} does not contain a store")
+        scheme = load_scheme(directory / SCHEME_FILE)
+        if meta_path.exists():
+            meta = load_json(meta_path)
+            if meta.get("fingerprint") != scheme_fingerprint(scheme):
+                raise StoreError(
+                    f"{meta_path} does not match the scheme in {directory}"
+                )
+        else:
+            meta = {"requested": 1, "shards": 1}
         if shards is not None and shard_map_for(
             scheme, shards
         ).shards != int(meta["shards"]):
-            raise ServiceError(
-                f"store was sharded {meta['shards']} way(s); opening "
+            raise StoreError(
+                f"{directory} holds {meta['shards']} shard(s); opening "
                 f"with --shards {shards} would re-shard it, which is "
                 "not supported"
             )
         return cls(
             scheme,
-            stored,
+            int(meta["requested"]),
             directory=directory,
             tracer=tracer,
             fsync_every=fsync_every,
@@ -407,6 +415,8 @@ class ShardRouter:
     def _shard_dir(self, index: int) -> Optional[str]:
         if self.directory is None:
             return None
+        if not (self.directory / SHARD_FILE).exists():
+            return str(self.directory)  # a plain store is its one shard
         return str(self.directory / f"{SHARD_DIR_PREFIX}{index}")
 
     def _shard_scheme(self, index: int) -> DatabaseScheme:
@@ -420,8 +430,6 @@ class ShardRouter:
         worker processes, no IPC on any operation."""
         if self.directory is not None:
             shard_dir = Path(self._shard_dir(0))
-            from repro.service.store import SCHEME_FILE
-
             if (shard_dir / SCHEME_FILE).exists():
                 store = DurableStore.open(
                     shard_dir, fsync_every=self._fsync_every

@@ -6,9 +6,6 @@ segment files — including under mid-segment crashes, compaction racing
 the shipper, kill-and-promote failover, and torn segment boundaries.
 """
 
-import multiprocessing
-import shutil
-
 import pytest
 
 from repro.core.engine import WeakInstanceEngine
@@ -17,9 +14,7 @@ from repro.io import scheme_to_dict, state_to_dict
 from repro.service.replica import (
     FollowerStore,
     LocalTransport,
-    ReplicaSet,
     WalShipper,
-    iter_follower_dirs,
 )
 from repro.service.store import DurableStore
 from repro.service.wal import scan_wal, segment_paths
@@ -441,77 +436,3 @@ class TestKillAndPromoteFuzz:
                 assert promoted.last_seq == recovered_primary.last_seq
         finally:
             follower.close()
-
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="follower replication needs the fork start method",
-)
-
-
-@needs_fork
-class TestReplicaSetProcesses:
-    def test_forked_followers_converge_and_promote(self, tmp_path, scheme):
-        with DurableStore.create(
-            tmp_path / "primary",
-            scheme,
-            auto_compact=False,
-            segment_bytes=256,
-        ) as primary:
-            with ReplicaSet(primary, 2, poll_interval=0.01) as replicas:
-                mixed_history(primary, count=8)
-                statuses = replicas.sync()
-                assert [s["applied_seq"] for s in statuses] == [
-                    primary.last_seq
-                ] * 2
-                follower_dirs = list(
-                    iter_follower_dirs(tmp_path / "primary" / "replicas")
-                )
-                assert len(follower_dirs) == 2
-            expected = primary.state
-            last_seq = primary.last_seq
-        # After shutdown every follower directory is a complete store:
-        # failover is just opening one.
-        for follower_dir in follower_dirs:
-            with DurableStore.open(follower_dir) as promoted:
-                assert promoted.last_seq == last_seq
-                assert promoted.state == expected
-            shutil.rmtree(follower_dir)
-
-    def test_replica_set_validates_count(self, tmp_path, scheme):
-        with DurableStore.create(tmp_path / "primary", scheme) as primary:
-            with pytest.raises(ServiceError, match="at least one"):
-                ReplicaSet(primary, 0)
-
-class TestReadOffload:
-    def test_reads_offload_with_read_your_writes(self, tmp_path, scheme):
-        with make_primary(tmp_path, scheme) as primary:
-            with ReplicaSet(primary, 2, poll_interval=0.01) as replicas:
-                for index in range(4):
-                    primary.insert("R4", r4_tuple(index))
-                    # Immediately after the write: the sequence floor
-                    # forces the answering follower to have applied it.
-                    rows = replicas.query("CS")
-                    assert rows == primary.query("CS")
-                    assert len(rows) == index + 1
-                snapshot = primary.metrics.snapshot()
-                # The floor check plus the in-call shipping nudge mean
-                # every read found a caught-up follower.
-                assert snapshot.get("replica.reads_offloaded", 0) == 4
-                assert snapshot.get("replica.read_fallbacks", 0) == 0
-
-    def test_dead_followers_fall_back_to_the_primary(self, tmp_path, scheme):
-        with make_primary(tmp_path, scheme) as primary:
-            with ReplicaSet(primary, 1, poll_interval=0.01) as replicas:
-                primary.insert("R4", r4_tuple(0))
-                replicas.sync()
-                # Stop the background shipper first so the kill cannot
-                # race it, then reap the only follower.
-                replicas._stop.set()
-                replicas._thread.join(timeout=10)
-                replicas._procs[0].terminate()
-                replicas._procs[0].join(timeout=10)
-                rows = replicas.query("CS")
-                assert rows == primary.query("CS")
-                snapshot = primary.metrics.snapshot()
-                assert snapshot.get("replica.read_fallbacks", 0) == 1

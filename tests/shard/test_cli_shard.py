@@ -1,6 +1,8 @@
-"""CLI integration for the sharded tier: ``serve --shards``,
-sharded ``stats``, ``shard-bench``, and supervised shutdown."""
+"""CLI integration for the sharded tier: ``serve --shards``, the one
+request dispatcher both serve doors share, store-kind handling, sharded
+``stats``, ``shard-bench``, and supervised shutdown."""
 
+import asyncio
 import json
 import os
 import signal
@@ -12,6 +14,8 @@ import pytest
 
 from repro.cli import main
 from repro.io import dump_scheme
+from repro.shard import frontend
+from repro.shard.router import ShardRouter
 from repro.workloads.paper import example1_university
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -108,6 +112,228 @@ class TestServeSharded:
         out = capsys.readouterr().out
         assert code == 0
         assert "serving in-memory, 2 shard(s)" in out
+
+
+#: Every kind of reply a request line can get: an accept, a rejection,
+#: a delete, a cross-block query (R1 and R5 live on shard 0, R4 on
+#: shard 1 at two shards), a query outside the universe, an unknown
+#: relation and a session switch.
+PARITY_SCRIPT = [
+    "insert R4 C=c1,S=s1,G=A",
+    "insert R4 C=c1,S=s1,G=B",
+    "insert R1 H=h1,R=r1,C=c1",
+    "insert R5 H=h1,S=s1,R=r1",
+    "insert R4 C=c2,S=s2,G=B",
+    "delete R4 C=c2,S=s2,G=B",
+    "query HSG",
+    "query CZ",
+    "insert R9 A=a",
+    "session bob",
+    "insert R4 C=c3,S=s3,G=C",
+    "query CSG",
+    "sessions",
+    "state",
+]
+
+
+def _record_line_run(tmp_path, scheme_path, shards, monkeypatch, capsys):
+    """Serve PARITY_SCRIPT over the line loop; return the (request,
+    reply) pairs the shared dispatcher saw and the printed lines."""
+    calls = []
+    real = frontend.dispatch
+
+    def recording(router, request):
+        reply = real(router, request)
+        calls.append((request, json.loads(json.dumps(reply))))
+        return reply
+
+    monkeypatch.setattr(frontend, "dispatch", recording)
+    script = write_script(tmp_path, PARITY_SCRIPT)
+    code = main(
+        [
+            "serve",
+            str(scheme_path),
+            "--shards",
+            str(shards),
+            "--script",
+            str(script),
+        ]
+    )
+    assert code == 0
+    monkeypatch.setattr(frontend, "dispatch", real)
+    printed = capsys.readouterr().out.splitlines()
+    assert f"{shards} shard(s)" in printed[0]
+    return calls, printed[1:]
+
+
+async def _frontend_replies(requests, capsys):
+    """The replies ``serve_frontend`` gives ``requests`` over frames
+    (errors rebuilt client-side, then described the way the
+    dispatcher's error replies describe them)."""
+    router = ShardRouter.in_memory(example1_university(), 2)
+    ready, stop = asyncio.Event(), asyncio.Event()
+    server = asyncio.create_task(
+        frontend.serve_frontend(
+            router, port=0, ready=ready, stop=stop, announce=True
+        )
+    )
+    await ready.wait()
+    host, port = json.loads(capsys.readouterr().out)["listening"]
+    replies = []
+    try:
+        async with frontend.FrontendClient(host, port) as client:
+            for request in requests:
+                try:
+                    reply = await client.request(request)
+                except Exception as error:  # noqa: BLE001 - compared
+                    reply = {
+                        "ok": False,
+                        "error": {
+                            "type": type(error).__name__,
+                            "message": str(error),
+                        },
+                    }
+                replies.append(reply)
+    finally:
+        stop.set()
+        await server
+        router.close()
+    return replies
+
+
+class TestOneDispatcher:
+    def test_line_loop_and_frontend_agree(
+        self, tmp_path, scheme_path, monkeypatch, capsys
+    ):
+        inline, inline_out = _record_line_run(
+            tmp_path, scheme_path, 1, monkeypatch, capsys
+        )
+        sharded, sharded_out = _record_line_run(
+            tmp_path, scheme_path, 2, monkeypatch, capsys
+        )
+        # Every line but `session` became one request, identical at
+        # either shard count, and every reply matched.
+        assert len(inline) == len(PARITY_SCRIPT) - 1
+        assert [request for request, _ in sharded] == [
+            request for request, _ in inline
+        ]
+        assert [reply for _, reply in sharded] == [
+            reply for _, reply in inline
+        ]
+        assert sharded_out == inline_out
+        requests = [request for request, _ in inline]
+        replies = asyncio.run(_frontend_replies(requests, capsys))
+        assert replies == [reply for _, reply in inline]
+
+        request_lines = [
+            line for line in PARITY_SCRIPT if not line.startswith("session ")
+        ]
+        by_line = dict(zip(request_lines, replies))
+        assert by_line["insert R4 C=c1,S=s1,G=A"]["outcome"]["consistent"]
+        rejected = by_line["insert R4 C=c1,S=s1,G=B"]["outcome"]
+        assert not rejected["consistent"]
+        assert by_line["delete R4 C=c2,S=s2,G=B"] == {"ok": True}
+        assert by_line["query HSG"]["rows"] == [["A", "h1", "s1"]]
+        assert by_line["query CZ"]["rows"] == []
+        assert by_line["insert R9 A=a"]["error"] == {
+            "type": "NotApplicableError",
+            "message": "unknown relation 'R9'",
+        }
+        assert requests[-4]["session"] == "bob"
+        assert by_line["sessions"]["sessions"] == ["bob", "default"]
+        assert "error: unknown relation 'R9'" in inline_out
+        assert (
+            "REJECTED: inserting into R4 would make the state inconsistent"
+            in inline_out
+        )
+
+
+def _listing(directory):
+    return sorted(
+        str(path.relative_to(directory)) for path in directory.rglob("*")
+    )
+
+
+class TestStoreKinds:
+    def test_single_store_commands_refuse_a_sharded_store(
+        self, tmp_path, scheme_path, capsys
+    ):
+        store = tmp_path / "store"
+        script = write_script(tmp_path, ["insert R4 C=c1,S=s1,G=A"])
+        assert main(
+            [
+                "serve",
+                str(scheme_path),
+                "--store",
+                str(store),
+                "--shards",
+                "1",
+                "--script",
+                str(script),
+            ]
+        ) == 0
+        before = _listing(store)
+        capsys.readouterr()
+        for command in (
+            ["replay", "--store", str(store)],
+            ["recover", "--store", str(store), "--as-of", "1"],
+            [
+                "insert",
+                "--store",
+                str(store),
+                "--relation",
+                "R4",
+                "--values",
+                "C=c2,S=s2,G=B",
+            ],
+        ):
+            assert main(command) == 1, command
+            assert "is a sharded store" in capsys.readouterr().err
+            assert _listing(store) == before, command
+        # `stats --store` reads a sharded store through the router.
+        assert main(["stats", "--store", str(store), "--json"]) == 0
+        assert _listing(store) == before
+
+    def test_plain_store_refuses_resharding_and_serves_in_place(
+        self, tmp_path, scheme_path, capsys
+    ):
+        store = tmp_path / "plain"
+        assert main(
+            [
+                "insert",
+                str(scheme_path),
+                "--store",
+                str(store),
+                "--relation",
+                "R4",
+                "--values",
+                "C=c1,S=s1,G=A",
+            ]
+        ) == 0
+        scheme_bytes = (store / "scheme.json").read_bytes()
+        before = _listing(store)
+        capsys.readouterr()
+        query = write_script(tmp_path, ["query CS"])
+        code = main(
+            [
+                "serve",
+                "--store",
+                str(store),
+                "--shards",
+                "2",
+                "--script",
+                str(query),
+            ]
+        )
+        assert code == 1
+        assert "re-shard" in capsys.readouterr().err
+        assert (store / "scheme.json").read_bytes() == scheme_bytes
+        assert _listing(store) == before
+        code = main(["serve", "--store", str(store), "--script", str(query)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "1 shard(s)" in out
+        assert "C\tS\nc1\ts1\n" in out
 
 
 class TestStatsSharded:

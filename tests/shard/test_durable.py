@@ -1,11 +1,13 @@
-"""Durable sharded stores: layout, recovery, and re-shard refusal."""
+"""Durable sharded stores: layout, recovery, re-shard refusal, and
+plain stores served in place as one shard."""
 
 import json
 
 import pytest
 
-from repro.foundations.errors import ServiceError
+from repro.foundations.errors import ServiceError, StoreError
 from repro.io import state_to_dict
+from repro.service.store import DurableStore
 from repro.shard.router import SHARD_FILE, ShardRouter
 from repro.workloads.paper import example1_university, example3_triangle
 
@@ -109,3 +111,42 @@ def test_inline_single_shard_store_roundtrips(tmp_path):
     with ShardRouter.open(directory) as reopened:
         assert reopened.shards == 1
         assert state_to_dict(reopened.state) == expected
+
+
+def test_open_serves_a_plain_store_in_place(tmp_path, scheme):
+    directory = tmp_path / "plain"
+    with DurableStore.create(directory, scheme) as store:
+        store.insert("R4", {"C": "c1", "S": "s1", "G": "A"})
+        expected = state_to_dict(store.state)
+    with pytest.raises(StoreError, match="re-shard"):
+        ShardRouter.open(directory, 2)
+    with ShardRouter.open(directory, 1) as router:
+        assert router.shards == 1
+        assert state_to_dict(router.state) == expected
+        assert router.insert("R4", {"C": "c2", "S": "s2", "G": "B"})
+    assert sorted(path.name for path in directory.iterdir()) == [
+        "scheme.json",
+        "snapshot.json",
+        "wal",
+    ]
+    with DurableStore.open(directory) as reopened:
+        assert reopened.state.total_tuples() == 2
+
+
+def test_create_without_a_count_lays_out_a_plain_store(tmp_path, scheme):
+    directory = tmp_path / "plain"
+    with ShardRouter.create(directory, scheme, None) as router:
+        assert router.shards == 1
+        assert router.insert("R4", {"C": "c1", "S": "s1", "G": "A"})
+    assert not (directory / SHARD_FILE).exists()
+    with DurableStore.open(directory) as store:
+        assert store.last_seq == 1
+
+
+def test_durable_store_refuses_a_sharded_directory(tmp_path, scheme):
+    directory = tmp_path / "store"
+    ShardRouter.create(directory, scheme, 2).close()
+    with pytest.raises(StoreError, match="sharded store"):
+        DurableStore.open(directory)
+    assert not (directory / "snapshot.json").exists()
+    assert not (directory / "wal").exists()

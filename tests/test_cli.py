@@ -133,6 +133,25 @@ class TestInsert:
         assert code == 2
         assert "REJECTED" in capsys.readouterr().out
 
+    def test_duplicate_attribute_is_an_argument_error(
+        self, university_files, capsys
+    ):
+        scheme_path, state_path = university_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "insert",
+                    str(scheme_path),
+                    str(state_path),
+                    "--relation",
+                    "R4",
+                    "--values",
+                    "C=a,C=b,S=s,G=g",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "attribute 'C' given twice" in capsys.readouterr().err
+
 
 class TestKeys:
     def test_keys_listing(self, university_files, capsys):
@@ -347,25 +366,6 @@ class TestWorkersFlag:
         assert code == 0
         assert "accepted at seq 2" in capsys.readouterr().out
 
-    def test_serve_in_memory_accepts_workers(
-        self, university_files, tmp_path, capsys
-    ):
-        scheme_path, _ = university_files
-        script = tmp_path / "script.txt"
-        script.write_text("insert R4 C=c,S=s,G=A\nstate\nexit\n")
-        code = main(
-            [
-                "serve",
-                str(scheme_path),
-                "--script",
-                str(script),
-                "--workers",
-                "3",
-            ]
-        )
-        assert code == 0
-        assert "accepted" in capsys.readouterr().out
-
 
 class TestServe:
     def _script(self, tmp_path, text):
@@ -456,6 +456,19 @@ class TestServe:
         assert code == 0
         out = capsys.readouterr().out
         assert "> query AZ\nA\tZ\n> query AB\nA\tB\n1\t2\n" in out
+
+    def test_serve_rejects_a_duplicate_attribute(
+        self, university_files, tmp_path, capsys
+    ):
+        scheme_path, _ = university_files
+        script = self._script(
+            tmp_path, "insert R4 C=a,C=b,S=s,G=g\nstate\nexit\n"
+        )
+        code = main(["serve", str(scheme_path), "--script", str(script)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "error: attribute 'C' given twice" in out
+        assert '"R4": []' in out
 
     def test_serve_without_scheme_or_store_errors(self, capsys):
         assert main(["serve"]) == 1
