@@ -21,7 +21,8 @@ test:
 	$(PY) -m pytest -x -q
 
 # Invariant linter (lock/async/fork discipline, determinism, resource
-# safety, span hygiene, lock order, cache invalidation) over src/,
+# safety, span hygiene, lock order, router relation-mirror
+# invalidation) over src/,
 # scripts/, benchmarks/ and examples/, gated on the committed
 # baseline; plus ruff when it is installed (CI always has it; a plain
 # checkout may not).

@@ -11,7 +11,7 @@ Two residents share this package:
   outputs, span hygiene against the catalogue in
   ``docs/ARCHITECTURE.md``, resource/exception safety, and the
   concurrency packs (async discipline, fork safety, cross-file
-  lock-order acyclicity, read-cache invalidation coverage).  See
+  lock-order acyclicity, relation-mirror invalidation coverage).  See
   ``docs/ANALYSIS.md``.
 """
 

@@ -152,15 +152,6 @@ def parents(node: ast.AST) -> Iterator[ast.AST]:
         current = getattr(current, "parent", None)
 
 
-def enclosing_function(
-    node: ast.AST,
-) -> Optional[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-    for ancestor in parents(node):
-        if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ancestor
-    return None
-
-
 def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
     for ancestor in parents(node):
         if isinstance(ancestor, ast.ClassDef):

@@ -49,8 +49,8 @@ RULE_CODES: dict[str, str] = {
         "potential deadlock)"
     ),
     "cache-invalidation": (
-        "every state-mutation site stamps the read cache's block "
-        "versions"
+        "every router write path invalidates the relation mirror's "
+        "write generations"
     ),
 }
 

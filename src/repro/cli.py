@@ -789,9 +789,11 @@ def _restrict_to_displays(config, displays):
 
     changes = {
         "required": {k: v for k, v in config.required.items() if keep(k)},
-        "exempt": {k: v for k, v in config.exempt.items() if keep(k)},
     }
     if hasattr(config, "surface"):
+        changes["exempt"] = {
+            k: v for k, v in config.exempt.items() if keep(k)
+        }
         changes["surface"] = tuple(s for s in config.surface if keep(s))
         changes["catalogue"] = None  # partial scans can't prove span orphans
     return dataclasses.replace(config, **changes)

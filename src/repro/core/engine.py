@@ -101,9 +101,12 @@ class WeakInstanceEngine:
     through the columnar kernels of :mod:`repro.compile`.  A
     block-versioned query-result cache sits in front of every query
     (see :mod:`repro.core.readcache`): a repeated ``[X]`` against a
-    state whose touched blocks are unchanged is a dict probe, and a
-    write only stops queries overlapping the written block from
-    hitting.  ``read_cache_size`` bounds the number of cached answers.
+    state whose touched blocks are unchanged is a dict probe.  A write
+    gives only the written block new relation objects, and block
+    versions are keyed by relation identity, so only queries
+    overlapping the written block stop hitting.  ``read_cache_size``
+    bounds the number of cached answers and of memoized per-target
+    touched-block sets.
     """
 
     def __init__(
@@ -284,13 +287,6 @@ class WeakInstanceEngine:
             "read": self.read_cache.info(),
         }
 
-    def _note_write(self, state: DatabaseState, relation_name: str) -> None:
-        """Stamp a fresh read-cache version on the written relation's
-        block of a just-produced state."""
-        self.read_cache.note_write(
-            state, self.partition.block_index_of(relation_name)
-        )
-
     # -- updates -----------------------------------------------------------------
     def insert(
         self,
@@ -301,8 +297,6 @@ class WeakInstanceEngine:
         """Validate and apply one insertion (Algorithm 5 / 2 / chase)."""
         with span("engine.insert") as sp:
             outcome = self.maintainer.insert(state, relation_name, values)
-            if outcome.consistent and outcome.state is not None:
-                self._note_write(outcome.state, relation_name)
             if sp:
                 sp.add("tuples_examined", outcome.tuples_examined)
                 sp.add("chase_steps", outcome.chase_steps)
@@ -319,7 +313,6 @@ class WeakInstanceEngine:
         """Apply a deletion — always consistency-preserving."""
         with span("engine.delete") as sp:
             result = state.delete(relation_name, values)
-            self._note_write(result, relation_name)
             if sp:
                 sp.add("deleted", 1)
             return result
@@ -498,8 +491,6 @@ class WeakInstanceEngine:
             name: merged.get(name, state[name]) for name in self.scheme.names
         }
         merged_state = DatabaseState(self.scheme, relations)
-        for block_index in routed:
-            self.read_cache.note_write(merged_state, block_index)
         ops = sum(len(operations) for operations in routed.values())
         return BlockOutcome(
             block_index=-1, substate=merged_state, applied=ops, ops=ops

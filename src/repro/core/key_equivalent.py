@@ -32,8 +32,6 @@ from repro.foundations.errors import (
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.lossless import minimal_lossless_subsets_covering
 from repro.state.database_state import DatabaseState
-from repro.tableau.symbols import NDVFactory, constant
-from repro.tableau.tableau import Row, Tableau
 
 
 def is_key_equivalent(scheme: DatabaseScheme) -> bool:
@@ -119,19 +117,6 @@ class KERepInstance:
             for row in self.classes
             if all(a in row for a in ordered)
         }
-
-    def to_tableau(self) -> Tableau:
-        """Materialize as a tableau (constants plus fresh distinct
-        nondistinguished variables)."""
-        factory = NDVFactory()
-        tableau = Tableau(self.universe)
-        for row in self.classes:
-            cells = {
-                a: constant(row[a]) if a in row else factory.fresh()
-                for a in sorted(self.universe)
-            }
-            tableau.add_row(Row(cells))
-        return tableau
 
 
 class _ClassMerger:

@@ -6,14 +6,15 @@ heuristic: on an independence-reducible scheme every total projection
 blocks it touches, so the answer is a pure function of ``(X, contents
 of the touched blocks)``.  A write confined to one block provably
 cannot change the answer of a query whose plan never reads that block
-— which means per-block version counters give *exact* invalidation:
+— which means per-block versions give *exact* invalidation:
 
 * :class:`BlockVersions` assigns a monotonically increasing version to
-  each distinct ``(block, relation identities)`` it sees.  States are
-  immutable and an update rebuilds only the written block's
-  :class:`~repro.state.relation.Relation` objects, so an unchanged
-  block keeps its version across writes while the mutated block earns
-  a fresh one.
+  each distinct ``(block, relation identities)`` it sees, lazily, on
+  the first lookup.  States are immutable and an update rebuilds only
+  the written block's :class:`~repro.state.relation.Relation` objects,
+  so an unchanged block keeps its version across writes while the
+  mutated block earns a fresh one, with no write path stamping
+  anything.
 * :class:`ReadCache` keys cached answers by ``(scheme fingerprint,
   target attributes, tuple of touched-block versions)``.  A hit is a
   dict probe; a write "invalidates" nothing explicitly — the version
@@ -55,7 +56,7 @@ class BlockVersions:
     never a stale hit.
     """
 
-    __slots__ = ("_partition", "_versions", "_counter", "_lock", "_writes")
+    __slots__ = ("_partition", "_versions", "_counter", "_lock")
 
     def __init__(
         self, partition: SchemePartition, maxsize: Optional[int] = None
@@ -66,7 +67,6 @@ class BlockVersions:
         self._versions: LRUCache = LRUCache(maxsize)
         self._counter = count(1)
         self._lock = threading.Lock()
-        self._writes = 0  # guarded-by: _lock
 
     def _relations(self, state: DatabaseState, block_index: int) -> tuple:
         names = self._partition.block_names[block_index]
@@ -88,41 +88,21 @@ class BlockVersions:
         self._versions.put(key, (relations, version))
         return version
 
-    def bump(self, state: DatabaseState, block_index: int) -> int:
-        """Stamp a *fresh* version on one block of a just-written state.
-
-        Correctness never depends on this being called — a new state's
-        written block carries new relation identities, so the lazy path
-        would version it anyway — but the write paths call it to keep
-        the "writes observed" count honest and the first post-write
-        query probe cheap."""
-        relations = self._relations(state, block_index)
-        key = (block_index,) + tuple(id(relation) for relation in relations)
-        with self._lock:
-            version = next(self._counter)
-            self._writes += 1
-        self._versions.put(key, (relations, version))
-        return version
-
-    @property
-    def writes(self) -> int:
-        """How many block writes were stamped via :meth:`bump`."""
-        with self._lock:
-            return self._writes
-
 
 class ReadCache:
     """The query-result cache: ``(fingerprint, target, versions) ->
     frozenset of rows``.
 
-    ``touched_blocks`` is memoized per target: reducible schemes read
-    the plan's relation names and map them to blocks; uncoverable
+    ``touched_blocks`` is memoized per target in an LRU as large as the
+    result cache (targets outside the universe are answered too, so the
+    set of targets a client can name is unbounded): reducible schemes
+    read the plan's relation names and map them to blocks; uncoverable
     targets (``SchemaError``) and non-reducible schemes degrade to all
     blocks, which is sound — their answers may depend on the whole
     state, so any write must change the key.
     """
 
-    __slots__ = ("_partition", "versions", "_results", "_touched", "_lock")
+    __slots__ = ("_partition", "versions", "_results", "_touched")
 
     def __init__(
         self, partition: SchemePartition, maxsize: int = 1024
@@ -130,16 +110,14 @@ class ReadCache:
         self._partition = partition
         self.versions = BlockVersions(partition)
         self._results: LRUCache = LRUCache(maxsize)
-        self._touched: dict = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._touched: LRUCache = LRUCache(maxsize)
 
     def touched_blocks(
         self, target: frozenset, plan_for: PlanProvider
     ) -> tuple[int, ...]:
         """The block indices whose contents the answer of ``[target]``
         can depend on (memoized per target)."""
-        with self._lock:
-            cached = self._touched.get(target)
+        cached = self._touched.get(target)
         if cached is not None:
             return cached
         partition = self._partition
@@ -164,8 +142,7 @@ class ReadCache:
                     )
                     or every
                 )
-        with self._lock:
-            self._touched[target] = blocks
+        self._touched.put(target, blocks)
         return blocks
 
     def key(
@@ -192,26 +169,6 @@ class ReadCache:
     def put(self, key: tuple, rows: set[tuple[Hashable, ...]]) -> None:
         self._results.put(key, frozenset(rows))
 
-    def note_write(self, state: DatabaseState, block_index: int) -> None:
-        """Record one block write on a just-produced state (see
-        :meth:`BlockVersions.bump`)."""
-        self.versions.bump(state, block_index)
-
     def info(self) -> CacheInfo:
         """Hit/miss/eviction accounting of the result cache."""
         return self._results.info()
-
-    def stats(self) -> dict[str, float]:
-        """A JSON-ready accounting snapshot, with the derived hit rate
-        and the observed write count (benchmark-metadata honesty)."""
-        info = self.info()
-        probes = info.hits + info.misses
-        return {
-            "hits": info.hits,
-            "misses": info.misses,
-            "evictions": info.evictions,
-            "size": info.size,
-            "maxsize": info.maxsize,
-            "hit_rate": (info.hits / probes) if probes else 0.0,
-            "writes_observed": self.versions.writes,
-        }

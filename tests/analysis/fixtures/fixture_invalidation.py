@@ -20,9 +20,6 @@ class MiniEngine:
             state = self.insert(state, *update)  # clean: delegates
         return state
 
-    def rollback(self, state):
-        return state  # exempted in the test config: no state produced
-
 
 def replay_records(engine, state, records):
     for record in records:

@@ -311,9 +311,6 @@ INVALIDATION_CONFIG = InvalidationConfig(
         "fixture_invalidation.py::MiniEngine.batch": ("insert",),
         "fixture_invalidation.py::replay_records": ("insert", "delete"),
     },
-    exempt={
-        "fixture_invalidation.py::MiniEngine.rollback": "no state produced"
-    },
 )
 
 
@@ -326,17 +323,16 @@ class TestCacheInvalidation:
         finding = findings[0]
         assert finding.rule == "cache-invalidation"
         assert finding.severity == "error"
-        assert "MiniEngine.delete never stamps the read cache" in (
+        assert "MiniEngine.delete never invalidates the relation mirror" in (
             finding.message
         )
 
-    def test_delegation_and_exemption_hold(self):
+    def test_delegation_holds(self):
         findings = check_invalidation(
             [load("fixture_invalidation.py")], INVALIDATION_CONFIG
         )
         messages = "\n".join(f.message for f in findings)
         assert "batch" not in messages  # delegates to insert
-        assert "rollback" not in messages  # exempt
         assert "replay_records" not in messages  # applies via engine
 
     def test_vanished_sites_warn(self):
@@ -348,21 +344,16 @@ class TestCacheInvalidation:
                 **INVALIDATION_CONFIG.required,
                 "fixture_invalidation.py::vanished": ("_note_write",),
             },
-            exempt={
-                **INVALIDATION_CONFIG.exempt,
-                "fixture_invalidation.py::gone": "stale entry",
-            },
         )
         findings = check_invalidation(
             [load("fixture_invalidation.py")], config
         )
         warnings = [f for f in findings if f.severity == "warning"]
         messages = "\n".join(f.message for f in warnings)
-        assert len(warnings) == 2
+        assert len(warnings) == 1
         assert "configured mutation site vanished no longer exists" in (
             messages
         )
-        assert "exempted mutation site gone no longer exists" in messages
 
     def test_router_write_path_skipping_the_bump_is_flagged(self):
         config = InvalidationConfig(
@@ -379,7 +370,7 @@ class TestCacheInvalidation:
         assert [(f.rule, f.severity) for f in findings] == [
             ("cache-invalidation", "error")
         ]
-        assert "MiniRouter.delete never stamps" in findings[0].message
+        assert "MiniRouter.delete never invalidates" in findings[0].message
         assert "_invalidate(...)" in findings[0].message
 
     def test_real_map_covers_the_router_write_paths(self):

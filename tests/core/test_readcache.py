@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.engine import WeakInstanceEngine
 from repro.core.partition import partition_scheme
-from repro.core.readcache import BlockVersions, ReadCache
+from repro.core.readcache import BlockVersions
 from repro.workloads.paper import ALL_SCHEMES, example1_university
 from tests.conftest import query_oracle
 
@@ -158,28 +158,77 @@ class TestInvalidation:
         assert engine.cache_info()["read"].hits == hits_before  # a miss
         assert len(second) == len(first) + 1
 
-    def test_batch_bumps_every_routed_block(self):
+    @pytest.mark.parametrize(
+        "route", ["insert", "delete", "batch_serial", "batch_blocks"]
+    )
+    def test_writes_miss_their_blocks_and_spare_the_rest(self, route):
+        """After a long run of writes to two blocks — through insert,
+        delete, the serial batch loop (workers=1) or the per-block
+        batch kernel (workers=2) — a query whose plan touches a written
+        block misses and a query over the untouched block still hits,
+        however many writes went by (more than the block-version memo
+        holds)."""
         scheme = example1_university()
-        engine = WeakInstanceEngine(scheme, workers=2)
-        partition = engine.partition
-        state = engine.empty_state()
-        first = scheme.relations[0]
-        other = next(
-            member
-            for member in scheme.relations
-            if partition.block_index_of(member.name)
-            != partition.block_index_of(first.name)
+        engine = WeakInstanceEngine(
+            scheme, workers=2 if route == "batch_blocks" else 1
         )
-        updates = [
-            ("insert", first.name, _seed_values(first, 1)),
-            ("insert", other.name, _seed_values(other, 1)),
+        partition = engine.partition
+        members = {member.name: member for member in scheme.relations}
+        written = [members["R4"], members["R5"]]
+        untouched = members["R1"]
+        written_blocks = {
+            partition.block_index_of(member.name) for member in written
+        }
+        assert len(written_blocks) == 2
+        assert not written_blocks & set(
+            engine.read_cache.touched_blocks(untouched.attributes, engine.plan)
+        )
+        rounds = 20 * len(partition.blocks)
+        rows = [
+            (written[index % 2], _seed_values(written[index % 2], 100 + index))
+            for index in range(rounds)
         ]
-        result = engine.batch(state, updates)
-        assert result
-        writes = engine.read_cache.versions.writes
-        assert writes >= 2
-        rows = engine.query(result.state, first.attributes)
-        assert rows == engine.query(result.state, first.attributes)
+        operation = "delete" if route == "delete" else "insert"
+        seed = [("insert", untouched.name, _seed_values(untouched, 1))]
+        if operation == "delete":
+            seed += [("insert", member.name, values) for member, values in rows]
+        state = engine.batch(engine.empty_state(), seed).state
+        targets = [member.attributes for member in written + [untouched]]
+        before = {target: engine.query(state, target) for target in targets}
+
+        if route in ("insert", "delete"):
+            for member, values in rows:
+                if operation == "insert":
+                    outcome = engine.insert(state, member.name, values)
+                    assert outcome.consistent
+                    state = outcome.state
+                else:
+                    state = engine.delete(state, member.name, values)
+        else:
+            for start in range(0, rounds, 2):
+                result = engine.batch(
+                    state,
+                    [
+                        (operation, member.name, values)
+                        for member, values in rows[start : start + 2]
+                    ],
+                )
+                assert result
+                state = result.state
+
+        def probe(target):
+            read = engine.cache_info()["read"]
+            answer = engine.query(state, target)
+            after = engine.cache_info()["read"]
+            return answer, after.hits - read.hits, after.misses - read.misses
+
+        for member in written:
+            answer, hits, misses = probe(member.attributes)
+            assert (hits, misses) == (0, 1)
+            assert answer != before[member.attributes]
+        answer, hits, misses = probe(untouched.attributes)
+        assert (hits, misses) == (1, 0)
+        assert answer == before[untouched.attributes]
         engine.close()
 
 
@@ -208,8 +257,14 @@ class TestBlockVersions:
                     state, index
                 )
 
-    def test_stats_expose_hit_rate_and_writes(self):
-        scheme = example1_university()
-        cache = ReadCache(partition_scheme(scheme))
-        stats = cache.stats()
-        assert stats["hit_rate"] == 0.0 and stats["writes_observed"] == 0
+
+class TestBounds:
+    def test_touched_memo_is_bounded_by_the_result_cache_size(self):
+        """Targets outside the universe are answered (empty), so a
+        client can name unboundedly many; the per-target touched-block
+        memo must stay within the result cache's bound."""
+        engine = WeakInstanceEngine(example1_university(), read_cache_size=8)
+        state = engine.empty_state()
+        for index in range(50):
+            assert engine.query(state, {"C", f"Z{index}"}) == set()
+        assert len(engine.read_cache._touched) <= 8
