@@ -1,7 +1,7 @@
 """The durable serving layer, end to end.
 
 Creates a WAL-backed store for Example 1's university scheme, serves
-concurrent sessions through a SchemeServer, simulates a crash that
+concurrent sessions through a one-shard ShardRouter, simulates a crash that
 tears the WAL mid-append, and shows recovery landing on the intact
 prefix of the accepted updates — with the rejection diagnostics
 preserved durably along the way.
@@ -14,7 +14,8 @@ import tempfile
 import threading
 from pathlib import Path
 
-from repro.service import DurableStore, SchemeServer, scan_wal, segment_paths
+from repro.service import DurableStore, scan_wal, segment_paths
+from repro.shard import ShardRouter
 from repro.workloads.paper import example1_university
 
 
@@ -29,10 +30,11 @@ def main():
     store_dir = root / "university"
     try:
         banner("create a durable store")
-        store = DurableStore.create(store_dir, scheme, fsync_every=8)
-        server = SchemeServer(store=store)
+        # shards=None lays out a plain DurableStore, served in place as
+        # the router's one shard.
+        server = ShardRouter.create(store_dir, scheme, None, fsync_every=8)
         print(f"store directory: {store_dir}")
-        print(f"scheme is ctm:   {server.engine.reducible}")
+        print(f"scheme in class: {server.partition.accepted}")
 
         banner("concurrent sessions: 3 writers, 1 reader")
 
@@ -79,8 +81,9 @@ def main():
             print(f"  {name} = {value}")
 
         banner("traced run: per-stage latency histograms")
-        # Every server operation ran under the server's tracer, so the
-        # engine/store/WAL spans are already binned into bounded latency
+        # Every router operation ran under the router's tracer, and the
+        # one shard records into it, so the engine/store/WAL spans are
+        # already binned into bounded latency
         # histograms; stats() summarises them with percentiles and the
         # same data renders as a Prometheus exposition document.
         stats = server.stats()

@@ -64,7 +64,7 @@ def fresh_records(repeats: int, workers: int) -> dict[str, dict]:
 
     scenarios = dict(run_scenarios(repeats=repeats))
     scenarios.update(run_parallel_scenarios(repeats=repeats, workers=workers))
-    # The sharded tier's 4-shard-vs-inline ratio (its own best-of is
+    # The sharded tier's 4-shard-vs-1-shard ratio (its own best-of is
     # baked into run_shard_scenarios; the s8 point is informational).
     scenarios.update(run_shard_scenarios(shard_counts=(1, 4)))
     # Failover: promote-a-follower vs cold recovery (the lag scenario

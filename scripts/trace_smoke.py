@@ -9,7 +9,9 @@ asserts every surface produces output that *parses*:
 
 * the slow-op log is JSONL with the documented record shape;
 * ``repro stats --json`` reports span histograms with percentiles;
-* both Prometheus documents survive the strict exposition parser.
+* every Prometheus document survives the strict exposition parser;
+* at one shard as at two, each ``serve`` op is counted once under its
+  shard's label and no ``repro_span_*`` histogram family appears twice.
 
 Exits non-zero (with a message) on the first failure.
 """
@@ -48,6 +50,29 @@ def run_cli(*args: str, stdin: str | None = None) -> str:
             f"{result.stdout}\n{result.stderr}"
         )
     return result.stdout
+
+
+def serve_exposition(serve_out: str) -> dict:
+    """The parsed ``prometheus`` document from a ``serve`` session that
+    ran one insert and one query, checked for shard-labeled op counts
+    and for span histogram families reported twice."""
+    text = serve_out[serve_out.index("# TYPE"):]
+    families = [
+        line.split()[2]
+        for line in text.splitlines()
+        if line.startswith("# TYPE repro_span_")
+    ]
+    twice = sorted({name for name in families if families.count(name) > 1})
+    assert not twice, f"span histogram families reported twice: {twice}"
+    series = parse_exposition(text)
+    for op in ("insert", "query"):
+        labelled = [
+            value
+            for name, value in series.items()
+            if name.startswith(f'repro_ops_{op}_total{{shard="')
+        ]
+        assert sum(labelled) == 1, (op, labelled)
+    return series
 
 
 def main() -> int:
@@ -118,32 +143,27 @@ def main() -> int:
         print(f"repro stats --prometheus OK ({len(series)} series)")
 
         # 4. The serve protocol's `prometheus` command must emit a
-        #    parseable document too (stdin mode: no command echo), on
-        #    both router backends: one inline shard and two worker
-        #    processes, whose series carry a shard label.
+        #    parseable document too (stdin mode: no command echo), at
+        #    one shard (in the router's process) and at two (worker
+        #    processes); shard series carry a shard label either way.
         serve_stdin = (
             "insert R4 C=CS101,S=bob,G=B\n"
             "query CSG\n"
             "prometheus\n"
             "exit\n"
         )
-        serve_out = run_cli("serve", str(scheme_path), stdin=serve_stdin)
-        series = parse_exposition(serve_out[serve_out.index("# TYPE"):])
+        series = serve_exposition(
+            run_cli("serve", str(scheme_path), stdin=serve_stdin)
+        )
         assert series["repro_span_engine_insert_seconds_count"] == 1
         assert series["repro_ops_query_total"] == 1
         print(f"serve prometheus OK ({len(series)} series)")
 
-        serve_out = run_cli(
-            "serve", str(scheme_path), "--shards", "2", stdin=serve_stdin
+        series = serve_exposition(
+            run_cli(
+                "serve", str(scheme_path), "--shards", "2", stdin=serve_stdin
+            )
         )
-        series = parse_exposition(serve_out[serve_out.index("# TYPE"):])
-        for op in ("insert", "query"):
-            labelled = [
-                value
-                for name, value in series.items()
-                if name.startswith(f'repro_ops_{op}_total{{shard="')
-            ]
-            assert sum(labelled) == 1, (op, labelled)
         print(f"serve --shards 2 prometheus OK ({len(series)} series)")
 
     print("trace smoke: all surfaces parse")

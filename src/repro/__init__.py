@@ -68,7 +68,6 @@ from repro.service import (
     DurableStore,
     MetricsRegistry,
     RecoveryReport,
-    SchemeServer,
     WriteAheadLog,
 )
 from repro.state import (
@@ -93,7 +92,6 @@ __all__ = [
     "MaterializedRepInstance",
     "MetricsRegistry",
     "RecoveryReport",
-    "SchemeServer",
     "WriteAheadLog",
     "FD",
     "FDSet",

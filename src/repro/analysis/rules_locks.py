@@ -1,7 +1,7 @@
 """Lock-discipline lint: ``# guarded-by`` annotated fields stay locked.
 
 The serving layer's thread-safety rests on a handful of fields only
-ever being touched under a specific lock (``SchemeServer._sessions``
+ever being touched under a specific lock (``ShardRouter._sessions``
 under ``_sessions_lock``, the engine's lazily-built executor under its
 guard, every ``LRUCache``/``MetricsRegistry``/``Tracer`` internal dict
 under ``self._lock``).  Nothing enforced that — one new method reading
@@ -12,7 +12,7 @@ The convention: annotate the field's defining assignment (normally in
 ``__init__``) with a trailing comment::
 
     self._sessions: dict[str, Session] = {}  # guarded-by: _sessions_lock
-    self._state = store.state  # guarded-by: _write_lock (writes)
+    self._decode: list[Hashable] = []  # guarded-by: _lock (writes)
 
 Then, inside the class, every load or store of ``self.<field>`` must
 happen either

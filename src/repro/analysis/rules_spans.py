@@ -19,6 +19,11 @@ docs.  This rule closes the loop three ways:
 3. **Catalogue cross-check** — when a catalogue path is configured,
    every ``span("...")`` literal in the analyzed tree must appear in
    the catalogue table, and every catalogued span must occur in code.
+
+A ``required``, ``surface`` or ``exempt`` entry whose module, class or
+method no longer exists in the analyzed tree is reported as a warning,
+so the config cannot outlive the code it names.  (``repro lint
+--changed`` drops the entries of unscanned modules first.)
 """
 
 from __future__ import annotations
@@ -85,11 +90,6 @@ def default_config(repo_root: Path) -> SpanConfig:
             "service/store.py::DurableStore.apply_batch": ("store.batch",),
             "service/store.py::DurableStore.query": ("store.query",),
             "service/store.py::DurableStore.snapshot": ("store.snapshot",),
-            "service/server.py::SchemeServer.insert": ("tracing",),
-            "service/server.py::SchemeServer.delete": ("tracing",),
-            "service/server.py::SchemeServer.apply_batch": ("tracing",),
-            "service/server.py::SchemeServer.query": ("tracing",),
-            "service/server.py::SchemeServer.snapshot": ("tracing",),
             "service/store.py::DurableStore.commit_batch": ("store.batch",),
             "service/store.py::DurableStore.log_reject": ("store.batch",),
             "service/wal.py::WriteAheadLog.append": ("wal.append",),
@@ -101,8 +101,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             "shard/router.py::ShardRouter.delete": ("shard.route",),
             "shard/router.py::ShardRouter.query": ("shard.route",),
             # apply_batch activates the tracer; the shard.route span
-            # opens in _apply_batch_sharded (inline mode delegates to
-            # the SchemeServer, which traces itself).
+            # opens in _apply_batch_whole / _apply_batch_sharded.
             "shard/router.py::ShardRouter.apply_batch": ("tracing",),
             "shard/router.py::ShardRouter._rpc": ("shard.rpc",),
             "shard/router.py::ShardRouter.snapshot": ("tracing",),
@@ -118,7 +117,6 @@ def default_config(repo_root: Path) -> SpanConfig:
         surface=(
             "core/engine.py::WeakInstanceEngine",
             "service/store.py::DurableStore",
-            "service/server.py::SchemeServer",
             "service/replica.py::FollowerStore",
             "service/replica.py::WalShipper",
             "shard/router.py::ShardRouter",
@@ -146,18 +144,9 @@ def default_config(repo_root: Path) -> SpanConfig:
             ),
             "service/store.py::DurableStore.close": "resource teardown",
             "service/store.py::DurableStore.metrics_snapshot": "reporting",
-            # Server: constructors, sessions and reporting never touch
-            # the engine's hot paths.
-            "service/server.py::SchemeServer.in_memory": "constructor",
-            "service/server.py::SchemeServer.serving": "constructor",
-            "service/server.py::SchemeServer.session": "session bookkeeping",
-            "service/server.py::SchemeServer.session_names": "accessor",
-            "service/server.py::SchemeServer.metrics_snapshot": "reporting",
-            "service/server.py::SchemeServer.stats": "reporting",
-            "service/server.py::SchemeServer.prometheus": "reporting",
-            "service/server.py::SchemeServer.close": "resource teardown",
-            # Router: constructors and reporting mirror SchemeServer's
-            # surface; the routed hot paths all open shard.* spans.
+            # Router: constructors, sessions and reporting never touch
+            # the engine's hot paths; the routed hot paths all open
+            # shard.* spans.
             "shard/router.py::ShardRouter.in_memory": "constructor",
             "shard/router.py::ShardRouter.create": "constructor",
             "shard/router.py::ShardRouter.open": "constructor",
@@ -294,38 +283,53 @@ def _matches(display: str, module_suffix: str) -> bool:
     return display.replace("\\", "/").endswith(module_suffix)
 
 
+def _vanished(path: str, what: str) -> Finding:
+    """The warning for a config entry naming code that is gone."""
+    return Finding(
+        path=path,
+        line=1,
+        col=1,
+        rule=RULE_ID,
+        severity="warning",
+        message=(
+            f"configured {what} no longer exists; update the "
+            "span-hygiene config"
+        ),
+    )
+
+
 def check_project(
     sources: Iterable[SourceFile], config: SpanConfig
 ) -> list[Finding]:
     """The whole-project pass (this rule is cross-file by nature)."""
     findings: list[Finding] = []
     used_spans: dict[str, tuple[str, int]] = {}
-    seen_required: set[str] = set()
+    #: config entries whose module is among the analyzed sources
+    matched: set[str] = set()
 
     for source in sources:
         for name, line in _span_literals(source.tree):
             used_spans.setdefault(name, (source.display, line))
         table = _functions_by_qualname(source.tree)
 
+        for key in config.exempt:
+            module_suffix, _, qualname = key.partition("::")
+            if _matches(source.display, module_suffix):
+                matched.add(key)
+                if qualname not in table:
+                    findings.append(
+                        _vanished(source.display, f"exemption {qualname}")
+                    )
+
         for key, expected in config.required.items():
             module_suffix, _, qualname = key.partition("::")
             if not _matches(source.display, module_suffix):
                 continue
-            seen_required.add(key)
+            matched.add(key)
             function = table.get(qualname)
             if function is None:
                 findings.append(
-                    Finding(
-                        path=source.display,
-                        line=1,
-                        col=1,
-                        rule=RULE_ID,
-                        severity="warning",
-                        message=(
-                            f"configured entry point {qualname} no longer "
-                            "exists; update the span-hygiene config"
-                        ),
-                    )
+                    _vanished(source.display, f"entry point {qualname}")
                 )
                 continue
             if not _opens(function, expected):
@@ -351,6 +355,7 @@ def check_project(
             module_suffix, _, class_name = surface_key.partition("::")
             if not _matches(source.display, module_suffix):
                 continue
+            matched.add(surface_key)
             class_node = next(
                 (
                     node
@@ -361,6 +366,9 @@ def check_project(
                 None,
             )
             if class_node is None:
+                findings.append(
+                    _vanished(source.display, f"surface class {class_name}")
+                )
                 continue
             required_methods = {
                 key.partition("::")[2].split(".")[-1]
@@ -409,6 +417,13 @@ def check_project(
                         ),
                     )
                 )
+
+    for key in (*config.required, *config.surface, *config.exempt):
+        if key not in matched:
+            module_suffix = key.partition("::")[0]
+            findings.append(
+                _vanished(module_suffix, f"module of {key}")
+            )
 
     if config.catalogue is not None:
         documented = load_catalogue(config.catalogue)

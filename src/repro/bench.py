@@ -654,11 +654,12 @@ def run_shard_scenarios(
     The same deterministic operation sequence (seeded by
     ``BENCH_SEED``) runs through a durable :class:`~repro.shard.router
     .ShardRouter` at each requested shard count over ``tiles`` tiles of
-    the university scheme (3 blocks per tile).  One shard is the inline
-    fast path — today's single-process ``SchemeServer`` over one
-    ``DurableStore`` — so ``shard_scaling_s4_vs_s1`` measures exactly
-    what sharding buys: per-shard WALs plus the workers' amortized
-    ``block_batch`` kernels against the serial per-insert loop.
+    the university scheme (3 blocks per tile).  One shard runs its
+    worker in the router's process over one ``DurableStore`` and sends
+    each batch whole to ``DurableStore.apply_batch`` — so
+    ``shard_scaling_s4_vs_s1`` measures per-shard WALs plus the
+    workers' amortized ``block_batch`` kernels against that
+    single-store path.
     Accepted/rejected/row counts are asserted identical across shard
     counts before any number is reported.
     """

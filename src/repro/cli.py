@@ -192,12 +192,25 @@ def _print_rejection(relation_name: str, outcome: dict) -> None:
     print(json.dumps(outcome, indent=2, sort_keys=True))
 
 
+def _new_store_scheme(args: argparse.Namespace):
+    """The scheme positional that creates ``args.store`` when the
+    directory is not a store yet."""
+    from repro.foundations.errors import StoreError
+
+    scheme_path = getattr(args, "scheme", None)
+    if not scheme_path:
+        raise StoreError(
+            f"{args.store} is not a store yet; pass a scheme file to "
+            "create it"
+        )
+    return load_scheme(scheme_path)
+
+
 def _open_or_create_store(args: argparse.Namespace):
     """Open the store at ``args.store``, creating it from the scheme
     positional when the directory is not a store yet."""
     from pathlib import Path
 
-    from repro.foundations.errors import StoreError
     from repro.service.store import SCHEME_FILE, DurableStore
 
     store_dir = Path(args.store)
@@ -207,15 +220,9 @@ def _open_or_create_store(args: argparse.Namespace):
         return DurableStore.open(
             store_dir, fsync_every=fsync_every, workers=workers
         )
-    scheme_path = getattr(args, "scheme", None)
-    if not scheme_path:
-        raise StoreError(
-            f"{store_dir} is not a store yet; pass a scheme file to "
-            "create it"
-        )
     return DurableStore.create(
         store_dir,
-        load_scheme(scheme_path),
+        _new_store_scheme(args),
         fsync_every=fsync_every,
         workers=workers,
     )
@@ -603,33 +610,33 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     try:
         with tracing(tracer):
             if args.store:
+                # Every store, plain or sharded, opens through the
+                # router, as ``serve`` does: worker series carry a
+                # shard label.
                 from pathlib import Path
 
-                if (Path(args.store) / "shard.json").exists():
-                    # Sharded store: aggregate over the per-shard
-                    # registries (worker series carry a shard label).
-                    from repro.shard.router import ShardRouter
+                from repro.service.store import SCHEME_FILE
+                from repro.shard.router import ShardRouter
 
+                if (Path(args.store) / SCHEME_FILE).exists():
                     router = ShardRouter.open(args.store, tracer=tracer)
-                    try:
-                        if args.target:
-                            for _ in range(args.repeat):
-                                router.query(args.target)
-                        if args.prometheus:
-                            print(router.prometheus(), end="")
-                            return 0
-                        metrics = router.metrics_snapshot()
-                    finally:
-                        router.close()
                 else:
-                    store = _open_or_create_store(args)
-                    try:
-                        if args.target:
-                            for _ in range(args.repeat):
-                                store.query(args.target)
-                        metrics = store.metrics_snapshot()
-                    finally:
-                        store.close()
+                    router = ShardRouter.create(
+                        args.store,
+                        _new_store_scheme(args),
+                        None,
+                        tracer=tracer,
+                    )
+                try:
+                    if args.target:
+                        for _ in range(args.repeat):
+                            router.query(args.target)
+                    if args.prometheus:
+                        print(router.prometheus(), end="")
+                        return 0
+                    metrics = router.metrics_snapshot()
+                finally:
+                    router.close()
             else:
                 if not args.scheme or not args.state:
                     print(

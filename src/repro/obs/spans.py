@@ -11,8 +11,8 @@ The active tracer is resolved through a :class:`contextvars.ContextVar`
 with a process-global fallback:
 
 * ``with tracing(tracer): ...`` activates a tracer for the current
-  context (and thread) only — used by ``SchemeServer`` so concurrent
-  sessions record into the server's tracer;
+  context (and thread) only — used by ``ShardRouter`` so concurrent
+  sessions record into the router's tracer;
 * :func:`install` sets the global fallback — used by the CLI's
   ``--trace`` flag and ``repro.bench`` so every stage in the process
   reports in.

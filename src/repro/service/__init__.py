@@ -1,4 +1,4 @@
-"""The durable serving layer: WAL, snapshots, recovery, sessions.
+"""The durable serving layer: WAL, snapshots, recovery, replication.
 
 The paper guarantees that bounded / ctm schemes answer queries by
 predetermined expressions and validate insertions in constant time —
@@ -12,21 +12,20 @@ restartable server:
 * :mod:`repro.service.store` — :class:`DurableStore`: scheme + WAL +
   atomic snapshots, crash recovery by replaying validated updates,
   segment compaction, point-in-time recovery (``as_of_seq``);
-* :mod:`repro.service.server` — :class:`SchemeServer`: named sessions,
-  single-writer lock, lock-free snapshot reads; the shard router
-  (:mod:`repro.shard.router`) runs one inline as its single shard, and
-  ``repro serve`` always serves through that router;
 * :mod:`repro.service.replica` — :class:`WalShipper` streaming sealed
   segments (plus the tailed active one) to :class:`FollowerStore`
   replicas that replay incrementally and can be promoted on failover
   (used by the failover bench and the shipping suites; no serving
   command deploys followers);
 * :mod:`repro.service.metrics` — thread-safe operation counters.
+
+Serving — named sessions, the single-writer lock, one store per shard —
+is :class:`~repro.shard.router.ShardRouter`'s job; ``repro serve``
+always serves through it, at one shard as at many.
 """
 
 from repro.service.metrics import MetricsRegistry
 from repro.service.replica import FollowerStore, WalShipper
-from repro.service.server import SchemeServer, Session
 from repro.service.store import DurableStore, RecoveryReport
 from repro.service.wal import (
     WalRecord,
@@ -44,8 +43,6 @@ __all__ = [
     "FollowerStore",
     "MetricsRegistry",
     "RecoveryReport",
-    "SchemeServer",
-    "Session",
     "WalRecord",
     "WalScan",
     "WalShipper",

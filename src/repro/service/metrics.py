@@ -1,7 +1,7 @@
 """Thread-safe operation counters for the serving layer.
 
 The serving components (:class:`repro.service.store.DurableStore`,
-:class:`repro.service.server.SchemeServer`) record what they do into a
+:class:`repro.shard.router.ShardRouter`) record what they do into a
 :class:`MetricsRegistry` — monotonic counters plus point-in-time gauges
 — so an operator can ask a long-lived process what it has been doing
 without stopping it.  A registry is cheap enough to update on every

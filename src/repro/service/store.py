@@ -31,7 +31,7 @@ Passing ``as_of_seq=N`` to :meth:`DurableStore.open` stops replay after
 record ``N`` — point-in-time recovery — and the store opens read-only.
 
 A store is single-writer by construction — it performs no internal
-locking.  :class:`repro.service.server.SchemeServer` provides the
+locking.  :class:`repro.shard.router.ShardRouter` provides the
 thread-safe front end; :mod:`repro.service.replica` ships sealed
 segments to read-only followers.
 

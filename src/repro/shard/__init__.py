@@ -31,6 +31,7 @@ from repro.shard.protocol import (
 from repro.shard.router import (
     RouterBatchOutcome,
     RouterInsertOutcome,
+    Session,
     ShardMap,
     ShardRouter,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "FrontendClient",
     "RouterBatchOutcome",
     "RouterInsertOutcome",
+    "Session",
     "ShardFrontend",
     "ShardMap",
     "ShardRouter",

@@ -4,17 +4,29 @@
 independence decomposition (:class:`~repro.core.partition
 .SchemePartition`), memoized by scheme fingerprint: block ``i`` lives on
 shard ``i % shards`` (round-robin packing, so schemes with more blocks
-than shards spread evenly).  Each shard is a forked worker process
-running a full :class:`~repro.service.store.DurableStore` (or in-memory
-engine) over its block subset, reached over a length-prefixed JSON
-socketpair (:mod:`repro.shard.protocol`).
+than shards spread evenly).  Each shard is a
+:class:`~repro.shard.worker.ShardWorker` running a full
+:class:`~repro.service.store.DurableStore` (or in-memory engine) over
+its block subset, reached through a *channel* with ``send``/``recv``.
+With several shards each worker is a forked process and its channel
+carries length-prefixed JSON frames over a socketpair
+(:mod:`repro.shard.protocol`).  One shard — a single-block scheme, a
+scheme outside the class (never decomposed), or ``shards=1`` — is just
+the degenerate assignment: its worker serves the full scheme in the
+router's process, records into the router's tracer, and its channel
+calls :meth:`~repro.shard.worker.ShardWorker.handle` directly.  Every
+operation takes the same route at every shard count; a plain
+:class:`~repro.service.store.DurableStore` directory (no
+``shard.json``) is served in place as the one shard.  ``repro serve``
+always builds a router, so this module is the CLI's only serving stack.
 
 Serial equivalence is the contract:
 
 * **Inserts/deletes** route to the single shard owning the target
   relation — the paper's Section 4.2 guarantee that block-local
   validation lifts to global consistency.
-* **Batches** reuse the min-global-event-index rule of
+* **Batches** over several shards reuse the min-global-event-index
+  rule of
   :meth:`~repro.core.engine.WeakInstanceEngine.batch`: the router
   assigns global indices before fan-out, workers apply their slice
   through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice`
@@ -23,7 +35,8 @@ Serial equivalence is the contract:
   Cross-shard atomicity is two-phase (prepare everywhere, then commit
   everywhere); a crash between the phases can leave a partial batch
   across shard WALs — the documented gap a future replication tier
-  closes.
+  closes.  With one shard, two-phase commit would have one participant,
+  so the batch goes to the worker whole as one engine batch.
 * **Queries** route to one shard when the full-scheme plan's base
   relations all live there (block-local totals are exact); otherwise
   the referenced relations are gathered and the plan is evaluated
@@ -31,15 +44,13 @@ Serial equivalence is the contract:
   (Theorem 4.1) return exactly the single-process answer.  Gathers
   read through a *relation mirror*: the router keeps the last fetched
   copy of each relation with the write generation it was fetched at,
-  and re-fetches only relations a write has named since.
+  and re-fetches only relations a write has named since.  A query with
+  no plan (a target no plan covers, or any target outside the class)
+  goes to shard 0 when there is one shard, which answers over its whole
+  state.
 
-When the effective shard count is one — a single-block scheme, a
-non-decomposable scheme, or ``shards=1`` — the router degrades to an
-inline :class:`~repro.service.server.SchemeServer` with no worker
-processes and no IPC on any path.  That is also how a plain
-:class:`~repro.service.store.DurableStore` directory (no ``shard.json``)
-is served: in place, as the router's one inline shard.  ``repro serve``
-always builds a router, so this module is the CLI's only serving stack.
+Sessions (:class:`Session`) are named handles multiplexed over the
+router — per-session accounting, not isolation.
 """
 
 from __future__ import annotations
@@ -75,21 +86,14 @@ from repro.foundations.errors import (
     StateError,
     StoreError,
 )
-from repro.io import (
-    dump_json_atomic,
-    dump_scheme,
-    load_json,
-    load_scheme,
-    scheme_to_dict,
-)
+from repro.io import dump_json_atomic, dump_scheme, load_json, load_scheme
 from repro.obs.exposition import prometheus_text
 from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import MetricsRegistry, cache_series, labeled
-from repro.service.server import SchemeServer, Session
-from repro.service.store import SCHEME_FILE, SHARD_FILE, DurableStore
+from repro.service.store import SCHEME_FILE, SHARD_FILE
 from repro.shard.protocol import recv_frame, send_frame
-from repro.shard.worker import worker_main
+from repro.shard.worker import ShardWorker, worker_main
 from repro.state.database_state import DatabaseState
 from repro.state.relation import Relation
 
@@ -267,6 +271,91 @@ class RouterBatchOutcome:
         }
 
 
+class Session:
+    """A named handle on a :class:`ShardRouter`.
+
+    Thread-safe to share, cheap to create; all methods delegate to the
+    router and bump both the router's and the session's counters.
+    """
+
+    def __init__(self, router: "ShardRouter", name: str) -> None:
+        self.router = router
+        self.name = name
+        self.metrics = MetricsRegistry()
+
+    def insert(
+        self, relation_name: str, values: Mapping[str, Hashable]
+    ) -> RouterInsertOutcome:
+        self.metrics.increment("ops.insert")
+        return self.router.insert(relation_name, values)
+
+    def delete(
+        self, relation_name: str, values: Mapping[str, Hashable]
+    ) -> None:
+        self.metrics.increment("ops.delete")
+        self.router.delete(relation_name, values)
+
+    def apply_batch(self, updates: Sequence[Update]) -> RouterBatchOutcome:
+        self.metrics.increment("ops.batch")
+        return self.router.apply_batch(updates)
+
+    def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
+        self.metrics.increment("ops.query")
+        return self.router.query(attributes)
+
+    def state(self) -> DatabaseState:
+        """The committed state at this instant."""
+        return self.router.state
+
+    def __repr__(self) -> str:
+        return f"Session({self.name!r})"
+
+
+class _PipeChannel:
+    """A forked worker, reached by frames over its socketpair."""
+
+    __slots__ = ("_sock",)
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def send(self, payload: Mapping[str, Any]) -> None:
+        send_frame(self._sock, payload)
+
+    def recv(self) -> Optional[dict[str, Any]]:
+        return recv_frame(self._sock)
+
+    def close(self) -> None:
+        try:
+            send_frame(self._sock, {"op": "shutdown"})
+            recv_frame(self._sock)
+        except (ServiceError, OSError):
+            pass
+        finally:
+            self._sock.close()
+
+
+class _InlineChannel:
+    """A worker in the router's own process: ``send`` runs the request
+    through :meth:`ShardWorker.handle`, ``recv`` returns its reply."""
+
+    __slots__ = ("_worker", "_reply")
+
+    def __init__(self, worker: ShardWorker) -> None:
+        self._worker = worker
+        self._reply: Optional[dict[str, Any]] = None
+
+    def send(self, payload: Mapping[str, Any]) -> None:
+        self._reply = self._worker.handle(payload)
+
+    def recv(self) -> Optional[dict[str, Any]]:
+        reply, self._reply = self._reply, None
+        return reply
+
+    def close(self) -> None:
+        self._worker.close()
+
+
 class ShardRouter:
     """Fan inserts, batches and queries out over per-block workers."""
 
@@ -290,8 +379,7 @@ class ShardRouter:
         self._sessions_lock = threading.Lock()
         self._sessions: dict[str, Session] = {}  # guarded-by: _sessions_lock
         self._closed = False
-        self._local: Optional[SchemeServer] = None
-        self._socks: list[socket.socket] = []
+        self._channels: list[Union[_PipeChannel, _InlineChannel]] = []
         self._locks: list[threading.Lock] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
         # The relation mirror: name -> (write generation, Relation) of
@@ -317,10 +405,7 @@ class ShardRouter:
         # objects, so its block-versioned read cache and the compiled
         # column caches hit until a write changes a touched relation.
         self._engine = WeakInstanceEngine(scheme)
-        if self.map.shards <= 1:
-            self._start_inline()
-        else:
-            self._start_workers()
+        self._connect()
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -425,26 +510,28 @@ class ShardRouter:
             members.extend(self.partition.blocks[block].relations)
         return DatabaseScheme(members)
 
-    def _start_inline(self) -> None:
-        """The one-shard fast path: a plain in-process server, no
-        worker processes, no IPC on any operation."""
-        if self.directory is not None:
-            shard_dir = Path(self._shard_dir(0))
-            if (shard_dir / SCHEME_FILE).exists():
-                store = DurableStore.open(
-                    shard_dir, fsync_every=self._fsync_every
-                )
-            else:
-                store = DurableStore.create(
-                    shard_dir, self.scheme, fsync_every=self._fsync_every
-                )
-            self._local = SchemeServer(store=store, tracer=self.tracer)
-        else:
-            self._local = SchemeServer(
-                scheme=self.scheme, tracer=self.tracer
+    def _connect(self) -> None:
+        """One channel per shard: the one shard of a one-shard router
+        runs in this process, over the full scheme and into the
+        router's tracer; with more shards each is a forked worker."""
+        if self.map.shards == 1:
+            worker = ShardWorker.open(
+                0,
+                self.scheme,
+                self._shard_dir(0),
+                self._fsync_every,
+                tracer=self.tracer,
             )
+            self._channels.append(_InlineChannel(worker))
+        else:
+            self._fork_workers()
+        self._locks = [threading.Lock() for _ in self._channels]
+        # One ping per shard: surfaces a worker that died during store
+        # recovery as an error here, not on the first write.
+        for index in range(self.map.shards):
+            self._rpc(index, {"op": "ping"})
 
-    def _start_workers(self) -> None:
+    def _fork_workers(self) -> None:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ServiceError(
                 "sharded serving needs the fork start method (POSIX); "
@@ -455,7 +542,7 @@ class ShardRouter:
             parent_sock, child_sock = socket.socketpair()
             config = {
                 "shard": index,
-                "scheme": scheme_to_dict(self._shard_scheme(index)),
+                "scheme": self._shard_scheme(index),
                 "store_dir": self._shard_dir(index),
                 "fsync_every": self._fsync_every,
             }
@@ -467,13 +554,8 @@ class ShardRouter:
             )
             process.start()
             child_sock.close()
-            self._socks.append(parent_sock)
-            self._locks.append(threading.Lock())
+            self._channels.append(_PipeChannel(parent_sock))
             self._procs.append(process)
-        # One ping per worker: surfaces a worker that died during
-        # store recovery as an error here, not on the first write.
-        for index in range(self.map.shards):
-            self._rpc(index, {"op": "ping"})
 
     # -- worker RPC -----------------------------------------------------------
     def _rpc(self, shard: int, payload: Mapping[str, Any]) -> dict[str, Any]:
@@ -482,8 +564,9 @@ class ShardRouter:
             if sp:
                 sp.add("rpcs", 1)
             with self._locks[shard]:
-                send_frame(self._socks[shard], payload)
-                response = recv_frame(self._socks[shard])
+                channel = self._channels[shard]
+                channel.send(payload)
+                response = channel.recv()
         self.metrics.increment("shard.rpcs")
         self.metrics.increment(labeled("shard.rpcs", shard=shard))
         if response is None:
@@ -512,14 +595,14 @@ class ShardRouter:
                     self._locks[index].acquire()
                     acquired.append(index)
                     try:
-                        send_frame(self._socks[index], payloads[index])
+                        self._channels[index].send(payloads[index])
                     except OSError:
                         responses[index] = None
                 for index in shards:
                     if index in responses:  # send already failed
                         continue
                     try:
-                        responses[index] = recv_frame(self._socks[index])
+                        responses[index] = self._channels[index].recv()
                     except (ServiceError, OSError):
                         responses[index] = None
         finally:
@@ -548,7 +631,7 @@ class ShardRouter:
     # -- reads ----------------------------------------------------------------
     @property
     def shards(self) -> int:
-        """The effective shard count (1 = inline fast path)."""
+        """The effective shard count."""
         return self.map.shards
 
     @property
@@ -557,14 +640,10 @@ class ShardRouter:
 
     @property
     def state(self) -> DatabaseState:
-        """The full committed state, assembled from every shard.
-
-        On the inline path this is the server's state pointer (free);
-        sharded it is a gather of every relation through the mirror —
-        meant for inspection and the line protocol's ``state``
-        command, not for hot paths."""
-        if self._local is not None:
-            return self._local.state
+        """The full committed state, assembled from every shard: a
+        gather of every relation through the mirror — meant for
+        inspection and the line protocol's ``state`` command, not for
+        hot paths."""
         return self._gather(self.scheme.names, install=False)
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
@@ -574,9 +653,8 @@ class ShardRouter:
         on one shard, that worker answers (block-local totals are
         globally exact); otherwise the referenced relations are
         gathered and the same engine code evaluates router-side, so
-        cross-shard extension joins match the single-process answer."""
-        if self._local is not None:
-            return self._local.query(attributes)
+        cross-shard extension joins match the single-process answer.
+        With no plan to consult, every shard is a target."""
         target = attrs(attributes)
         with tracing(self.tracer):
             with span("shard.route") as sp:
@@ -587,18 +665,16 @@ class ShardRouter:
                     names = sorted(plan.expression.relation_names())
                 except ReproError:
                     names = None
-                targets: Optional[set[int]] = None
-                if names is not None:
+                if names:
                     targets = {
                         self.map.relation_shard[name] for name in names
                     }
+                else:
+                    targets = set(range(self.map.shards))
                 if sp:
                     sp.add("queries", 1)
-                    sp.add(
-                        "single_shard",
-                        1 if targets is not None and len(targets) == 1 else 0,
-                    )
-            if targets is not None and len(targets) == 1:
+                    sp.add("single_shard", 1 if len(targets) == 1 else 0)
+            if len(targets) == 1:
                 response = self._rpc(
                     next(iter(targets)),
                     {
@@ -609,11 +685,13 @@ class ShardRouter:
                 return {tuple(row) for row in response["rows"]}
             # Scatter-gather: gather what the plan touches and evaluate
             # with full-scheme code.  A multi-shard deployment implies
-            # an accepted scheme, so "no plan" means an uncoverable
-            # target (``SchemaError``) whose answer is empty on every
-            # consistent state — gather only the relations whose
-            # attributes overlap the target instead of fanning out to
-            # every shard, and let the same evaluation confirm it.
+            # an accepted scheme (one outside the class is one shard,
+            # answered above over its whole state), so "no plan" here
+            # means an uncoverable target (``SchemaError``) whose
+            # answer is empty on every consistent state — gather only
+            # the relations whose attributes overlap the target instead
+            # of fanning out to every shard, and let the same
+            # evaluation confirm it.
             self.metrics.increment("router.gather_queries")
             if names is None:
                 names = sorted(
@@ -737,8 +815,6 @@ class ShardRouter:
         self, relation_name: str, values: Mapping[str, Hashable]
     ) -> Any:
         """Route one insert to the shard owning its block."""
-        if self._local is not None:
-            return self._local.insert(relation_name, values)
         with self._write_lock, tracing(self.tracer):
             with span("shard.route"):
                 self.metrics.increment("ops.insert")
@@ -767,13 +843,10 @@ class ShardRouter:
     ) -> None:
         """Route one deletion (always consistency-preserving).
 
-        Unlike the single-process server this returns nothing: the
+        Unlike the single-process engine this returns nothing: the
         updated state lives on the shard, and assembling the full state
         per delete would defeat the fan-out.  Use :attr:`state` when
         the merged snapshot is actually needed."""
-        if self._local is not None:
-            self._local.delete(relation_name, values)
-            return
         with self._write_lock, tracing(self.tracer):
             with span("shard.route"):
                 self.metrics.increment("ops.delete")
@@ -801,14 +874,31 @@ class ShardRouter:
         unroutable update, which the serial loop would have raised or
         rejected at its own index) decides the batch exactly as
         :meth:`WeakInstanceEngine.batch` would.  Rejections are logged
-        durably on the shard owning the refused tuple."""
-        if self._local is not None:
-            return self._local.apply_batch(updates)
+        durably on the shard owning the refused tuple.  One shard
+        applies the whole batch as that engine batch."""
         updates = list(updates)
         written = [update[1] for update in updates]
         with self._write_lock, tracing(self.tracer):
             with self._invalidate(written):
+                if self.map.shards == 1:
+                    return self._apply_batch_whole(updates)
                 return self._apply_batch_sharded(updates)
+
+    def _apply_batch_whole(self, updates: list[Update]) -> Any:
+        """The one-shard batch: a single ``batch`` op, which the worker
+        applies through the store's (or engine's) own batch."""
+        with span("shard.route") as sp:
+            self.metrics.increment("ops.batch")
+            if sp:
+                sp.add("updates", len(updates))
+                sp.add("shards", 1)
+        response = self._rpc(0, {"op": "batch", "updates": updates})
+        outcome = RouterBatchOutcome(**response["outcome"])
+        if outcome:
+            self.metrics.increment("ops.batch_updates", len(updates))
+        else:
+            self.metrics.increment("store.rejects")
+        return outcome
 
     def _apply_batch_sharded(self, updates: list[Update]) -> Any:
         pre_events: list[tuple[int, Exception]] = []
@@ -937,9 +1027,6 @@ class ShardRouter:
     # -- maintenance ----------------------------------------------------------
     def snapshot(self) -> None:
         """Force a snapshot + WAL reset on every shard (durable only)."""
-        if self._local is not None:
-            self._local.snapshot()
-            return
         if self.directory is None:
             raise ServiceError(
                 "an in-memory server has nothing to snapshot"
@@ -966,8 +1053,6 @@ class ShardRouter:
         """Router counters (its gather engine's read cache included)
         plus every worker's, the latter labeled ``name{shard="K"}`` so
         shards never collide in one namespace."""
-        if self._local is not None:
-            return self._local.metrics_snapshot()
         merged = self.metrics.snapshot()
         counters, gauges = self._engine_cache_series()
         merged.update(counters)
@@ -979,12 +1064,15 @@ class ShardRouter:
         return merged
 
     def stats(self) -> dict[str, object]:
-        """The full observability report across the deployment."""
-        if self._local is not None:
-            return self._local.stats()
+        """The full observability report across the deployment: the
+        router's tracer, plus each forked worker's under ``shards``
+        (a one-shard router's worker records into the router's tracer,
+        so it has no report of its own)."""
         shard_reports = {}
         for index in range(self.map.shards):
             response = self._rpc(index, {"op": "stats"})
+            if "spans" not in response:
+                continue
             shard_reports[str(index)] = {
                 "spans": response["spans"],
                 "span_counters": response["span_counters"],
@@ -999,8 +1087,6 @@ class ShardRouter:
     def prometheus(self) -> str:
         """One exposition document for the whole deployment: router
         series unlabeled, per-shard series labeled ``{shard="K"}``."""
-        if self._local is not None:
-            return self._local.prometheus()
         kinds = self.metrics.snapshot_by_kind()
         counters = dict(kinds["counters"])
         counters.update(kinds["timers"])
@@ -1029,28 +1115,19 @@ class ShardRouter:
             if self._closed:
                 return
             self._closed = True
-            local, self._local = self._local, None
-            socks, self._socks = self._socks, []
+            channels, self._channels = self._channels, []
             procs, self._procs = self._procs, []
-        if local is not None:
-            local.close()
-        for index, sock in enumerate(socks):
-            try:
-                send_frame(sock, {"op": "shutdown"})
-                recv_frame(sock)
-            except (ServiceError, OSError):
-                pass
+        # Under each shard's lock, so an in-flight read finishes before
+        # its worker is torn down.
+        for lock, channel in zip(self._locks, channels):
+            with lock:
+                channel.close()
         for process in procs:
             process.join(timeout=5.0)
         for process in procs:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=5.0)
-        for sock in socks:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
         self._engine.close()
 
     def __enter__(self) -> "ShardRouter":

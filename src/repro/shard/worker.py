@@ -1,32 +1,40 @@
-"""The per-shard worker process.
+"""The per-shard worker: one shard's state behind one RPC dispatcher.
 
 Each worker owns the relations of one shard — a union of partition
 blocks — behind either a full :class:`~repro.service.store.DurableStore`
 (own WAL, snapshots, delta basis, KernelSpace) or an in-memory engine.
-It speaks the length-prefixed JSON protocol over the socketpair the
-router handed it at fork time and applies batch slices through
-:meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
-single-process batch's own per-block kernel — so the events it reports
-carry the *global* batch indices the router's min-event merge needs.
+A multi-shard router forks one worker process per shard, which speaks
+the length-prefixed JSON protocol over the socketpair the router handed
+it (:func:`worker_main`); a one-shard router builds its one worker in
+its own process and calls :meth:`ShardWorker.handle` directly.
 
-Batches are two-phase: ``prepare`` validates the slice against the
-current state and stashes the would-be next state; ``commit`` logs and
-publishes it; ``abort`` discards it (optionally logging the batch's
-reject diagnostic on the shard that owns the refused tuple).  A worker
-holds at most one pending batch — the router serializes writes.
+Multi-shard batches are two-phase, and workers apply their slice
+through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
+single-process batch's own per-block kernel — so the events they report
+carry the *global* batch indices the router's min-event merge needs:
+``prepare`` validates the slice against the current state and stashes
+the would-be next state; ``commit`` logs and publishes it; ``abort``
+discards it (optionally logging the batch's reject diagnostic on the
+shard that owns the refused tuple).  A worker holds at most one pending
+batch — the router serializes writes.  A one-shard router sends the
+whole batch as one ``batch`` op instead, applied by
+:meth:`~repro.service.store.DurableStore.apply_batch` (or the engine's
+:meth:`~repro.core.engine.WeakInstanceEngine.batch` in memory).
 """
 
 from __future__ import annotations
 
 import signal
 import socket
+from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
-from repro.io import scheme_from_dict, state_to_dict
+from repro.io import state_to_dict
 from repro.obs.spans import Tracer, tracing
+from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import MetricsRegistry, cache_series
-from repro.service.store import DurableStore
+from repro.service.store import SCHEME_FILE, DurableStore
 from repro.shard.protocol import recv_frame, send_frame
 from repro.state.database_state import DatabaseState
 
@@ -36,6 +44,7 @@ WORKER_OPS = (
     "insert",
     "delete",
     "query",
+    "batch",
     "prepare",
     "commit",
     "abort",
@@ -50,10 +59,11 @@ WORKER_OPS = (
 
 
 class ShardWorker:
-    """The request-dispatch state machine of one worker process.
+    """The request-dispatch state machine of one shard.
 
-    Kept separate from the process loop so tests can drive it in-process
-    (no fork) against either a store-backed or in-memory shard."""
+    Kept separate from the process loop: a forked worker runs it under
+    :func:`worker_main`, a one-shard router calls :meth:`handle` in its
+    own process."""
 
     def __init__(
         self,
@@ -62,11 +72,16 @@ class ShardWorker:
         state: DatabaseState,
         store: Optional[DurableStore],
         tracer: Tracer,
+        reports_tracer: bool,
     ) -> None:
         self.shard = shard
         self.engine = engine
         self.store = store
         self.tracer = tracer
+        # A worker handed its host's tracer (the one-shard router's)
+        # leaves reporting it to the host, so ``metrics``/``stats``
+        # never report one tracer twice.
+        self.reports_tracer = reports_tracer
         # Durable workers count ops in the store's registry; in-memory
         # workers keep their own so per-shard series exist either way.
         self.metrics = (
@@ -78,42 +93,47 @@ class ShardWorker:
         ] = None
 
     @classmethod
-    def from_config(cls, config: Mapping[str, Any]) -> "ShardWorker":
-        """Build a worker from the router's fork-time config dict."""
-        tracer = Tracer()
-        scheme = scheme_from_dict(config["scheme"])
-        store_dir = config.get("store_dir")
-        if store_dir is not None:
-            from pathlib import Path
+    def open(
+        cls,
+        shard: int,
+        scheme: DatabaseScheme,
+        store_dir: Optional[str] = None,
+        fsync_every: int = 1,
+        tracer: Optional[Tracer] = None,
+    ) -> "ShardWorker":
+        """Serve ``scheme`` in memory, or from the store at
+        ``store_dir`` (recovered when it holds one, created otherwise).
 
-            from repro.service.store import SCHEME_FILE
-
-            with tracing(tracer):
-                if (Path(store_dir) / SCHEME_FILE).exists():
-                    store = DurableStore.open(
-                        store_dir,
-                        fsync_every=int(config.get("fsync_every", 1)),
-                    )
-                else:
-                    store = DurableStore.create(
-                        store_dir,
-                        scheme,
-                        fsync_every=int(config.get("fsync_every", 1)),
-                    )
+        Without ``tracer`` the worker records into a tracer of its own
+        and reports it; with one (its host's) it records there and
+        leaves the reporting to the host."""
+        reports_tracer = tracer is None
+        if tracer is None:
+            tracer = Tracer()
+        if store_dir is None:
+            engine = WeakInstanceEngine(scheme)
             return cls(
-                shard=int(config["shard"]),
-                engine=store.engine,
-                state=store.state,
-                store=store,
+                shard=shard,
+                engine=engine,
+                state=engine.empty_state(),
+                store=None,
                 tracer=tracer,
+                reports_tracer=reports_tracer,
             )
-        engine = WeakInstanceEngine(scheme)
+        with tracing(tracer):
+            if (Path(store_dir) / SCHEME_FILE).exists():
+                store = DurableStore.open(store_dir, fsync_every=fsync_every)
+            else:
+                store = DurableStore.create(
+                    store_dir, scheme, fsync_every=fsync_every
+                )
         return cls(
-            shard=int(config["shard"]),
-            engine=engine,
-            state=engine.empty_state(),
-            store=None,
+            shard=shard,
+            engine=store.engine,
+            state=store.state,
+            store=store,
             tracer=tracer,
+            reports_tracer=reports_tracer,
         )
 
     @property
@@ -192,6 +212,21 @@ class ShardWorker:
                 rows = self.engine.query(self._state, request["target"])
                 self.metrics.increment("ops.query")
             return {"ok": True, "rows": sorted(rows)}
+        if op == "batch":
+            updates = request["updates"]
+            if self.store is not None:
+                outcome = self.store.apply_batch(updates)
+                self._state = self.store.state
+            else:
+                outcome = self.engine.batch(self._state, updates)
+                self.metrics.increment("ops.batch")
+                if outcome:
+                    assert outcome.state is not None
+                    self._state = outcome.state
+                    self.metrics.increment("ops.batch_updates", len(updates))
+                else:
+                    self.metrics.increment("store.rejects")
+            return {"ok": True, "outcome": outcome.to_dict()}
         if op == "prepare":
             return self._prepare(request)
         if op == "commit":
@@ -218,7 +253,8 @@ class ShardWorker:
             )
             counters.update(cache_counters)
             gauges.update(cache_gauges)
-            counters.update(self.tracer.counter_snapshot())
+            if self.reports_tracer:
+                counters.update(self.tracer.counter_snapshot())
             return {
                 "ok": True,
                 "counters": counters,
@@ -226,6 +262,8 @@ class ShardWorker:
                 "timers": dict(kinds["timers"]),
             }
         if op == "stats":
+            if not self.reports_tracer:
+                return {"ok": True}
             return {
                 "ok": True,
                 "spans": self.tracer.span_summaries(),
@@ -305,8 +343,9 @@ class ShardWorker:
 
 
 def worker_main(conn: socket.socket, config: Mapping[str, Any]) -> None:
-    """The forked child's entire life: build the shard, serve RPCs
-    until EOF/shutdown, tear down cleanly.
+    """The forked child's entire life: build the shard from the
+    router's fork-time ``config`` (:meth:`ShardWorker.open` keywords),
+    serve RPCs until EOF/shutdown, tear down cleanly.
 
     SIGTERM exits the loop cleanly (the supervision contract from the
     satellite task); SIGINT is ignored so a Ctrl-C aimed at the router
@@ -318,7 +357,7 @@ def worker_main(conn: socket.socket, config: Mapping[str, Any]) -> None:
 
     signal.signal(signal.SIGTERM, _terminate)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    worker = ShardWorker.from_config(config)
+    worker = ShardWorker.open(**config)
     try:
         while True:
             request = recv_frame(conn)

@@ -173,6 +173,33 @@ class TestSpanHygiene:
         assert len(findings) == 1
         assert "no longer exists" in findings[0].message
 
+    def test_stale_config_entries_warn(self):
+        """Entries naming a deleted module, class or method are
+        reported, not silently skipped."""
+        config = SpanConfig(
+            required={"gone.py::Widget.insert": ("widget.insert",)},
+            surface=("fixture_spans.py::Vanished", "gone.py::Widget"),
+            exempt={
+                "fixture_spans.py::Gadget.retired": "teardown",
+                "gone.py::Widget.close": "teardown",
+            },
+        )
+        findings = check_project([load("fixture_spans.py")], config)
+        assert all(f.severity == "warning" for f in findings)
+        assert all("no longer exists" in f.message for f in findings)
+        messages = sorted(f.message for f in findings)
+        assert len(messages) == 5, messages
+        joined = "\n".join(messages)
+        assert "surface class Vanished" in joined
+        assert "exemption Gadget.retired" in joined
+        for key in (
+            "gone.py::Widget.insert",
+            "gone.py::Widget",
+            "gone.py::Widget.close",
+        ):
+            assert f"module of {key} no longer" in joined
+        assert {f.path for f in findings} == {"fixture_spans.py", "gone.py"}
+
     def test_catalogue_cross_check(self, tmp_path):
         catalogue = tmp_path / "ARCH.md"
         catalogue.write_text(

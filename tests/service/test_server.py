@@ -1,4 +1,6 @@
-"""SchemeServer: session multiplexing and concurrency guarantees."""
+"""The one-shard serving stack: a :class:`ShardRouter` whose one shard
+runs in-process — session multiplexing, concurrency guarantees,
+durability and observability."""
 
 import threading
 
@@ -6,9 +8,10 @@ import pytest
 
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import ServiceError
-from repro.service.server import SchemeServer
+from repro.service import store as store_module
 from repro.service.store import WAL_DIR, DurableStore
 from repro.service.wal import replayable, scan_wal
+from repro.shard.router import ShardRouter
 from repro.workloads.paper import example1_university
 
 
@@ -21,36 +24,35 @@ def r4_tuple(writer, index, grade="A"):
     return {"C": f"C{writer}x{index}", "S": f"S{writer}x{index}", "G": grade}
 
 
-class TestConstruction:
-    def test_requires_exactly_one_backing(self, scheme):
-        with pytest.raises(ServiceError):
-            SchemeServer()
-        with pytest.raises(ServiceError):
-            SchemeServer(
-                store=object(), scheme=scheme  # type: ignore[arg-type]
-            )
+def durable(tmp_path, scheme):
+    """A plain store served in place as the router's one shard."""
+    return ShardRouter.create(tmp_path / "store", scheme, None)
 
+
+class TestConstruction:
     def test_in_memory_server(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
+        assert server.shards == 1
         assert not server.durable
         outcome = server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         assert outcome.consistent
         assert server.query("CS") == {("c", "s")}
 
     def test_sessions_are_named_and_reused(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         alice = server.session("alice")
         assert server.session("alice") is alice
         server.session("bob")
         assert server.session_names() == ["alice", "bob"]
 
     def test_sessions_share_committed_state(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         alice = server.session("alice")
         bob = server.session("bob")
         alice.insert("R4", {"C": "c", "S": "s", "G": "A"})
         assert bob.query("CS") == {("c", "s")}
-        assert bob.state() is alice.state()
+        assert bob.state() == alice.state()
+        assert len(bob.state()["R4"]) == 1
 
 
 class TestConcurrency:
@@ -117,7 +119,7 @@ class TestConcurrency:
         return failures
 
     def test_concurrent_writers_and_readers_in_memory(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         failures = self._run_mixed_load(server)
         assert failures == []
         rows = server.query("CS")
@@ -125,19 +127,20 @@ class TestConcurrency:
         snapshot = server.metrics_snapshot()
         expected_rejects = self.N_WRITERS * (self.OPS_PER_WRITER // 5)
         assert snapshot["store.rejects"] == expected_rejects
+        assert snapshot['store.rejects{shard="0"}'] == expected_rejects
+        server.close()
 
     def test_concurrent_sessions_match_serial_application(
-        self, tmp_path, scheme
+        self, tmp_path, scheme, monkeypatch
     ):
         """The committed history is a total order: replaying the WAL
         serially must land on exactly the server's final state."""
-        store = DurableStore.create(
-            tmp_path / "store",
-            scheme,
-            fsync_every=64,
-            auto_compact=False,
+        # Keep the whole history in the log: no size-triggered snapshot
+        # compacts it away mid-load.
+        monkeypatch.setattr(store_module, "MIN_COMPACT_BYTES", 1 << 40)
+        server = ShardRouter.create(
+            tmp_path / "store", scheme, None, fsync_every=64
         )
-        server = SchemeServer(store=store)
         failures = self._run_mixed_load(server)
         assert failures == []
         final_state = server.state
@@ -167,10 +170,9 @@ class TestConcurrency:
         assert len(rejects) == self.N_WRITERS * (self.OPS_PER_WRITER // 5)
 
     def test_recovery_after_concurrent_load(self, tmp_path, scheme):
-        store = DurableStore.create(
-            tmp_path / "store", scheme, fsync_every=64, auto_compact=False
+        server = ShardRouter.create(
+            tmp_path / "store", scheme, None, fsync_every=64
         )
-        server = SchemeServer(store=store)
         failures = self._run_mixed_load(server)
         assert failures == []
         final_state = server.state
@@ -181,33 +183,35 @@ class TestConcurrency:
 
 class TestDurableServer:
     def test_snapshot_through_server(self, tmp_path, scheme):
-        store = DurableStore.create(tmp_path / "store", scheme)
-        server = SchemeServer(store=store)
+        server = durable(tmp_path, scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.snapshot()
-        assert store.wal_bytes == 0
         server.close()
         with DurableStore.open(tmp_path / "store") as reopened:
             assert reopened.recovery.snapshot_seq == 1
+            assert reopened.recovery.replayed == 0  # the WAL was reset
+            assert len(reopened.state["R4"]) == 1
 
     def test_in_memory_snapshot_raises(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         with pytest.raises(ServiceError):
             server.snapshot()
 
     def test_metrics_include_cache_accounting(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.query("CS")
         snapshot = server.metrics_snapshot()
-        assert "cache.plans.hits" in snapshot
-        assert "cache.chase.misses" in snapshot
+        # The shard's engine caches, labeled like any shard's.
+        assert 'cache.plans.hits{shard="0"}' in snapshot
+        assert 'cache.chase.misses{shard="0"}' in snapshot
         assert snapshot["ops.query"] == 1
+        assert snapshot['ops.query{shard="0"}'] == 1
 
 
 class TestObservability:
     def test_stats_reports_span_histograms(self, scheme):
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.query("CS")
         stats = server.stats()
@@ -218,18 +222,20 @@ class TestObservability:
         assert summary["p99"] <= summary["max"]
         assert stats["span_counters"]["engine.query.rows_out"] == 1
         assert stats["metrics"]["ops.insert"] == 1
+        # The shard recorded into the router's tracer: no second copy.
+        assert stats["shards"] == {}
 
     def test_stats_is_json_ready(self, scheme):
         import json
 
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         server.query("CS")
         json.dumps(server.stats())  # must not raise
 
     def test_prometheus_exposition_parses(self, scheme):
         from repro.obs.exposition import parse_exposition
 
-        server = SchemeServer.in_memory(scheme)
+        server = ShardRouter.in_memory(scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.query("CS")
         text = server.prometheus()
@@ -237,10 +243,10 @@ class TestObservability:
         assert series["repro_ops_query_total"] == 1.0
         assert series["repro_span_engine_query_seconds_count"] == 1.0
         assert 'repro_span_engine_query_seconds_bucket{le="+Inf"}' in series
+        assert series['repro_ops_query_total{shard="0"}'] == 1.0
 
     def test_durable_server_traces_store_spans(self, tmp_path, scheme):
-        store = DurableStore.create(tmp_path / "store", scheme)
-        server = SchemeServer.serving(store)
+        server = durable(tmp_path, scheme)
         try:
             server.insert("R4", {"C": "c", "S": "s", "G": "A"})
             spans = server.stats()["spans"]
@@ -253,7 +259,7 @@ class TestObservability:
         from repro.obs.spans import Tracer
 
         tracer = Tracer()
-        server = SchemeServer(scheme=scheme, tracer=tracer)
+        server = ShardRouter.in_memory(scheme, tracer=tracer)
         server.query("CS")
         assert server.tracer is tracer
         assert tracer.span_summaries()["engine.query"]["count"] == 1
@@ -261,14 +267,13 @@ class TestObservability:
 
 class TestLifecycle:
     def test_close_is_idempotent_in_memory(self, scheme):
-        server = SchemeServer(scheme=scheme)
+        server = ShardRouter.in_memory(scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.close()
         server.close()  # second close must be a no-op, not an error
 
     def test_close_is_idempotent_durable(self, tmp_path, scheme):
-        store = DurableStore.create(tmp_path / "store", scheme)
-        server = SchemeServer(store=store)
+        server = durable(tmp_path, scheme)
         server.insert("R4", {"C": "c", "S": "s", "G": "A"})
         server.close()
         server.close()

@@ -1,24 +1,26 @@
-"""Differential suite: the sharded path must be **byte-identical** to
-the single-process engine on every paper scheme.
+"""Differential suite: the router must be **byte-identical** to the
+single-process engine on every paper scheme, at every shard count.
 
 One deterministic workload — accepted inserts, rejected inserts,
 batches whose first failure sits mid-batch, malformed batches, deletes
 and queries (single-shard, cross-block, out-of-universe) — runs
-through a plain :class:`SchemeServer` and through a
+through a bare :class:`WeakInstanceEngine` and through a
 :class:`ShardRouter`; every outcome is compared as sorted-key JSON, so
 a divergence in a rejection diagnostic, a first-failure index or an
 error message text fails loudly.
 """
 
+import itertools
 import json
 
 import pytest
 
+from repro.core.engine import WeakInstanceEngine
 from repro.io import state_to_dict
-from repro.service.server import SchemeServer
 from repro.shard.router import ShardRouter
 from repro.workloads.paper import (
     example1_university,
+    example2_not_algebraic,
     example3_triangle,
     example4_split_scheme,
     example6_scheme,
@@ -26,6 +28,7 @@ from repro.workloads.paper import (
     example9_chain,
     example10_scheme,
     example12_reducible,
+    example13_kep,
 )
 
 PAPER_SCHEMES = {
@@ -40,8 +43,57 @@ PAPER_SCHEMES = {
 }
 
 
+#: Schemes outside the independence-reducible class: never decomposed,
+#: so the router runs them as one shard at any requested count.
+OUTSIDE_THE_CLASS = {
+    "example2_not_algebraic": example2_not_algebraic,
+    "example13_kep": example13_kep,
+}
+
+#: Rows a query can only reach through a relation sharing none of its
+#: attributes: example 13 derives ``[BC] ∋ (b*, c*)`` by CD→E (R5),
+#: E→F (R7), F→B (R8), and R7 holds neither B nor C.
+CHAINS = {
+    "example13_kep": [
+        ("insert", "R5", {"C": "c*", "D": "d*", "E": "e*"}),
+        ("insert", "R7", {"E": "e*", "F": "f*"}),
+        ("insert", "R8", {"F": "f*", "B": "b*"}),
+    ],
+}
+
+
 def canonical(outcome) -> str:
     return json.dumps(outcome.to_dict(), sort_keys=True)
+
+
+class EngineReference:
+    """The contract's reference: one engine over one state, applying
+    the router's operations serially."""
+
+    def __init__(self, scheme):
+        self.engine = WeakInstanceEngine(scheme)
+        self.state = self.engine.empty_state()
+
+    def insert(self, relation_name, values):
+        outcome = self.engine.insert(self.state, relation_name, values)
+        if outcome.consistent:
+            self.state = outcome.state
+        return outcome
+
+    def delete(self, relation_name, values):
+        self.state = self.engine.delete(self.state, relation_name, values)
+
+    def apply_batch(self, updates):
+        outcome = self.engine.batch(self.state, updates)
+        if outcome:
+            self.state = outcome.state
+        return outcome
+
+    def query(self, attributes):
+        return self.engine.query(self.state, attributes)
+
+    def close(self):
+        self.engine.close()
 
 
 def build_workload(scheme):
@@ -147,25 +199,52 @@ def run_query(target, attributes):
         return ("error", type(error).__name__, str(error))
 
 
-@pytest.mark.parametrize("name", sorted(PAPER_SCHEMES))
-@pytest.mark.parametrize("shards", [2, 3])
-def test_sharded_equals_single_process(name, shards):
-    scheme = PAPER_SCHEMES[name]()
-    server = SchemeServer(scheme=scheme)
+def assert_router_matches_engine(scheme, shards, targets, label, extra=()):
+    reference = EngineReference(scheme)
     router = ShardRouter.in_memory(scheme, shards)
     try:
-        for op in build_workload(scheme):
-            expected = apply_op(server, op)
+        for op in build_workload(scheme) + list(extra):
+            expected = apply_op(reference, op)
             actual = apply_op(router, op)
-            assert actual == expected, f"{name} diverged on {op[:2]}"
-        for attributes in query_targets(scheme):
+            assert actual == expected, f"{label} diverged on {op[:2]}"
+        for attributes in targets:
             assert run_query(router, attributes) == run_query(
-                server, attributes
-            ), f"{name} diverged on query {attributes}"
-        assert state_to_dict(router.state) == state_to_dict(server.state)
+                reference, attributes
+            ), f"{label} diverged on query {attributes}"
+        assert state_to_dict(router.state) == state_to_dict(reference.state)
     finally:
         router.close()
-        server.close()
+        reference.close()
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_SCHEMES))
+@pytest.mark.parametrize("shards", [1, 2, 3, 4])
+def test_sharded_equals_single_process(name, shards):
+    scheme = PAPER_SCHEMES[name]()
+    assert_router_matches_engine(
+        scheme, shards, query_targets(scheme), f"{name}@{shards}"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_THE_CLASS))
+def test_outside_the_class_equals_single_process(name):
+    """No query has a plan here, so the one shard must answer every
+    target over its whole state: the chase can join a target's
+    relations through relations that share none of its attributes
+    (see :data:`CHAINS`)."""
+    scheme = OUTSIDE_THE_CLASS[name]()
+    router = ShardRouter.in_memory(scheme, 4)
+    try:
+        assert router.shards == 1
+    finally:
+        router.close()
+    universe = sorted(scheme.universe)
+    targets = query_targets(scheme) + list(
+        itertools.combinations(universe, 2)
+    )
+    assert_router_matches_engine(
+        scheme, 1, targets, name, CHAINS.get(name, ())
+    )
 
 
 def test_rejection_diagnostics_identical_at_every_count():

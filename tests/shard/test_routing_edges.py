@@ -62,8 +62,13 @@ class TestInlineFastPath:
             assert len(multiprocessing.active_children()) == before
             outcome = router.insert("R1", {"A": "a1", "B": "b1"})
             assert outcome.consistent
-            # No IPC happened: the RPC counter never appears.
-            assert "shard.rpcs" not in router.metrics_snapshot()
+            # The one shard answered in this process: still no worker
+            # process, and its requests (the startup ping, the insert)
+            # went through the in-process channel, counted like RPCs.
+            assert len(multiprocessing.active_children()) == before
+            snapshot = router.metrics_snapshot()
+            assert snapshot['shard.rpcs{shard="0"}'] == 2
+            assert snapshot['ops.insert{shard="0"}'] == 1
         finally:
             router.close()
 
