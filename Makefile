@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src python
 
-.PHONY: test lint lint-changed bench serve-bench shard-bench replica-bench read-bench bench-suite bench-compare trace-smoke perfbench perfbench-selftest
+.PHONY: test lint lint-changed bench serve-bench shard-bench replica-bench read-bench bench-suite bench-compare trace-smoke perfbench perfbench-selftest perf-pairs
 
 # Front-door serving benchmark (perfbench/): one workload, one seed;
 # TRACE=1 adds the per-layer table.  Override for another run, e.g.
@@ -11,6 +11,9 @@ PY := PYTHONPATH=src python
 WORKLOAD ?= read_hot
 SEED ?= 1
 TRACE ?= 0
+# Pairs for make perf-pairs (BASE is required: the revision to compare
+# against, e.g. BASE=HEAD~1).
+PAIRS ?= 10
 
 # Shard counts / rounds for the sharded serving benchmark; override for
 # a quick smoke: make shard-bench SHARD_COUNTS=1,2 SHARD_ROUNDS=2
@@ -89,3 +92,12 @@ perfbench-selftest:
 # run's JSON result.
 perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 30 --trace $(TRACE)
+
+# Alternating base/change pairs of the serving benchmark: BASE is
+# exported under .perfbench_run/, both sides run this checkout's
+# perfbench/, and the summary gives each side's median and quartiles,
+# the pairs the change won, and compare.py's bound verdict, e.g.
+# make perf-pairs BASE=HEAD~1 WORKLOAD=read_hot SEED=3 PAIRS=10
+perf-pairs:
+	@test -n "$(BASE)" || { echo "usage: make perf-pairs BASE=<rev> [WORKLOAD=...] [SEED=...] [PAIRS=...]"; exit 2; }
+	python3 scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --trace $(TRACE)

@@ -1,0 +1,227 @@
+#!/usr/bin/env python
+"""Alternating parent/change pairs of the front-door serving benchmark.
+
+Exports a base revision into a temporary checkout under
+``.perfbench_run/``, then runs this checkout's ``perfbench/run.py``
+``--pairs`` times on each side, alternating which side goes first.
+Each run has the side's checkout as its working directory, so it
+serves that side's ``src/`` while both sides run the same benchmark
+code.  Every run writes its own record under
+``.perfbench_run/pairs/records/``.
+
+Then it prints, per metric, the median and quartiles of each side and
+the pairs the change won (ties count for neither side), runs
+``perfbench/compare.py`` on the two record sets for the bound verdict,
+and removes the temporary checkout.
+
+Usage, from the root of a checkout::
+
+    python scripts/perf_pairs.py --base REV --workload read_hot --seed 1
+        [--pairs 10] [--trace 0]
+
+or ``make perf-pairs BASE=REV WORKLOAD=read_hot SEED=1 PAIRS=10``.
+Each run lasts the benchmark's ``run_seconds`` (``BENCHMARK.json``).
+Exit status: ``compare.py``'s (1 when a bounded metric got worse by
+more than its bound, 2 when it refused), or 1 when a run was not
+correct.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any
+
+ROOT = Path(__file__).resolve().parents[1]
+WORK = ROOT / ".perfbench_run" / "pairs"
+
+
+def directions(benchmark: dict[str, Any]) -> dict[str, str]:
+    """Metric name → ``"lower"`` or ``"higher"`` (which is better)."""
+    return {
+        metric["name"]: metric["better"]
+        for section in ("end_to_end", "per_layer")
+        for metric in benchmark.get(section, [])
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)``, inclusive method; one value is all three."""
+    if len(values) == 1:
+        return (values[0], values[0], values[0])
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q1, median, q3)
+
+
+def summarize(
+    base: list[dict[str, Any]],
+    new: list[dict[str, Any]],
+    better: dict[str, str],
+) -> list[dict[str, Any]]:
+    """One row per metric the records share: each side's quartiles, the
+    pairs the change won and lost, and whether the medians lie further
+    apart than the base's quartile spread (``clear``).  ``base[i]`` and
+    ``new[i]`` are pair ``i``."""
+    names = sorted(
+        set.intersection(*(set(record["metrics"]) for record in base + new))
+    )
+    rows = []
+    for name in names:
+        before = [record["metrics"][name]["value"] for record in base]
+        after = [record["metrics"][name]["value"] for record in new]
+        sign = -1 if better.get(name, "lower") == "lower" else 1
+        wins = sum(sign * (b - a) > 0 for a, b in zip(before, after))
+        losses = sum(sign * (b - a) < 0 for a, b in zip(before, after))
+        base_q, new_q = quartiles(before), quartiles(after)
+        rows.append(
+            {
+                "metric": name,
+                "better": better.get(name, "lower"),
+                "base": base_q,
+                "new": new_q,
+                "wins": wins,
+                "losses": losses,
+                "pairs": len(before),
+                "clear": abs(new_q[1] - base_q[1]) > base_q[2] - base_q[0],
+            }
+        )
+    return rows
+
+
+def format_rows(rows: list[dict[str, Any]]) -> list[str]:
+    lines = [
+        f"{'metric':28s} {'base median [q1, q3]':>30s} "
+        f"{'new median [q1, q3]':>30s} {'change':>8s}  won  gap>IQR"
+    ]
+    for row in rows:
+        b1, b2, b3 = row["base"]
+        n1, n2, n3 = row["new"]
+        change = (n2 - b2) / b2 if b2 else 0.0
+        lines.append(
+            f"{row['metric']:28s} "
+            f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30s} "
+            f"{f'{n2:.4g} [{n1:.4g}, {n3:.4g}]':>30s} "
+            f"{change:+8.1%}  {row['wins']}/{row['pairs']}"
+            f"  {'yes' if row['clear'] else 'no'}"
+        )
+    return lines
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the tree of ``rev`` into ``dest`` (``git archive``)."""
+    dest.mkdir(parents=True)
+    archive = subprocess.Popen(
+        ["git", "archive", "--format=tar", rev],
+        cwd=ROOT,
+        stdout=subprocess.PIPE,
+    )
+    try:
+        subprocess.run(
+            ["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True
+        )
+    finally:
+        archive.stdout.close()
+        if archive.wait():
+            raise SystemExit(f"git archive {rev} failed")
+
+
+def run_once(
+    checkout: Path, args: argparse.Namespace, seconds: float, record: Path
+) -> dict[str, Any]:
+    """One benchmark run against ``checkout``; its record."""
+    log = record.with_suffix(".log")
+    with open(log, "w") as handle:
+        code = subprocess.run(
+            [
+                sys.executable,
+                str(ROOT / "perfbench" / "run.py"),
+                "--workload", args.workload,
+                "--seed", str(args.seed),
+                "--seconds", str(seconds),
+                "--trace", str(args.trace),
+                "--record", str(record),
+            ],
+            cwd=checkout,
+            stdout=handle,
+            stderr=subprocess.STDOUT,
+        ).returncode
+    if code:
+        raise SystemExit(f"run failed (exit {code}); see {log}")
+    return json.loads(record.read_text())
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", required=True, help="git revision")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    rev = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    checkout = WORK / f"base-{rev[:12]}"
+    records = WORK / "records"
+    records.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(checkout, ignore_errors=True)
+    sides = {"base": checkout, "new": ROOT}
+    runs: dict[str, list[dict[str, Any]]] = {"base": [], "new": []}
+    paths: dict[str, list[str]] = {"base": [], "new": []}
+    try:
+        export(rev, checkout)
+        for pair in range(args.pairs):
+            order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+            for side in order:
+                record = records / (
+                    f"{args.workload}-seed{args.seed}-trace{args.trace}"
+                    f"-{side}-{pair + 1}.json"
+                )
+                result = run_once(sides[side], args, seconds, record)
+                runs[side].append(result)
+                paths[side].append(str(record))
+                print(
+                    f"pair {pair + 1}/{args.pairs} {side:4s} "
+                    f"correct={result['correct']} failed={result['failed']} "
+                    f"-> {record.relative_to(ROOT)}",
+                    flush=True,
+                )
+    finally:
+        shutil.rmtree(checkout, ignore_errors=True)
+    print(f"\n{args.workload} seed {args.seed}: {rev[:12]} vs this checkout")
+    rows = summarize(runs["base"], runs["new"], directions(benchmark))
+    for line in format_rows(rows):
+        print(line)
+    print(flush=True)
+    verdict = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "compare.py"),
+            "--base", *paths["base"],
+            "--new", *paths["new"],
+        ],
+        cwd=ROOT,
+    ).returncode
+    correct = all(
+        result["correct"] and not result["failed"]
+        for result in runs["base"] + runs["new"]
+    )
+    if not correct:
+        print("some runs were not correct", file=sys.stderr)
+        return 1
+    return verdict
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,13 +1,15 @@
 """Async-discipline lint: the event loop never blocks, locks never
 span an ``await``.
 
-The front door (PR 9) is a single asyncio loop multiplexing every
-client; one synchronous ``fsync`` or lock acquisition on that loop
-stalls *all* in-flight requests, which no single-connection test will
-ever notice.  The architecture's rule is lexical and checkable: async
+An asyncio loop runs every coroutine it owns on one thread; one
+synchronous ``fsync`` or lock acquisition on that loop stalls *all*
+of them, which no single-coroutine test will ever notice.  (The front
+door answers requests on its own threads; its lifecycle coroutines
+``start``/``close``/``serve_frontend`` and its async client still run
+on a loop.)  The architecture's rule is lexical and checkable: async
 bodies contain only coordination — anything that can touch a disk,
-a socket, a subprocess or a sync lock runs on the executor
-(``loop.run_in_executor`` / ``asyncio.to_thread``).
+a socket, a subprocess or a sync lock runs elsewhere: on a thread of
+its own, or on an executor route (listed below).
 
 What fires, lexically inside an ``async def`` body (code whose nearest
 enclosing function is the async one — a nested sync ``def`` is a thunk

@@ -181,7 +181,8 @@ def default_config(repo_root: Path) -> SpanConfig:
             # dispatch, which opens front.request.
             "shard/frontend.py::ShardFrontend.start": "socket bind",
             "shard/frontend.py::ShardFrontend.serve_forever": (
-                "accept loop; front.request spans fire per request"
+                "waits for close(); front.request spans fire per request "
+                "on the connection threads"
             ),
             "shard/frontend.py::ShardFrontend.close": "resource teardown",
         },

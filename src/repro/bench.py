@@ -28,6 +28,7 @@ serve-bench``, ``repro-bench``, or ``python -m repro.bench``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -36,9 +37,10 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.spans import Tracer, tracing
 from repro.state.consistency import chase_state, chase_state_naive
@@ -823,6 +825,51 @@ def _read_mix_operations(
     return operations
 
 
+def read_burst(frontend: Any, requests: list) -> tuple[list, list]:
+    """Answer every request through ``frontend._handle`` at once, one
+    thread each; return the responses and the requests that reached
+    the backend.
+
+    Each backend execution is held until every request has looked up
+    its coalescing key.  The lookup runs under the frontend's
+    coalescing lock, so a read that finds a leader in flight is sure to
+    join it: holding the leader until then makes the count of
+    executions deterministic."""
+    looked_up = threading.Event()
+    lookups = itertools.count(1)
+    executed: list = []
+    coalesce_key, execute = frontend._coalesce_key, frontend._execute
+
+    def counting_key(request: Any) -> Any:
+        if next(lookups) == len(requests):
+            looked_up.set()
+        return coalesce_key(request)
+
+    def held_execute(request: Any) -> Any:
+        executed.append(request)
+        looked_up.wait(timeout=30)
+        return execute(request)
+
+    responses: list = [None] * len(requests)
+
+    def answer(index: int) -> None:
+        responses[index] = frontend._handle(requests[index])
+
+    frontend._coalesce_key, frontend._execute = counting_key, held_execute
+    try:
+        threads = [
+            threading.Thread(target=answer, args=(index,))
+            for index in range(len(requests))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        frontend._coalesce_key, frontend._execute = coalesce_key, execute
+    return responses, executed
+
+
 def run_read_scenarios(
     ops: int = 400,
     tiles: int = 6,
@@ -841,13 +888,12 @@ def run_read_scenarios(
     replays the mix through a sharded router, asserting the acceptance
     invariant that a warm single-block query costs exactly one RPC.
     ``read_heavy_mix_frontend`` drives bursts of identical concurrent
-    reads through the asyncio front door, recording how many joined an
-    in-flight execution instead of reaching the backend.
+    reads through the front door (:func:`read_burst`), recording how
+    many joined an in-flight execution instead of reaching the
+    backend.
     ``read_heavy_mix_follower`` offloads every read of the mix to a
     WAL-fed follower, shipping after each write so the follower always
     satisfies the read-your-writes sequence floor."""
-    import asyncio
-
     from repro.core.engine import WeakInstanceEngine
     from repro.service.replica import FollowerStore, LocalTransport, WalShipper
     from repro.service.store import DurableStore
@@ -1009,21 +1055,15 @@ def run_read_scenarios(
         }
 
         # -- front-door coalescing over the same router ----------------------
-        async def burst_rounds() -> float:
-            frontend = ShardFrontend(router)
-            request = {"op": "query", "target": list(warm_target)}
-            start = time.perf_counter()
-            for _ in range(coalesce_rounds):
-                responses = await asyncio.gather(
-                    *(
-                        frontend._handle(dict(request))
-                        for _ in range(coalesce_burst)
-                    )
-                )
-                assert all(response["ok"] for response in responses)
-            return time.perf_counter() - start
-
-        coalesce_seconds = asyncio.run(burst_rounds())
+        frontend = ShardFrontend(router)
+        request = {"op": "query", "target": list(warm_target)}
+        start = time.perf_counter()
+        for _ in range(coalesce_rounds):
+            responses, _ = read_burst(
+                frontend, [dict(request) for _ in range(coalesce_burst)]
+            )
+            assert all(response["ok"] for response in responses)
+        coalesce_seconds = time.perf_counter() - start
         coalesced = router.metrics.snapshot().get("front.coalesced_reads", 0)
         scenarios["read_heavy_mix_frontend"] = {
             "reads": coalesce_rounds * coalesce_burst,

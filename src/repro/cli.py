@@ -71,6 +71,7 @@ from repro.io import (
     load_scheme,
     load_state,
     scheme_to_dict,
+    sorted_rows,
     state_to_dict,
 )
 from repro.obs.exposition import prometheus_text
@@ -174,7 +175,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
             rows = engine.query(state, target)
         ordered = sorted(target)
         print("\t".join(ordered))
-        for row in sorted(rows):
+        for row in sorted_rows(rows):
             print("\t".join(str(value) for value in row))
         return 0
     finally:
@@ -437,7 +438,7 @@ def _serve_lines(router: object, args: argparse.Namespace) -> int:
 
 
 def _serve_frontend_blocking(router: object, args: argparse.Namespace) -> int:
-    """Run the asyncio front door until SIGTERM/SIGINT."""
+    """Run the frame front door until SIGTERM/SIGINT."""
     import asyncio
     import signal as signal_mod
 
@@ -1005,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="serve a store through the shard router, over the line "
-        "protocol or (with --port) the asyncio frontend",
+        "protocol or (with --port) the frame frontend",
     )
     serve.add_argument(
         "scheme",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 from repro.foundations.attrs import attrs, sorted_attrs
 from repro.foundations.errors import SchemaError, StateError
@@ -117,12 +117,48 @@ def dump_scheme(scheme: DatabaseScheme, path: PathLike) -> None:
 # -- states -------------------------------------------------------------------
 
 
+def _value_key(value: Any) -> tuple:
+    if isinstance(value, (int, float)):
+        return (0, value)
+    if isinstance(value, str):
+        return (1, value)
+    if value is None:
+        return (2, None)
+    return (3, value)
+
+
+def row_key(values: Iterable[Any]) -> tuple:
+    """The sort key for a row of values, one column after another.
+
+    Each value ranks by kind — numbers, then strings, then ``None`` —
+    and then by value, so a column holding both ints and strings still
+    sorts.  Wherever plain ``sorted`` can compare the values, the order
+    is the same as its order."""
+    return tuple(_value_key(value) for value in values)
+
+
+def sorted_rows(rows: Iterable[Sequence[Any]]) -> list:
+    """``rows`` as a list in :func:`row_key` order.
+
+    Plain ``sorted`` is tried first: it costs a small fraction of the
+    key, and when it can compare every pair of rows it meets, each of
+    those comparisons agrees with :func:`row_key`, so it returns the
+    same list.  Only a ``TypeError`` (an int meeting a string in one
+    column) falls back to the key."""
+    rows = list(rows)
+    try:
+        return sorted(rows)
+    except TypeError:
+        return sorted(rows, key=row_key)
+
+
 def state_to_dict(state: DatabaseState) -> dict[str, Any]:
-    """Serialize a state to ``{relation: [tuple, ...]}``."""
+    """Serialize a state to ``{relation: [tuple, ...]}``, each
+    relation's rows in :func:`row_key` order over sorted attributes."""
     return {
         name: sorted(
             (dict(values) for values in relation),
-            key=lambda row: tuple(sorted(row.items())),
+            key=lambda row: row_key(row[attr] for attr in sorted(row)),
         )
         for name, relation in state
     }

@@ -10,7 +10,8 @@ ctm?).
 Algorithm: take a minimal cover; group fds by equivalent left-hand
 sides (X ≡ Y when X → Y and Y → X); emit one relation scheme per group
 over the group's attributes, declaring the equivalent left-hand sides
-as keys; add a candidate key of the universe when no scheme contains
+as keys, or one scheme per left-hand side when the merged scheme is
+not in 3NF; add a candidate key of the universe when no scheme contains
 one (losslessness); drop schemes contained in others.  The result is
 dependency-preserving, lossless and in 3NF.
 """
@@ -22,6 +23,7 @@ from typing import Optional
 from repro.fd.cover import minimal_cover
 from repro.fd.fdset import FDSet, FDsLike
 from repro.fd.keys import minimize_superkey
+from repro.fd.normal_forms import scheme_is_3nf
 from repro.foundations.attrs import AttrsLike, attrs, union_all
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.operations import normalize_keys
@@ -75,16 +77,31 @@ def synthesize_3nf(
             )
 
     members: list[RelationScheme] = []
-    for index, group in enumerate(groups, start=1):
+    for group in groups:
+        parts = [(group["lhs_list"], group["fds"])]
         attributes = union_all(
             [lhs for lhs in group["lhs_list"]]
             + [dependency.rhs for dependency in group["fds"]]
         )
-        members.append(
-            RelationScheme(
-                f"{name_prefix}{index}", attributes, group["lhs_list"]
+        if len(group["lhs_list"]) > 1 and not scheme_is_3nf(
+            attributes, fd_set
+        ):
+            # Merging equivalent left-hand sides can pull a transitive
+            # dependency into one scheme (F = {ABC→F, ACF→E, B→E,
+            # EF→B}: B→E in ABCEF).  One scheme per left-hand side of
+            # a minimal cover is always 3NF.
+            parts = [
+                ([lhs], [d for d in group["fds"] if d.lhs == lhs])
+                for lhs in group["lhs_list"]
+            ]
+        for keys, dependencies in parts:
+            members.append(
+                RelationScheme(
+                    f"{name_prefix}{len(members) + 1}",
+                    union_all(keys + [d.rhs for d in dependencies]),
+                    keys,
+                )
             )
-        )
 
     # Attributes mentioned by no fd still belong to the universe; give
     # them a home (they are all-key there).

@@ -6,15 +6,15 @@ process, engine, WAL and snapshots.  This package provides the three
 tiers that exploit it:
 
 * :mod:`repro.shard.protocol` — length-prefixed JSON framing shared by
-  the router↔worker pipes and the asyncio front door;
+  the router↔worker pipes and the front door;
 * :mod:`repro.shard.worker` — the per-shard process: a full
   :class:`~repro.service.store.DurableStore` (or in-memory engine)
   over its block subset, driven by a blocking RPC loop;
 * :mod:`repro.shard.router` — :class:`ShardRouter`, the block→shard
   map plus serial-equivalent fan-out (min-global-event-index batches,
   plan-aware query routing);
-* :mod:`repro.shard.frontend` — an asyncio server multiplexing many
-  concurrent sessions onto one router.
+* :mod:`repro.shard.frontend` — a TCP server answering each connection
+  on its own thread, many concurrent sessions onto one router.
 """
 
 from repro.shard.frontend import (

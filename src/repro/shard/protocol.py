@@ -3,10 +3,10 @@
 One frame = a 4-byte big-endian payload length followed by that many
 bytes of UTF-8 JSON.  The same wire format serves two transports:
 
-* the router↔worker socketpairs (blocking :func:`send_frame` /
-  :func:`recv_frame` over ``socket.socket``);
-* the asyncio front door (:func:`write_frame` / :func:`read_frame`
-  over stream reader/writer pairs).
+* the router↔worker socketpairs and the TCP front door (blocking
+  :func:`send_frame` / :func:`recv_frame` over ``socket.socket``);
+* asyncio clients of the front door (:func:`write_frame` /
+  :func:`read_frame` over stream reader/writer pairs).
 
 Payloads are plain JSON objects — requests carry an ``"op"`` field,
 responses an ``"ok"`` field — and are encoded with sorted keys so a

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
-from repro.io import state_to_dict
+from repro.io import sorted_rows, state_to_dict
 from repro.obs.spans import Tracer, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import MetricsRegistry, cache_series
@@ -211,7 +211,7 @@ class ShardWorker:
             else:
                 rows = self.engine.query(self._state, request["target"])
                 self.metrics.increment("ops.query")
-            return {"ok": True, "rows": sorted(rows)}
+            return {"ok": True, "rows": sorted_rows(rows)}
         if op == "batch":
             updates = request["updates"]
             if self.store is not None:

@@ -29,6 +29,17 @@ class TestTextbookCases:
         assert member.attributes == frozenset("ABC")
         assert set(member.keys) == {frozenset("A"), frozenset("B")}
 
+    def test_merge_that_breaks_3nf_is_split(self):
+        # ABC and ACF are equivalent (ACF->E->B with F); merging them
+        # would put B->E (B no key, E not prime) into one ABCEF scheme.
+        fds = "ABC->F, ACF->E, B->E, EF->B"
+        scheme = synthesize_3nf(fds)
+        for member in scheme.relations:
+            assert scheme_is_3nf(member.attributes, FDSet(fds))
+        assert is_cover_embedding(
+            [m.attributes for m in scheme.relations], FDSet(fds)
+        )
+
     def test_lossless_key_relation_added(self):
         # F = {C->D}: groups give CD only; A, B are key attributes of
         # the universe ABCD and must appear for losslessness.

@@ -277,6 +277,21 @@ class TestSnapshotCompaction:
             assert again.last_seq == 4
 
 
+    def test_auto_compaction_with_a_mixed_kind_column(self, tmp_path, scheme):
+        # An int and a string in one column: the compacting snapshot
+        # must still serialize, and every acknowledged row survives.
+        directory = tmp_path / "store"
+        with DurableStore.create(directory, scheme) as store:
+            store.insert("R4", {"C": 1, "S": "s", "G": "A"})
+            for index in range(60):
+                store.insert("R4", r4_tuple(index))
+            assert store.metrics.count("store.compacted_segments") >= 1
+            expected = store.state
+        with DurableStore.open(directory) as reopened:
+            assert reopened.state == expected
+            assert len(reopened.state["R4"]) == 61
+
+
 class TestPointInTimeRecovery:
     def _build(self, tmp_path, scheme, count=6):
         directory = tmp_path / "store"

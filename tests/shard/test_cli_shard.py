@@ -6,6 +6,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from repro.cli import main
 from repro.io import dump_scheme
 from repro.shard import frontend
+from repro.shard.protocol import recv_frame, send_frame
 from repro.shard.router import ShardRouter
 from repro.workloads.paper import example1_university
 
@@ -465,6 +467,43 @@ class TestSupervisedShutdown:
             assert announced["shards"] == 2
             proc.send_signal(signum)
             code = proc.wait(timeout=15)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        out, err = proc.stdout.read(), proc.stderr.read()
+        assert code == 0, err
+        assert "shutting down" in out
+        assert err.strip() == ""
+
+    def test_frontend_serve_exits_on_sigterm_with_an_idle_client(
+        self, tmp_path, scheme_path
+    ):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                str(scheme_path),
+                "--port",
+                "0",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert "in-memory" in proc.stdout.readline()
+            host, port = json.loads(proc.stdout.readline())["listening"]
+            with socket.create_connection((host, port)) as conn:
+                send_frame(conn, {"op": "ping"})
+                assert recv_frame(conn)["ok"]
+                # The connection stays open and idle across the signal.
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=15)
         finally:
             if proc.poll() is None:
                 proc.kill()
