@@ -84,14 +84,14 @@ def default_config(repo_root: Path) -> SpanConfig:
                 "engine.query.cached",
             ),
             "compile/program.py::compile_expression": ("compile.kernel",),
+            "service/store.py::MemoryStore.insert": ("store.insert",),
+            "service/store.py::MemoryStore.delete": ("store.delete",),
+            "service/store.py::MemoryStore.apply_batch": ("store.batch",),
+            "service/store.py::MemoryStore.query": ("store.query",),
+            "service/store.py::MemoryStore.commit_batch": ("store.batch",),
+            "service/store.py::MemoryStore.log_reject": ("store.batch",),
             "service/store.py::DurableStore.open": ("store.recovery",),
-            "service/store.py::DurableStore.insert": ("store.insert",),
-            "service/store.py::DurableStore.delete": ("store.delete",),
-            "service/store.py::DurableStore.apply_batch": ("store.batch",),
-            "service/store.py::DurableStore.query": ("store.query",),
             "service/store.py::DurableStore.snapshot": ("store.snapshot",),
-            "service/store.py::DurableStore.commit_batch": ("store.batch",),
-            "service/store.py::DurableStore.log_reject": ("store.batch",),
             "service/wal.py::WriteAheadLog.append": ("wal.append",),
             "service/wal.py::WriteAheadLog.sync": ("wal.fsync",),
             "service/wal.py::WriteAheadLog.roll": ("wal.roll",),
@@ -116,6 +116,7 @@ def default_config(repo_root: Path) -> SpanConfig:
         },
         surface=(
             "core/engine.py::WeakInstanceEngine",
+            "service/store.py::MemoryStore",
             "service/store.py::DurableStore",
             "service/replica.py::FollowerStore",
             "service/replica.py::WalShipper",
@@ -143,7 +144,7 @@ def default_config(repo_root: Path) -> SpanConfig:
                 "delegates to WriteAheadLog.sync (wal.fsync span)"
             ),
             "service/store.py::DurableStore.close": "resource teardown",
-            "service/store.py::DurableStore.metrics_snapshot": "reporting",
+            "service/store.py::MemoryStore.close": "resource teardown",
             # Router: constructors, sessions and reporting never touch
             # the engine's hot paths; the routed hot paths all open
             # shard.* spans.
@@ -159,17 +160,18 @@ def default_config(repo_root: Path) -> SpanConfig:
             # Replica: the hot paths are replay (replica.replay span)
             # and the shipper's ship (replica.ship span); the rest is
             # bootstrap/teardown bookkeeping or lock-free reads.
-            "service/replica.py::FollowerStore.status": "accessor",
             "service/replica.py::FollowerStore.bootstrap": (
                 "one-time (re)initialisation from a snapshot; the "
                 "steady-state path is replay (replica.replay span)"
+            ),
+            "service/replica.py::FollowerStore.sync": (
+                "fsync of the open segment file"
             ),
             "service/replica.py::FollowerStore.seal": (
                 "fsync+close bookkeeping at a segment boundary"
             ),
             "service/replica.py::FollowerStore.query": (
-                "lock-free read of an immutable snapshot; served "
-                "through handle(), which activates the tracer"
+                "lock-free read of an immutable snapshot"
             ),
             "service/replica.py::FollowerStore.promote": (
                 "one-shot failover; the promoted DurableStore's own "

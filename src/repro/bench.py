@@ -503,11 +503,7 @@ def run_replica_scenarios(
       tracked ``speedup``: how much faster failover is than cold
       recovery.
     """
-    from repro.service.replica import (
-        FollowerStore,
-        LocalTransport,
-        WalShipper,
-    )
+    from repro.service.replica import FollowerStore, WalShipper
     from repro.service.store import DurableStore
     from repro.workloads.paper import example1_university
 
@@ -538,7 +534,7 @@ def run_replica_scenarios(
                 follower = FollowerStore(
                     follower_dir, fsync_every=fsync_every
                 )
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 start = time.perf_counter()
                 shipper.sync()
                 best_ship = min(best_ship, time.perf_counter() - start)
@@ -895,7 +891,7 @@ def run_read_scenarios(
     WAL-fed follower, shipping after each write so the follower always
     satisfies the read-your-writes sequence floor."""
     from repro.core.engine import WeakInstanceEngine
-    from repro.service.replica import FollowerStore, LocalTransport, WalShipper
+    from repro.service.replica import FollowerStore, WalShipper
     from repro.service.store import DurableStore
     from repro.shard.frontend import ShardFrontend
     from repro.shard.router import ShardRouter
@@ -1087,7 +1083,7 @@ def run_read_scenarios(
         try:
             assert primary.apply_batch(seed_updates)
             with FollowerStore(root / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 shipper.sync()
                 for target in (("C0", "S0"), ("C1", "S1", "H1")):
                     assert follower.query(target) == primary.query(target)

@@ -216,16 +216,10 @@ def _open_or_create_store(args: argparse.Namespace):
 
     store_dir = Path(args.store)
     fsync_every = getattr(args, "fsync_every", 1)
-    workers = getattr(args, "workers", 1)
     if (store_dir / SCHEME_FILE).exists():
-        return DurableStore.open(
-            store_dir, fsync_every=fsync_every, workers=workers
-        )
+        return DurableStore.open(store_dir, fsync_every=fsync_every)
     return DurableStore.create(
-        store_dir,
-        _new_store_scheme(args),
-        fsync_every=fsync_every,
-        workers=workers,
+        store_dir, _new_store_scheme(args), fsync_every=fsync_every
     )
 
 
@@ -992,13 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         help="persist through a durable store directory instead of "
         "STATE.json (created from SCHEME.json when missing)",
-    )
-    insert.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="engine worker pool size for block-parallel batches "
-        "(default 1 = serial)",
     )
     _add_trace_flags(insert)
     insert.set_defaults(func=_cmd_insert)

@@ -1,13 +1,12 @@
 """Follower replication over the segmented WAL.
 
 The segmented log makes replication a file-shipping problem: sealed
-segments are immutable, so a :class:`WalShipper` on the primary streams
-their bytes (plus the growing tail of the active segment) to
-:class:`FollowerStore` replicas as JSON-ready request dicts (the
-shape of the sharded tier's frames, :mod:`repro.shard.protocol`).  A
-follower writes the records into identically-named segment files — its
-log is byte-for-byte the primary's — and replays each state-changing
-record through its own :class:`~repro.core.engine.WeakInstanceEngine`.
+segments are immutable, so a :class:`WalShipper` on the primary reads
+their bytes (plus the growing tail of the active segment) and hands
+them to :class:`FollowerStore` replicas.  A follower writes the
+records into identically-named segment files — its log is
+byte-for-byte the primary's — and replays each state-changing record
+through its own :class:`~repro.core.engine.WeakInstanceEngine`.
 Replay extends the engine's delta-chase basis incrementally (a
 property the paper's block-local chase semantics guarantee), so
 follower apply cost follows each record's cascade, not the state size,
@@ -33,12 +32,13 @@ Failure handling:
   directory, and the scan doubles as a CRC audit of everything the
   follower wrote.
 
-The shipper talks to followers through a transport with one
-``send(payload) -> reply`` call; :class:`LocalTransport` dispatches in
-process, which is what the failover bench and the shipping suites use.
-No serving command deploys followers: ``repro serve`` spreads blocks
-over shard processes instead, and per-shard followers wait for a
-deployment that needs them.
+The shipper calls its followers' methods directly, in its own
+process (the failover bench and the shipping suites run it so), so a
+follower's errors reach the shipper's caller as their own typed
+exceptions and its ``replica.replay`` spans nest under the shipper's
+``replica.ship``.  No serving command deploys followers: ``repro
+serve`` spreads blocks over shard processes instead, and per-shard
+followers wait for a deployment that needs them.
 """
 
 from __future__ import annotations
@@ -56,10 +56,8 @@ from repro.io import (
     load_json,
     scheme_from_dict,
     scheme_to_dict,
-    state_to_dict,
 )
 from repro.obs.spans import Tracer, span, tracing
-from repro.schema.database_scheme import DatabaseScheme
 from repro.service.store import (
     SCHEME_FILE,
     SNAPSHOT_FILE,
@@ -77,57 +75,16 @@ from repro.state.database_state import DatabaseState
 
 PathLike = Union[str, Path]
 
-#: RPC ops a follower understands (documented for the protocol tests).
-FOLLOWER_OPS = (
-    "ping",
-    "bootstrap",
-    "records",
-    "seal",
-    "sync",
-    "status",
-    "query",
-    "state",
-    "promote",
-    "insert",
-    "delete",
-    "shutdown",
-)
-
-#: Upper bound on raw record bytes gathered per ``records`` frame —
-#: comfortably under the protocol's MAX_FRAME_BYTES with JSON overhead.
+#: Upper bound on raw record bytes the shipper reads per ``replay``
+#: call, so one pass never holds a whole large segment in memory.
 SHIP_CHUNK_BYTES = 4 * 1024 * 1024
 
 
-def _check_reply(reply: Mapping[str, Any]) -> dict[str, Any]:
-    if not reply.get("ok", False):
-        info = reply.get("error") or {}
-        raise ServiceError(
-            "follower error: "
-            f"{info.get('type', 'Error')}: {info.get('message', '')}"
-        )
-    return dict(reply)
-
-
-class LocalTransport:
-    """Direct in-process dispatch — the test/bench transport."""
-
-    def __init__(self, follower: "FollowerStore") -> None:
-        self.follower = follower
-
-    def send(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        return _check_reply(self.follower.handle(payload))
-
-    def close(self) -> None:
-        pass
-
-
 class FollowerStore:
-    """A read-only replica fed record frames by a :class:`WalShipper`.
+    """A read-only replica fed raw WAL lines by a :class:`WalShipper`.
 
-    Driven through :meth:`handle`, one request dict per call — in
-    process over a :class:`LocalTransport`.  Not thread-safe
-    on the write path — one shipper feeds it; reads hand out immutable
-    state snapshots and need no lock.
+    Not thread-safe on the write path — one shipper feeds it; reads
+    hand out immutable state snapshots and need no lock.
     """
 
     def __init__(
@@ -139,8 +96,6 @@ class FollowerStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_every = fsync_every
-        self.tracer = Tracer()
-        self._scheme: Optional[DatabaseScheme] = None
         self._engine: Optional[WeakInstanceEngine] = None
         self._state: Optional[DatabaseState] = None
         self._snapshot_seq = 0
@@ -168,84 +123,6 @@ class FollowerStore:
 
     @property
     def promoted(self) -> Optional[DurableStore]:
-        return self._promoted
-
-    def status(self) -> dict[str, Any]:
-        return {
-            "applied_seq": self.applied_seq,
-            "rejects": self._rejects,
-            "promoted": self._promoted is not None,
-            "bootstrapped": self._engine is not None,
-        }
-
-    # -- dispatch -------------------------------------------------------------
-    def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        """One RPC in, one JSON-ready response out.  Errors become
-        ``{"ok": false, "error": {...}}`` so the shipper can surface
-        them with the follower's diagnosis intact."""
-        op = request.get("op")
-        try:
-            with tracing(self.tracer):
-                return self._dispatch(op, request)
-        except Exception as error:  # noqa: BLE001 — shipped to primary
-            return {
-                "ok": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                },
-            }
-
-    def _dispatch(
-        self, op: Optional[str], request: Mapping[str, Any]
-    ) -> dict[str, Any]:
-        if op == "ping":
-            return {"ok": True, **self.status()}
-        if op == "bootstrap":
-            self.bootstrap(request["scheme"], request["snapshot"])
-            return {"ok": True, "applied_seq": self._applied_seq}
-        if op == "records":
-            applied = self.replay(
-                int(request["segment"]), request["lines"]
-            )
-            return {
-                "ok": True,
-                "applied": applied,
-                "applied_seq": self.applied_seq,
-            }
-        if op == "seal":
-            self.seal(int(request["segment"]))
-            return {"ok": True}
-        if op == "sync":
-            self._fsync_segment()
-            return {"ok": True, **self.status()}
-        if op == "status":
-            return {"ok": True, **self.status()}
-        if op == "query":
-            return {"ok": True, "rows": sorted(self.query(request["target"]))}
-        if op == "state":
-            state = self.state
-            if state is None:
-                raise ServiceError("follower has not been bootstrapped")
-            return {"ok": True, "state": state_to_dict(state)}
-        if op == "promote":
-            store = self.promote()
-            return {"ok": True, "last_seq": store.last_seq}
-        if op == "insert":
-            store = self._require_promoted("insert")
-            outcome = store.insert(request["relation"], request["values"])
-            return {"ok": True, "outcome": outcome.to_dict()}
-        if op == "delete":
-            store = self._require_promoted("delete")
-            store.delete(request["relation"], request["values"])
-            return {"ok": True}
-        raise ServiceError(f"unknown follower op {op!r}")
-
-    def _require_promoted(self, op: str) -> DurableStore:
-        if self._promoted is None:
-            raise ServiceError(
-                f"follower is read-only until promoted; cannot {op}"
-            )
         return self._promoted
 
     # -- replication ----------------------------------------------------------
@@ -283,7 +160,6 @@ class FollowerStore:
                 stale.unlink()
         if self._engine is not None:
             self._engine.close()
-        self._scheme = scheme
         self._engine = engine
         self._state = state
         self._snapshot_seq = seq
@@ -353,6 +229,12 @@ class FollowerStore:
                 sp.add("applied", applied)
         return applied
 
+    def sync(self) -> None:
+        """fsync the segment being written."""
+        if self._segment_handle is not None:
+            self._segment_handle.flush()
+            os.fsync(self._segment_handle.fileno())
+
     def seal(self, segment: int) -> None:
         """The primary rolled past ``segment``: fsync and close it —
         from here on its bytes are immutable, exactly as on the
@@ -380,7 +262,7 @@ class FollowerStore:
         if self._promoted is not None:
             return self._promoted
         engine = self._engine
-        if engine is None or self._state is None or self._scheme is None:
+        if engine is None or self._state is None:
             raise ServiceError(
                 "follower has not been bootstrapped; nothing to promote"
             )
@@ -409,7 +291,6 @@ class FollowerStore:
         )
         self._promoted = DurableStore(
             directory=self.directory,
-            scheme=self._scheme,
             engine=engine,
             state=self._state,
             wal=wal,
@@ -454,15 +335,10 @@ class FollowerStore:
         self._segment_index = segment
         return self._segment_handle
 
-    def _fsync_segment(self) -> None:
-        if self._segment_handle is not None:
-            self._segment_handle.flush()
-            os.fsync(self._segment_handle.fileno())
-
     def _close_segment(self, fsync: bool = False) -> None:
         if self._segment_handle is not None:
             if fsync:
-                self._fsync_segment()
+                self.sync()
             self._segment_handle.close()
             self._segment_handle = None
 
@@ -501,13 +377,13 @@ def _read_complete_lines(
 
 
 class WalShipper:
-    """Streams a primary store's segments to follower transports.
+    """Streams a primary store's segments to its followers.
 
     Per follower it keeps a cursor ``(segment index, byte offset)``
     into the primary's segment directory and ships complete records
-    from there: sealed segments in order (each closed with a ``seal``
-    frame, so the follower's copy becomes immutable at the same
-    boundary), then the active segment's growing tail.  Reading is
+    from there: sealed segments in order (each then sealed on the
+    follower, so its copy becomes immutable at the same boundary),
+    then the active segment's growing tail.  Reading is
     concurrent-safe against the appending writer because only intact,
     CRC-valid, newline-terminated lines ever ship — a half-flushed
     tail stays behind the cursor until the next poll.
@@ -520,14 +396,14 @@ class WalShipper:
     def __init__(
         self,
         store: DurableStore,
-        transports: Sequence[Any],
+        followers: Sequence[FollowerStore],
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.store = store
-        self.transports = list(transports)
+        self.followers = list(followers)
         self.tracer = tracer if tracer is not None else Tracer()
         self._cursors: list[Optional[dict[str, int]]] = [
-            None for _ in self.transports
+            None for _ in self.followers
         ]
         self.bootstraps = 0
 
@@ -538,35 +414,32 @@ class WalShipper:
         with tracing(self.tracer):
             with span("replica.ship") as sp:
                 shipped = 0
-                for position, transport in enumerate(self.transports):
-                    shipped += self._ship_one(position, transport)
+                for position, follower in enumerate(self.followers):
+                    shipped += self._ship_one(position, follower)
                 if sp:
                     sp.add("records", shipped)
         return shipped
 
-    def sync(self) -> list[dict[str, Any]]:
+    def sync(self) -> None:
         """Drain: ship until no follower is behind the log's flushed
-        tail, fsync the followers, and return their statuses."""
+        tail, then fsync the followers."""
         while self.ship():
             pass
-        return [
-            transport.send({"op": "sync"}) for transport in self.transports
-        ]
+        for follower in self.followers:
+            follower.sync()
 
     def lag(self) -> list[int]:
         """Records each follower is behind the primary, by sequence."""
         primary_seq = self.store.last_seq
-        lags = []
-        for transport in self.transports:
-            status = transport.send({"op": "status"})
-            lags.append(primary_seq - int(status["applied_seq"]))
-        return lags
+        return [
+            primary_seq - follower.applied_seq for follower in self.followers
+        ]
 
     # -- one follower ---------------------------------------------------------
-    def _ship_one(self, position: int, transport: Any) -> int:
+    def _ship_one(self, position: int, follower: FollowerStore) -> int:
         cursor = self._cursors[position]
         if cursor is None:
-            cursor = self._bootstrap(transport)
+            cursor = self._bootstrap(follower)
             self._cursors[position] = cursor
         wal = self.store.wal
         shipped = 0
@@ -578,13 +451,11 @@ class WalShipper:
             except FileNotFoundError:
                 # Compacted away before this follower saw it: start
                 # over from the snapshot that superseded it.
-                cursor = self._bootstrap(transport)
+                cursor = self._bootstrap(follower)
                 self._cursors[position] = cursor
                 continue
             if lines:
-                transport.send(
-                    {"op": "records", "segment": index, "lines": lines}
-                )
+                follower.replay(index, lines)
                 cursor["offset"] = end
                 shipped += len(lines)
             if index < wal.active_index:
@@ -595,22 +466,16 @@ class WalShipper:
                 if size is not None and cursor["offset"] >= size:
                     # Sealed and fully shipped: seal on the follower
                     # and move to the next segment.
-                    transport.send({"op": "seal", "segment": index})
+                    follower.seal(index)
                     cursor["segment"] = index + 1
                     cursor["offset"] = 0
                     continue
             if not lines:
                 return shipped
 
-    def _bootstrap(self, transport: Any) -> dict[str, int]:
+    def _bootstrap(self, follower: FollowerStore) -> dict[str, int]:
         snapshot = load_json(self.store.directory / SNAPSHOT_FILE)
-        transport.send(
-            {
-                "op": "bootstrap",
-                "scheme": scheme_to_dict(self.store.scheme),
-                "snapshot": snapshot,
-            }
-        )
+        follower.bootstrap(scheme_to_dict(self.store.scheme), snapshot)
         self.bootstraps += 1
         seq = int(snapshot["seq"])
         return {"segment": self._segment_holding(seq + 1), "offset": 0}

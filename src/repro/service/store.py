@@ -30,6 +30,10 @@ automatically once the log outgrows the snapshot by ``compact_factor``.
 Passing ``as_of_seq=N`` to :meth:`DurableStore.open` stops replay after
 record ``N`` — point-in-time recovery — and the store opens read-only.
 
+The write path itself lives in :class:`MemoryStore`, the in-memory
+store a shard without a directory serves from; :class:`DurableStore`
+adds the WAL append, compaction, recovery and snapshots to it.
+
 A store is single-writer by construction — it performs no internal
 locking.  :class:`repro.shard.router.ShardRouter` provides the
 thread-safe front end; :mod:`repro.service.replica` ships sealed
@@ -45,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Mapping, Optional, Sequence, TypeVar, Union
 
 from repro.core.engine import BatchOutcome, Update, WeakInstanceEngine
 from repro.foundations.attrs import AttrsLike
@@ -59,7 +63,7 @@ from repro.io import (
 )
 from repro.obs.spans import span
 from repro.schema.database_scheme import DatabaseScheme
-from repro.service.metrics import MetricsRegistry, cache_series
+from repro.service.metrics import MetricsRegistry
 from repro.service.wal import (
     DEFAULT_SEGMENT_BYTES,
     WalRecord,
@@ -70,6 +74,7 @@ from repro.state.consistency import MaintenanceOutcome
 from repro.state.database_state import DatabaseState
 
 PathLike = Union[str, Path]
+_Store = TypeVar("_Store", bound="MemoryStore")
 
 SCHEME_FILE = "scheme.json"
 #: The block->shard map of a sharded store (see :mod:`repro.shard.router`).
@@ -139,38 +144,215 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-class DurableStore:
+class MemoryStore:
+    """One engine-validated state in memory, and the write path every
+    store runs.
+
+    Each write validates through the scheme's
+    :class:`~repro.core.engine.WeakInstanceEngine`, hands the update
+    (or a refused tuple's ``reject`` diagnostic) to :meth:`_log`,
+    publishes the new state, counts the op and calls
+    :meth:`_after_write`.  Both hooks do nothing here, which makes this
+    the in-memory shard store; :class:`DurableStore` overrides them to
+    append to its WAL and to compact.
+    """
+
+    def __init__(
+        self,
+        engine: WeakInstanceEngine,
+        state: Optional[DatabaseState] = None,
+    ) -> None:
+        self.engine = engine
+        self.scheme = engine.scheme
+        self._state = engine.empty_state() if state is None else state
+        self.metrics = MetricsRegistry()
+
+    @property
+    def state(self) -> DatabaseState:
+        """The current (immutable) state — safe to hand to readers."""
+        return self._state
+
+    # -- hooks ----------------------------------------------------------------
+    def _require_writable(self) -> None:
+        """Refuse writes when the store is read-only (never, in memory)."""
+
+    def _log(
+        self,
+        operation: str,
+        relation_name: str,
+        values: Mapping[str, Hashable],
+        extra: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Record one validated update or ``reject`` diagnostic before
+        the state it produces is published (nothing to record here)."""
+
+    def _after_write(self) -> None:
+        """Runs after every write's state swap and count."""
+
+    # -- updates --------------------------------------------------------------
+    def insert(
+        self, relation_name: str, values: Mapping[str, Hashable]
+    ) -> MaintenanceOutcome:
+        """Validate one insertion; log and apply it when accepted, log a
+        ``reject`` diagnostic when refused."""
+        self._require_writable()
+        with span("store.insert") as sp:
+            outcome = self.engine.insert(self._state, relation_name, values)
+            if outcome.consistent:
+                assert outcome.state is not None
+                self._log("insert", relation_name, values)
+                self._state = outcome.state
+            else:
+                self._log(
+                    "reject",
+                    relation_name,
+                    values,
+                    {"outcome": outcome.to_dict()},
+                )
+                self.metrics.increment("store.rejects")
+            self.metrics.increment("ops.insert")
+            self._after_write()
+            if sp:
+                sp.add("accepted", 1 if outcome.consistent else 0)
+                sp.add("rejected", 0 if outcome.consistent else 1)
+            return outcome
+
+    def delete(
+        self, relation_name: str, values: Mapping[str, Hashable]
+    ) -> DatabaseState:
+        """Log and apply one deletion (always consistency-preserving)."""
+        self._require_writable()
+        with span("store.delete"):
+            updated = self.engine.delete(self._state, relation_name, values)
+            self._log("delete", relation_name, values)
+            self._state = updated
+            self.metrics.increment("ops.delete")
+            self._after_write()
+            return updated
+
+    def apply_batch(self, updates: Sequence[Update]) -> BatchOutcome:
+        """Atomic batch: either every update is validated, logged and
+        applied, or none is and the rejection is logged as a diagnostic."""
+        self._require_writable()
+        with span("store.batch") as sp:
+            outcome = self.engine.batch(self._state, updates)
+            if outcome:
+                assert outcome.state is not None
+                self._commit(updates, outcome.state)
+            else:
+                assert outcome.failed_index is not None
+                _, relation_name, values = updates[outcome.failed_index]
+                self._refuse(relation_name, values, outcome.to_dict())
+            if sp:
+                sp.add("updates", len(updates))
+                sp.add("applied", outcome.applied)
+            return outcome
+
+    def commit_batch(
+        self, updates: Sequence[Update], state: DatabaseState
+    ) -> None:
+        """Log an already-validated batch and publish its result state.
+
+        The sharded two-phase commit path: the worker validated the
+        slice during *prepare* (through the same block kernels the
+        engine uses), so by commit time there is nothing left to check
+        — only the log and the state swap remain, counted as
+        :meth:`apply_batch` counts a committed batch."""
+        self._require_writable()
+        with span("store.batch") as sp:
+            self._commit(updates, state)
+            if sp:
+                sp.add("updates", len(updates))
+                sp.add("applied", len(updates))
+
+    def log_reject(
+        self,
+        relation_name: str,
+        values: Mapping[str, Hashable],
+        outcome: Mapping[str, object],
+    ) -> None:
+        """Record a batch rejection without applying anything.
+
+        The sharded abort path for the shard that owns the refused
+        tuple: the record is byte-compatible with the ``reject`` entry
+        :meth:`apply_batch` writes, so WAL auditing tools see the same
+        diagnostic whether the batch ran sharded or single-process."""
+        self._require_writable()
+        with span("store.batch") as sp:
+            self._refuse(relation_name, values, outcome)
+            if sp:
+                sp.add("updates", 0)
+                sp.add("applied", 0)
+
+    def _commit(
+        self, updates: Sequence[Update], state: DatabaseState
+    ) -> None:
+        for operation, relation_name, values in updates:
+            self._log(operation, relation_name, values)
+        self._state = state
+        self.metrics.increment("ops.batch")
+        self.metrics.increment("ops.batch_updates", len(updates))
+        self._after_write()
+
+    def _refuse(
+        self,
+        relation_name: str,
+        values: Mapping[str, Hashable],
+        outcome: Mapping[str, object],
+    ) -> None:
+        self._log("reject", relation_name, values, {"outcome": dict(outcome)})
+        self.metrics.increment("ops.batch")
+        self.metrics.increment("store.rejects")
+        self._after_write()
+
+    # -- queries --------------------------------------------------------------
+    def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
+        """``[X]`` over the current state via the engine's cheapest
+        correct route."""
+        with span("store.query"):
+            self.metrics.increment("ops.query")
+            return self.engine.query(self._state, attributes)
+
+    def close(self) -> None:
+        """Release the engine's executor."""
+        self.engine.close()
+
+    def __enter__(self: _Store) -> _Store:
+        return self
+
+    def __exit__(self, *_: object) -> None:
+        self.close()
+
+
+class DurableStore(MemoryStore):
     """One engine-validated state made durable in a directory.
 
     Construct with :meth:`create` (new directory) or :meth:`open`
     (recover an existing one); both accept ``fsync_every`` to batch
     WAL fsyncs and ``compact_factor`` / ``auto_compact`` to tune the
-    snapshot policy.
+    snapshot policy.  The write path is :class:`MemoryStore`'s: this
+    class logs each write to the WAL before its state is published,
+    and compacts once the log outgrows the snapshot.
     """
 
     def __init__(
         self,
         directory: Path,
-        scheme: DatabaseScheme,
         engine: WeakInstanceEngine,
         state: DatabaseState,
         wal: WriteAheadLog,
         recovery: RecoveryReport,
         compact_factor: float,
         auto_compact: bool,
-        metrics: Optional[MetricsRegistry] = None,
         as_of_seq: Optional[int] = None,
     ) -> None:
+        super().__init__(engine, state)
         self.directory = directory
-        self.scheme = scheme
-        self.engine = engine
-        self._state = state
         self._wal = wal
         self.recovery = recovery
         self.compact_factor = compact_factor
         self.auto_compact = auto_compact
         self._as_of_seq = as_of_seq
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.increment("store.recoveries")
         self.metrics.increment("store.replayed_records", recovery.replayed)
         self._snapshot_bytes = (directory / SNAPSHOT_FILE).stat().st_size
@@ -185,8 +367,6 @@ class DurableStore:
         fsync_every: int = 1,
         compact_factor: float = 4.0,
         auto_compact: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        workers: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "DurableStore":
         """Initialise a fresh store directory (must not already hold
@@ -205,8 +385,6 @@ class DurableStore:
             fsync_every=fsync_every,
             compact_factor=compact_factor,
             auto_compact=auto_compact,
-            metrics=metrics,
-            workers=workers,
             segment_bytes=segment_bytes,
         )
 
@@ -218,16 +396,12 @@ class DurableStore:
         fsync_every: int = 1,
         compact_factor: float = 4.0,
         auto_compact: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
-        workers: int = 1,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         as_of_seq: Optional[int] = None,
     ) -> "DurableStore":
         """Recover the store at ``directory``: snapshot + WAL replay.
 
-        ``workers`` sizes the engine's block-task executor; the default
-        of 1 keeps every code path single-threaded.  Replay itself is
-        sequential either way, but each replayed insert extends the
+        Replay is sequential, but each replayed insert extends the
         engine's delta-chase basis instead of re-chasing the whole
         state, so recovery cost follows the log's cascades, not
         (log length) x (state size).
@@ -250,7 +424,7 @@ class DurableStore:
                     f"`repro serve --store {directory}`"
                 )
             scheme = load_scheme(scheme_path)
-            engine = WeakInstanceEngine(scheme, workers=workers)
+            engine = WeakInstanceEngine(scheme)
 
             snapshot_path = directory / SNAPSHOT_FILE
             if snapshot_path.exists():
@@ -338,23 +512,16 @@ class DurableStore:
                 sp.add("stale_logs", 1 if stale_log else 0)
         return cls(
             directory=directory,
-            scheme=scheme,
             engine=engine,
             state=state,
             wal=wal,
             recovery=report,
             compact_factor=compact_factor,
             auto_compact=auto_compact,
-            metrics=metrics,
             as_of_seq=as_of_seq,
         )
 
     # -- introspection --------------------------------------------------------
-    @property
-    def state(self) -> DatabaseState:
-        """The current (immutable) state — safe to hand to readers."""
-        return self._state
-
     @property
     def last_seq(self) -> int:
         """The sequence the served state reflects — the WAL's last
@@ -390,145 +557,16 @@ class DurableStore:
                 "writing would fork the log it was recovered from"
             )
 
-    # -- updates --------------------------------------------------------------
-    def insert(
-        self, relation_name: str, values: Mapping[str, Hashable]
-    ) -> MaintenanceOutcome:
-        """Validate one insertion; log and apply it when accepted, log a
-        durable ``reject`` diagnostic when refused."""
-        self._require_writable()
-        with span("store.insert") as sp:
-            outcome = self.engine.insert(self._state, relation_name, values)
-            if outcome.consistent:
-                assert outcome.state is not None
-                self._wal.append("insert", relation_name, values)
-                self._state = outcome.state
-                self.metrics.increment("ops.insert")
-                self._after_write()
-            else:
-                self._wal.append(
-                    "reject",
-                    relation_name,
-                    values,
-                    extra={"outcome": outcome.to_dict()},
-                )
-                self.metrics.increment("ops.insert")
-                self.metrics.increment("store.rejects")
-                self._after_write()
-            if sp:
-                sp.add("accepted", 1 if outcome.consistent else 0)
-                sp.add("rejected", 0 if outcome.consistent else 1)
-            return outcome
-
-    def delete(
-        self, relation_name: str, values: Mapping[str, Hashable]
-    ) -> DatabaseState:
-        """Log and apply one deletion (always consistency-preserving)."""
-        self._require_writable()
-        with span("store.delete"):
-            updated = self.engine.delete(self._state, relation_name, values)
-            self._wal.append("delete", relation_name, values)
-            self._state = updated
-            self.metrics.increment("ops.delete")
-            self._after_write()
-            return updated
-
-    def apply_batch(self, updates: Sequence[Update]) -> BatchOutcome:
-        """Atomic batch: either every update is validated, logged and
-        applied, or none is and the rejection is logged as a diagnostic."""
-        self._require_writable()
-        with span("store.batch") as sp:
-            outcome = self.engine.batch(self._state, updates)
-            if outcome:
-                assert outcome.state is not None
-                for operation, relation_name, values in updates:
-                    self._wal.append(operation, relation_name, values)
-                self._state = outcome.state
-                self.metrics.increment("ops.batch")
-                self.metrics.increment("ops.batch_updates", len(updates))
-            else:
-                assert outcome.failed_index is not None
-                _, relation_name, values = updates[outcome.failed_index]
-                self._wal.append(
-                    "reject",
-                    relation_name,
-                    values,
-                    extra={"outcome": outcome.to_dict()},
-                )
-                self.metrics.increment("ops.batch")
-                self.metrics.increment("store.rejects")
-            self._after_write()
-            if sp:
-                sp.add("updates", len(updates))
-                sp.add("applied", outcome.applied)
-            return outcome
-
-    def commit_batch(
-        self, updates: Sequence[Update], state: DatabaseState
-    ) -> None:
-        """Log an already-validated batch and publish its result state.
-
-        The sharded two-phase commit path: the worker validated the
-        slice during *prepare* (through the same block kernels the
-        engine uses), so by commit time there is nothing left to check
-        — only the WAL append and the state swap remain.  Counter and
-        span accounting match :meth:`apply_batch`'s committed branch.
-        """
-        self._require_writable()
-        with span("store.batch") as sp:
-            for operation, relation_name, values in updates:
-                self._wal.append(operation, relation_name, values)
-            self._state = state
-            self.metrics.increment("ops.batch")
-            self.metrics.increment("ops.batch_updates", len(updates))
-            self._after_write()
-            if sp:
-                sp.add("updates", len(updates))
-                sp.add("applied", len(updates))
-
-    def log_reject(
+    # -- write-path hooks -----------------------------------------------------
+    def _log(
         self,
+        operation: str,
         relation_name: str,
         values: Mapping[str, Hashable],
-        outcome: Mapping[str, object],
+        extra: Optional[Mapping[str, object]] = None,
     ) -> None:
-        """Durably record a batch rejection without applying anything.
-
-        The sharded abort path for the shard that owns the refused
-        tuple: the record is byte-compatible with the ``reject`` entry
-        :meth:`apply_batch` writes, so WAL auditing tools see the same
-        diagnostic whether the batch ran sharded or single-process."""
-        self._require_writable()
-        with span("store.batch") as sp:
-            self._wal.append(
-                "reject",
-                relation_name,
-                values,
-                extra={"outcome": dict(outcome)},
-            )
-            self.metrics.increment("ops.batch")
-            self.metrics.increment("store.rejects")
-            self._after_write()
-            if sp:
-                sp.add("updates", 0)
-                sp.add("applied", 0)
-
-    # -- queries --------------------------------------------------------------
-    def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
-        """``[X]`` over the current state via the engine's cheapest
-        correct route."""
-        with span("store.query"):
-            self.metrics.increment("ops.query")
-            return self.engine.query(self._state, attributes)
-
-    def metrics_snapshot(self) -> dict[str, Union[int, float]]:
-        """Store counters merged with the engine's cache accounting
-        (the read cache additionally reports its derived hit rate)."""
-        merged = self.metrics.snapshot()
-        counters, gauges = cache_series(self.engine.cache_info())
-        merged.update(counters)
-        merged.update(gauges)
-        return merged
+        """Append the record to the WAL before its state is published."""
+        self._wal.append(operation, relation_name, values, extra=extra)
 
     # -- durability -----------------------------------------------------------
     def sync(self) -> None:
@@ -563,6 +601,8 @@ class DurableStore:
             return path
 
     def _after_write(self) -> None:
+        """Refresh the WAL gauges and compact when the log outgrew the
+        snapshot."""
         self.metrics.set_gauge("wal.bytes", self._wal.size_bytes)
         self.metrics.set_gauge("store.seq", self._wal.last_seq)
         if self.auto_compact:
@@ -589,13 +629,7 @@ class DurableStore:
         try:
             self._wal.close()
         finally:
-            self.engine.close()
-
-    def __enter__(self) -> "DurableStore":
-        return self
-
-    def __exit__(self, *_: object) -> None:
-        self.close()
+            super().close()
 
 
 def _migrate_legacy_wal(directory: Path) -> None:

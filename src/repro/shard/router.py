@@ -5,9 +5,10 @@ independence decomposition (:class:`~repro.core.partition
 .SchemePartition`), memoized by scheme fingerprint: block ``i`` lives on
 shard ``i % shards`` (round-robin packing, so schemes with more blocks
 than shards spread evenly).  Each shard is a
-:class:`~repro.shard.worker.ShardWorker` running a full
-:class:`~repro.service.store.DurableStore` (or in-memory engine) over
-its block subset, reached through a *channel* with ``send``/``recv``.
+:class:`~repro.shard.worker.ShardWorker` running one store over its
+block subset — a full :class:`~repro.service.store.DurableStore`, or in
+memory its write path alone (:class:`~repro.service.store.MemoryStore`)
+— reached through a *channel* with ``send``/``recv``.
 With several shards each worker is a forked process and its channel
 carries length-prefixed JSON frames over a socketpair
 (:mod:`repro.shard.protocol`).  One shard — a single-block scheme, a
@@ -558,13 +559,20 @@ class ShardRouter:
             self._procs.append(process)
 
     # -- worker RPC -----------------------------------------------------------
+    def _channel(self, shard: int) -> Union[_PipeChannel, _InlineChannel]:
+        """Shard ``shard``'s channel; the caller holds its lock."""
+        channels = self._channels  # close() swaps in an empty list
+        if not channels:
+            raise ServiceError("router is closed")
+        return channels[shard]
+
     def _rpc(self, shard: int, payload: Mapping[str, Any]) -> dict[str, Any]:
         """One request/response round trip with one worker."""
         with span("shard.rpc") as sp:
             if sp:
                 sp.add("rpcs", 1)
             with self._locks[shard]:
-                channel = self._channels[shard]
+                channel = self._channel(shard)
                 channel.send(payload)
                 response = channel.recv()
         self.metrics.increment("shard.rpcs")
@@ -591,18 +599,20 @@ class ShardRouter:
             with span("shard.rpc") as sp:
                 if sp:
                     sp.add("rpcs", len(shards))
+                channels = {}
                 for index in shards:
                     self._locks[index].acquire()
                     acquired.append(index)
+                    channels[index] = self._channel(index)
                     try:
-                        self._channels[index].send(payloads[index])
+                        channels[index].send(payloads[index])
                     except OSError:
                         responses[index] = None
                 for index in shards:
                     if index in responses:  # send already failed
                         continue
                     try:
-                        responses[index] = self._channels[index].recv()
+                        responses[index] = channels[index].recv()
                     except (ServiceError, OSError):
                         responses[index] = None
         finally:
@@ -886,7 +896,7 @@ class ShardRouter:
 
     def _apply_batch_whole(self, updates: list[Update]) -> Any:
         """The one-shard batch: a single ``batch`` op, which the worker
-        applies through the store's (or engine's) own batch."""
+        applies through its store's own batch."""
         with span("shard.route") as sp:
             self.metrics.increment("ops.batch")
             if sp:
@@ -1110,7 +1120,9 @@ class ShardRouter:
 
     # -- teardown -------------------------------------------------------------
     def close(self) -> None:
-        """Shut the deployment down; safe to call more than once."""
+        """Shut the deployment down; safe to call more than once.
+        Afterwards every op that needs a shard raises
+        ``ServiceError("router is closed")``."""
         with self._write_lock:
             if self._closed:
                 return

@@ -1,25 +1,28 @@
-"""The per-shard worker: one shard's state behind one RPC dispatcher.
+"""The per-shard worker: one shard's store behind one RPC dispatcher.
 
 Each worker owns the relations of one shard — a union of partition
-blocks — behind either a full :class:`~repro.service.store.DurableStore`
-(own WAL, snapshots, delta basis, KernelSpace) or an in-memory engine.
-A multi-shard router forks one worker process per shard, which speaks
-the length-prefixed JSON protocol over the socketpair the router handed
-it (:func:`worker_main`); a one-shard router builds its one worker in
-its own process and calls :meth:`ShardWorker.handle` directly.
+blocks — behind one store: a :class:`~repro.service.store.DurableStore`
+(own WAL, snapshots, delta basis, KernelSpace) when the shard has a
+directory, its in-memory base :class:`~repro.service.store.MemoryStore`
+otherwise.  Both run the same write path, so every op reads the same
+at either kind.  A multi-shard router forks one worker process per
+shard, which speaks the length-prefixed JSON protocol over the
+socketpair the router handed it (:func:`worker_main`); a one-shard
+router builds its one worker in its own process and calls
+:meth:`ShardWorker.handle` directly.
 
 Multi-shard batches are two-phase, and workers apply their slice
 through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
 single-process batch's own per-block kernel — so the events they report
 carry the *global* batch indices the router's min-event merge needs:
 ``prepare`` validates the slice against the current state and stashes
-the would-be next state; ``commit`` logs and publishes it; ``abort``
+the would-be next state; ``commit`` logs and publishes it
+(:meth:`~repro.service.store.MemoryStore.commit_batch`); ``abort``
 discards it (optionally logging the batch's reject diagnostic on the
 shard that owns the refused tuple).  A worker holds at most one pending
 batch — the router serializes writes.  A one-shard router sends the
 whole batch as one ``batch`` op instead, applied by
-:meth:`~repro.service.store.DurableStore.apply_batch` (or the engine's
-:meth:`~repro.core.engine.WeakInstanceEngine.batch` in memory).
+:meth:`~repro.service.store.MemoryStore.apply_batch`.
 """
 
 from __future__ import annotations
@@ -30,32 +33,14 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
+from repro.foundations.errors import StoreError
 from repro.io import sorted_rows, state_to_dict
 from repro.obs.spans import Tracer, tracing
 from repro.schema.database_scheme import DatabaseScheme
-from repro.service.metrics import MetricsRegistry, cache_series
-from repro.service.store import SCHEME_FILE, DurableStore
+from repro.service.metrics import cache_series
+from repro.service.store import SCHEME_FILE, DurableStore, MemoryStore
 from repro.shard.protocol import recv_frame, send_frame
 from repro.state.database_state import DatabaseState
-
-#: RPC ops a worker understands (documented for the protocol tests).
-WORKER_OPS = (
-    "ping",
-    "insert",
-    "delete",
-    "query",
-    "batch",
-    "prepare",
-    "commit",
-    "abort",
-    "fetch",
-    "state",
-    "metrics",
-    "stats",
-    "snapshot",
-    "sync",
-    "shutdown",
-)
 
 
 class ShardWorker:
@@ -68,26 +53,17 @@ class ShardWorker:
     def __init__(
         self,
         shard: int,
-        engine: WeakInstanceEngine,
-        state: DatabaseState,
-        store: Optional[DurableStore],
+        store: MemoryStore,
         tracer: Tracer,
         reports_tracer: bool,
     ) -> None:
         self.shard = shard
-        self.engine = engine
         self.store = store
         self.tracer = tracer
         # A worker handed its host's tracer (the one-shard router's)
         # leaves reporting it to the host, so ``metrics``/``stats``
         # never report one tracer twice.
         self.reports_tracer = reports_tracer
-        # Durable workers count ops in the store's registry; in-memory
-        # workers keep their own so per-shard series exist either way.
-        self.metrics = (
-            store.metrics if store is not None else MetricsRegistry()
-        )
-        self._state = state
         self._pending: Optional[
             tuple[list[tuple[str, str, Mapping[str, Any]]], DatabaseState]
         ] = None
@@ -110,42 +86,24 @@ class ShardWorker:
         reports_tracer = tracer is None
         if tracer is None:
             tracer = Tracer()
+        store: MemoryStore
         if store_dir is None:
-            engine = WeakInstanceEngine(scheme)
-            return cls(
-                shard=shard,
-                engine=engine,
-                state=engine.empty_state(),
-                store=None,
-                tracer=tracer,
-                reports_tracer=reports_tracer,
-            )
-        with tracing(tracer):
-            if (Path(store_dir) / SCHEME_FILE).exists():
-                store = DurableStore.open(store_dir, fsync_every=fsync_every)
-            else:
-                store = DurableStore.create(
-                    store_dir, scheme, fsync_every=fsync_every
-                )
-        return cls(
-            shard=shard,
-            engine=store.engine,
-            state=store.state,
-            store=store,
-            tracer=tracer,
-            reports_tracer=reports_tracer,
-        )
-
-    @property
-    def state(self) -> DatabaseState:
-        return self._state
+            store = MemoryStore(WeakInstanceEngine(scheme))
+        else:
+            with tracing(tracer):
+                if (Path(store_dir) / SCHEME_FILE).exists():
+                    store = DurableStore.open(
+                        store_dir, fsync_every=fsync_every
+                    )
+                else:
+                    store = DurableStore.create(
+                        store_dir, scheme, fsync_every=fsync_every
+                    )
+        return cls(shard, store, tracer, reports_tracer)
 
     def close(self) -> None:
         self._pending = None
-        if self.store is not None:
-            self.store.close()
-        else:
-            self.engine.close()
+        self.store.close()
 
     # -- dispatch -------------------------------------------------------------
     def handle(self, request: Mapping[str, Any]) -> dict[str, Any]:
@@ -168,64 +126,27 @@ class ShardWorker:
     def _dispatch(
         self, op: Optional[str], request: Mapping[str, Any]
     ) -> dict[str, Any]:
+        store = self.store
         if op == "ping":
             payload: dict[str, Any] = {
                 "ok": True,
                 "shard": self.shard,
-                "relations": list(self.engine.scheme.names),
+                "relations": list(store.scheme.names),
             }
-            if self.store is not None:
-                payload["recovery"] = self.store.recovery.to_dict()
+            if isinstance(store, DurableStore):
+                payload["recovery"] = store.recovery.to_dict()
             return payload
         if op == "insert":
-            if self.store is not None:
-                outcome = self.store.insert(
-                    request["relation"], request["values"]
-                )
-                self._state = self.store.state
-            else:
-                outcome = self.engine.insert(
-                    self._state, request["relation"], request["values"]
-                )
-                self.metrics.increment("ops.insert")
-                if outcome.consistent:
-                    assert outcome.state is not None
-                    self._state = outcome.state
-                else:
-                    self.metrics.increment("store.rejects")
+            outcome = store.insert(request["relation"], request["values"])
             return {"ok": True, "outcome": outcome.to_dict()}
         if op == "delete":
-            if self.store is not None:
-                self._state = self.store.delete(
-                    request["relation"], request["values"]
-                )
-            else:
-                self._state = self.engine.delete(
-                    self._state, request["relation"], request["values"]
-                )
-                self.metrics.increment("ops.delete")
+            store.delete(request["relation"], request["values"])
             return {"ok": True}
         if op == "query":
-            if self.store is not None:
-                rows = self.store.query(request["target"])
-            else:
-                rows = self.engine.query(self._state, request["target"])
-                self.metrics.increment("ops.query")
+            rows = store.query(request["target"])
             return {"ok": True, "rows": sorted_rows(rows)}
         if op == "batch":
-            updates = request["updates"]
-            if self.store is not None:
-                outcome = self.store.apply_batch(updates)
-                self._state = self.store.state
-            else:
-                outcome = self.engine.batch(self._state, updates)
-                self.metrics.increment("ops.batch")
-                if outcome:
-                    assert outcome.state is not None
-                    self._state = outcome.state
-                    self.metrics.increment("ops.batch_updates", len(updates))
-                else:
-                    self.metrics.increment("store.rejects")
+            outcome = store.apply_batch(request["updates"])
             return {"ok": True, "outcome": outcome.to_dict()}
         if op == "prepare":
             return self._prepare(request)
@@ -236,20 +157,21 @@ class ShardWorker:
         if op == "fetch":
             names = request.get("relations")
             if names is None:
-                names = list(self.engine.scheme.names)
+                names = list(store.scheme.names)
+            state = store.state
             relations = {
-                name: [dict(values) for values in self._state[name]]
+                name: [dict(values) for values in state[name]]
                 for name in names
             }
             return {"ok": True, "relations": relations}
         if op == "state":
-            return {"ok": True, "state": state_to_dict(self._state)}
+            return {"ok": True, "state": state_to_dict(store.state)}
         if op == "metrics":
-            kinds = self.metrics.snapshot_by_kind()
+            kinds = store.metrics.snapshot_by_kind()
             counters = dict(kinds["counters"])
             gauges = dict(kinds["gauges"])
             cache_counters, cache_gauges = cache_series(
-                self.engine.cache_info()
+                store.engine.cache_info()
             )
             counters.update(cache_counters)
             gauges.update(cache_gauges)
@@ -270,13 +192,9 @@ class ShardWorker:
                 "span_counters": self.tracer.counter_snapshot(),
             }
         if op == "snapshot":
-            if self.store is None:
-                return {"ok": True, "snapshot": False}
-            self.store.snapshot()
-            return {"ok": True, "snapshot": True}
-        if op == "sync":
-            if self.store is not None:
-                self.store.sync()
+            if not isinstance(store, DurableStore):
+                raise StoreError("an in-memory shard has nothing to snapshot")
+            store.snapshot()
             return {"ok": True}
         raise ValueError(f"unknown worker op {op!r}")
 
@@ -289,7 +207,7 @@ class ShardWorker:
             ]
         ]
         self._pending = None
-        outcome = self.engine.apply_slice(self._state, operations)
+        outcome = self.store.engine.apply_slice(self.store.state, operations)
         event: Optional[dict[str, Any]] = None
         if outcome.error is not None:
             event = {
@@ -320,25 +238,16 @@ class ShardWorker:
             raise ValueError("commit without a prepared batch")
         updates, next_state = self._pending
         self._pending = None
-        if self.store is not None:
-            self.store.commit_batch(updates, next_state)
-            self._state = self.store.state
-        else:
-            self._state = next_state
-            self.metrics.increment("ops.batch")
-            self.metrics.increment("ops.batch_updates", len(updates))
+        self.store.commit_batch(updates, next_state)
         return {"ok": True, "applied": len(updates)}
 
     def _abort(self, request: Mapping[str, Any]) -> dict[str, Any]:
         self._pending = None
         reject = request.get("reject")
         if reject is not None:
-            if self.store is not None:
-                self.store.log_reject(
-                    reject["relation"], reject["values"], reject["outcome"]
-                )
-            else:
-                self.metrics.increment("store.rejects")
+            self.store.log_reject(
+                reject["relation"], reject["values"], reject["outcome"]
+            )
         return {"ok": True}
 
 

@@ -7,7 +7,7 @@ delta basis (every replayed insert's output state is the next record's
 input, so the basis hits on each step after the first).  These tests
 prove the optimization is invisible: recovery reaches byte-identical
 state and sequence numbers, whether replaying a long accepted history,
-a history with logged rejections, or through a workers>1 engine."""
+a history with logged rejections, or a snapshot plus a WAL tail."""
 
 from repro.service.store import DurableStore
 from repro.state.consistency import maintain_by_chase
@@ -91,30 +91,6 @@ class TestDeltaReplayEquivalence:
             assert not reopened.insert(killer_name, killer_values).consistent
         finally:
             reopened.close()
-
-    def test_recovery_through_a_parallel_engine(self, tmp_path):
-        """Opening with workers>1 recovers the identical snapshot:
-        replay is sequential regardless of the executor width."""
-        scheme = example2_not_algebraic()
-        records = _chain_inserts(6)
-        store = DurableStore.create(tmp_path / "store", scheme)
-        for name, values in records:
-            assert store.insert(name, values).consistent
-        store.close()
-
-        serial = DurableStore.open(tmp_path / "store")
-        serial_state = serial.state
-        serial.close()
-        parallel = DurableStore.open(tmp_path / "store", workers=4)
-        try:
-            assert parallel.engine.workers == 4
-            for name in scheme.names:
-                assert (
-                    parallel.state[name].row_vectors
-                    == serial_state[name].row_vectors
-                )
-        finally:
-            parallel.close()
 
     def test_snapshot_then_wal_tail_replays_through_the_basis(self, tmp_path):
         """Snapshot + tail: the basis seeds from the snapshot state on

@@ -11,11 +11,7 @@ import pytest
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import ServiceError, StoreError, WALError
 from repro.io import scheme_to_dict, state_to_dict
-from repro.service.replica import (
-    FollowerStore,
-    LocalTransport,
-    WalShipper,
-)
+from repro.service.replica import FollowerStore, WalShipper
 from repro.service.store import DurableStore
 from repro.service.wal import scan_wal, segment_paths
 from repro.workloads.paper import example1_university
@@ -87,7 +83,7 @@ class TestShipping:
             mixed_history(primary)
             assert len(primary.wal.segments()) > 1, "need several segments"
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 shipper.sync()
                 assert follower.applied_seq == primary.last_seq
                 assert follower.state == primary.state
@@ -97,7 +93,7 @@ class TestShipping:
         with make_primary(tmp_path, scheme) as primary:
             mixed_history(primary)
             with FollowerStore(tmp_path / "follower") as follower:
-                WalShipper(primary, [LocalTransport(follower)]).sync()
+                WalShipper(primary, [follower]).sync()
                 for target in ("CS", "C", "SG"):
                     assert follower.query(target) == primary.query(target)
 
@@ -107,7 +103,7 @@ class TestShipping:
         with make_primary(tmp_path, scheme) as primary:
             mixed_history(primary)
             with FollowerStore(tmp_path / "follower") as follower:
-                WalShipper(primary, [LocalTransport(follower)]).sync()
+                WalShipper(primary, [follower]).sync()
                 follower._close_segment()
                 primary_rejects = [
                     r
@@ -132,7 +128,7 @@ class TestShipping:
     def test_incremental_shipping_follows_appends(self, tmp_path, scheme):
         with make_primary(tmp_path, scheme) as primary:
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 for index in range(8):
                     primary.insert("R4", r4_tuple(index))
                     shipper.ship()
@@ -143,7 +139,7 @@ class TestShipping:
     def test_lag_counts_unshipped_records(self, tmp_path, scheme):
         with make_primary(tmp_path, scheme) as primary:
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 shipper.sync()
                 assert shipper.lag() == [0]
                 for index in range(5):
@@ -159,7 +155,7 @@ class TestShipping:
                 with FollowerStore(tmp_path / "f1") as second:
                     shipper = WalShipper(
                         primary,
-                        [LocalTransport(first), LocalTransport(second)],
+                        [first, second],
                     )
                     shipper.sync()
                     assert first.state == primary.state
@@ -172,7 +168,7 @@ class TestCompactionRace:
     ):
         with make_primary(tmp_path, scheme) as primary:
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 for index in range(4):
                     primary.insert("R4", r4_tuple(index))
                 shipper.sync()
@@ -196,7 +192,7 @@ class TestCompactionRace:
                 primary.insert("R4", r4_tuple(index))
             primary.snapshot()
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 shipper.sync()
                 assert follower.applied_seq == 5
                 assert follower.state == primary.state
@@ -211,7 +207,7 @@ class TestCrashes:
             for index in range(3):
                 primary.insert("R4", r4_tuple(index))
             with FollowerStore(tmp_path / "follower") as follower:
-                shipper = WalShipper(primary, [LocalTransport(follower)])
+                shipper = WalShipper(primary, [follower])
                 shipper.sync()
                 active = segment_paths(tmp_path / "primary" / "wal")[-1]
                 with open(active, "ab") as handle:
@@ -229,11 +225,11 @@ class TestCrashes:
         with make_primary(tmp_path, scheme) as primary:
             mixed_history(primary, count=6)
             crashed = FollowerStore(tmp_path / "follower")
-            WalShipper(primary, [LocalTransport(crashed)]).sync()
+            WalShipper(primary, [crashed]).sync()
             crashed.close()  # simulated crash: no seal, no handoff
             mixed_history(primary, count=4)
             with FollowerStore(tmp_path / "follower") as revived:
-                shipper = WalShipper(primary, [LocalTransport(revived)])
+                shipper = WalShipper(primary, [revived])
                 shipper.sync()
                 assert revived.state == primary.state
                 assert_byte_parity(
@@ -301,7 +297,7 @@ class TestPromote:
         with make_primary(tmp_path, scheme) as primary:
             mixed_history(primary, count=8)
             follower = FollowerStore(tmp_path / "follower")
-            WalShipper(primary, [LocalTransport(follower)]).sync()
+            WalShipper(primary, [follower]).sync()
             promoted = follower.promote()
             try:
                 assert promoted.state == primary.state
@@ -319,7 +315,7 @@ class TestPromote:
         with make_primary(tmp_path, scheme) as primary:
             primary.insert("R4", r4_tuple(0))
             with FollowerStore(tmp_path / "follower") as follower:
-                WalShipper(primary, [LocalTransport(follower)]).sync()
+                WalShipper(primary, [follower]).sync()
                 assert follower.promote() is follower.promote()
 
     def test_promote_unbootstrapped_refuses(self, tmp_path):
@@ -335,7 +331,7 @@ class TestPromote:
             for index in range(6):
                 primary.insert("R4", r4_tuple(index))
             with FollowerStore(tmp_path / "follower") as follower:
-                WalShipper(primary, [LocalTransport(follower)]).sync()
+                WalShipper(primary, [follower]).sync()
                 follower._close_segment()
                 active = segment_paths(tmp_path / "follower" / "wal")[-1]
                 data = active.read_bytes()
@@ -347,7 +343,7 @@ class TestPromote:
         with make_primary(tmp_path, scheme) as primary:
             primary.insert("R4", r4_tuple(0))
             with FollowerStore(tmp_path / "follower") as follower:
-                WalShipper(primary, [LocalTransport(follower)]).sync()
+                WalShipper(primary, [follower]).sync()
                 follower.promote()
                 with pytest.raises(ServiceError, match="promoted"):
                     follower.bootstrap(
@@ -385,7 +381,7 @@ class TestKillAndPromoteFuzz:
                 segment_bytes=220,
             )
             follower = FollowerStore(base / "follower")
-            shipper = WalShipper(primary, [LocalTransport(follower)])
+            shipper = WalShipper(primary, [follower])
             for op, values in self.OPS[:kill_at]:
                 if op == "insert":
                     primary.insert("R4", values)
@@ -417,7 +413,7 @@ class TestKillAndPromoteFuzz:
             base / "primary", scheme, auto_compact=False, segment_bytes=220
         )
         follower = FollowerStore(base / "follower")
-        shipper = WalShipper(primary, [LocalTransport(follower)])
+        shipper = WalShipper(primary, [follower])
         for op, values in TestKillAndPromoteFuzz.OPS:
             if op == "insert":
                 primary.insert("R4", values)

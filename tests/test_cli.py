@@ -329,44 +329,6 @@ class TestInsertStore:
         assert "error" in capsys.readouterr().err
 
 
-class TestWorkersFlag:
-    def test_insert_store_accepts_workers(
-        self, university_files, tmp_path, capsys
-    ):
-        scheme_path, _ = university_files
-        store_dir = tmp_path / "store"
-        code = main(
-            [
-                "insert",
-                str(scheme_path),
-                "--store",
-                str(store_dir),
-                "--workers",
-                "2",
-                "--relation",
-                "R4",
-                "--values",
-                "C=CS445,S=sue,G=A",
-            ]
-        )
-        assert code == 0
-        assert "accepted at seq 1" in capsys.readouterr().out
-        # Reopening with the default (1 worker) sees the same store.
-        code = main(
-            [
-                "insert",
-                "--store",
-                str(store_dir),
-                "--relation",
-                "R4",
-                "--values",
-                "C=CS446,S=bob,G=B",
-            ]
-        )
-        assert code == 0
-        assert "accepted at seq 2" in capsys.readouterr().out
-
-
 class TestServe:
     def _script(self, tmp_path, text):
         path = tmp_path / "script.txt"
