@@ -12,11 +12,8 @@ import random
 
 import pytest
 
-from repro.core.maintenance import (
-    ChaseRILookup,
-    ExpressionRILookup,
-    algebraic_insert,
-)
+from repro.core.maintenance import algebraic_insert
+from repro.oracle import ChaseRILookup, ExpressionRILookup
 from repro.state.consistency import maintain_by_chase
 from repro.workloads.paper import example6_scheme
 from repro.workloads.states import (

@@ -10,8 +10,9 @@ evaluating joins whose cost grows with n.
 
 import pytest
 
-from repro.core.maintenance import ExpressionRILookup, algebraic_insert
+from repro.core.maintenance import algebraic_insert
 from repro.core.split import split_keys
+from repro.oracle import ExpressionRILookup
 from repro.workloads.adversarial import (
     example5_chain_state,
     example5_ctm_prober_tuples,

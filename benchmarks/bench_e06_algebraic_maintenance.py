@@ -10,11 +10,8 @@ import random
 
 import pytest
 
-from repro.core.maintenance import (
-    ChaseRILookup,
-    ExpressionRILookup,
-    algebraic_insert,
-)
+from repro.core.maintenance import algebraic_insert
+from repro.oracle import ChaseRILookup, ExpressionRILookup
 from repro.state.consistency import maintain_by_chase
 from repro.workloads.paper import (
     example4_split_scheme,
@@ -33,7 +30,11 @@ SIZES = [16, 64, 256]
 def test_example6_walkthrough(benchmark):
     state = example6_state()
     insert = {"A": "a", "B": "b", "E": "e'"}
-    outcome = benchmark(lambda: algebraic_insert(state, "R1", insert))
+    outcome = benchmark(
+        lambda: algebraic_insert(
+            state, "R1", insert, lookup=ChaseRILookup(state)
+        )
+    )
     assert not outcome.consistent
     assert not maintain_by_chase(state, "R1", insert).consistent
 

@@ -11,10 +11,10 @@ import random
 import pytest
 
 from repro.core.reducible import (
-    find_reducible_partition_bruteforce,
     is_independence_reducible,
     recognize_independence_reducible,
 )
+from repro.oracle import find_reducible_partition_bruteforce
 from repro.workloads.random_schemes import (
     random_reducible_scheme,
     random_scheme,

@@ -9,17 +9,14 @@ Run:  python examples/paper_tour.py
 
 from repro.analysis.report import analyze_scheme
 from repro.core.key_equivalent import total_projection_expression
-from repro.core.maintenance import (
-    ExpressionRILookup,
-    algebraic_insert,
-    ctm_insert,
-)
+from repro.core.maintenance import algebraic_insert, ctm_insert
 from repro.core.query import total_projection_plan
 from repro.core.reducible import (
     key_equivalent_partition,
     recognize_independence_reducible,
 )
 from repro.core.split import find_split_witness
+from repro.oracle import ChaseRILookup, ExpressionRILookup
 from repro.workloads import paper
 from repro.workloads.adversarial import (
     example2_chain_state,
@@ -75,8 +72,12 @@ def main() -> None:
     print(f"here : {witness}")
 
     heading("Example 6 — Algorithm 2 rejects <a, b, e'>")
+    state = paper.example6_state()
     outcome = algebraic_insert(
-        paper.example6_state(), "R1", {"A": "a", "B": "b", "E": "e'"}
+        state,
+        "R1",
+        {"A": "a", "B": "b", "E": "e'"},
+        lookup=ChaseRILookup(state),
     )
     print("paper: q = <a,b,c,d,e'> ⋈ <c,d,e> = ∅, output no")
     print(f"here : consistent={outcome.consistent}")

@@ -11,8 +11,9 @@ Run:  python examples/query_answering.py
 import time
 
 from repro import total_projection
-from repro.core.query import total_projection_plan, total_projection_reducible
+from repro.core.query import total_projection_plan
 from repro.core.reducible import recognize_independence_reducible
+from repro.oracle import total_projection_reducible
 from repro.workloads.paper import example12_reducible
 from repro.workloads.states import random_consistent_state
 

@@ -24,9 +24,7 @@ Quickstart::
 
 from repro.analysis import SchemeReport, analyze_scheme
 from repro.core import (
-    BlockMaterializedViews,
     InsertMaintainer,
-    MaterializedRepInstance,
     QueryPlan,
     RecognitionResult,
     WeakInstanceEngine,
@@ -43,7 +41,6 @@ from repro.core import (
     recognize_independence_reducible,
     split_keys,
     total_projection_plan,
-    total_projection_reducible,
 )
 from repro.fd import FD, FDSet, candidate_keys, fd, minimal_cover, parse_fds
 from repro.fd.armstrong import derive, explain_key, verify_derivation
@@ -85,11 +82,9 @@ from repro.state import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BlockMaterializedViews",
     "DatabaseScheme",
     "DatabaseState",
     "DurableStore",
-    "MaterializedRepInstance",
     "MetricsRegistry",
     "RecoveryReport",
     "WriteAheadLog",
@@ -140,6 +135,5 @@ __all__ = [
     "state_of",
     "total_projection",
     "total_projection_plan",
-    "total_projection_reducible",
     "tuples_from_rows",
 ]

@@ -13,7 +13,6 @@ from repro.algebra.expressions import (
     evaluate_natural_join,
     join_all,
     join_relations,
-    join_relations_naive,
     project_relation,
     ref,
     select_relation,
@@ -37,7 +36,6 @@ __all__ = [
     "extension_join_order",
     "join_all",
     "join_relations",
-    "join_relations_naive",
     "project_relation",
     "ref",
     "select_relation",

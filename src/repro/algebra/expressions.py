@@ -223,8 +223,8 @@ class Select(Expression):
 # All primitives work directly on the Relation-internal value vectors
 # (``columns``/``row_vectors``) and rebuild results through
 # ``Relation.from_vectors`` — no per-tuple dict is ever materialized.
-# ``join_relations_naive`` preserves the original dict-row hash join as
-# the differential-test oracle.
+# ``repro.oracle.join_relations_naive`` preserves the original dict-row
+# hash join as the differential-test oracle.
 
 
 def join_relations(left: Relation, right: Relation) -> Relation:
@@ -270,26 +270,6 @@ def join_relations(left: Relation, right: Relation) -> Relation:
             sp.add("probe_tuples", len(left))
             sp.add("tuples_out", len(joined))
     return Relation.from_vectors(output_attributes, order, joined)
-
-
-def join_relations_naive(left: Relation, right: Relation) -> Relation:
-    """The original dict-row natural join, kept verbatim as the oracle
-    the differential tests race :func:`join_relations` and
-    :func:`evaluate_natural_join` against."""
-    common = sorted(left.attributes & right.attributes)
-    output_attributes = left.attributes | right.attributes
-    index: dict[tuple, list[dict]] = {}
-    for row in right:
-        key = tuple(row[a] for a in common)
-        index.setdefault(key, []).append(row)
-    joined = []
-    for row in left:
-        key = tuple(row[a] for a in common)
-        for match in index.get(key, ()):
-            merged = dict(match)
-            merged.update(row)
-            joined.append(merged)
-    return Relation(output_attributes, joined)
 
 
 def project_relation(relation: Relation, attributes: AttrsLike) -> Relation:

@@ -137,7 +137,6 @@ def default_config(repo_root: Path) -> SpanConfig:
                 "miss"
             ),
             "core/engine.py::WeakInstanceEngine.cache_info": "accessor",
-            "core/engine.py::WeakInstanceEngine.streaming": "accessor",
             "core/engine.py::WeakInstanceEngine.explain": "accessor",
             # Store: sync's wal.fsync span lives in WriteAheadLog.sync.
             "service/store.py::DurableStore.sync": (

@@ -10,7 +10,7 @@ at the repository root:
   (:func:`repro.state.chase_state`) and, for the expression scenario,
   the tuple-vector join pipeline;
 * *naive*: the seed pipeline kept as oracle —
-  :func:`repro.state.chase_state_naive` (full tableau materialization +
+  :func:`repro.oracle.chase_state_naive` (full tableau materialization +
   full-sweep chase).
 
 Each scenario records wall-clock seconds per pipeline (best of
@@ -43,7 +43,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.obs.spans import Tracer, tracing
-from repro.state.consistency import chase_state, chase_state_naive
+from repro.oracle import chase_state_naive
+from repro.state.consistency import chase_state
 from repro.state.database_state import DatabaseState
 
 
@@ -164,7 +165,8 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
     # pool effects.  The fast side must not reach the read cache, or
     # the ratio would time dict probes instead of kernels.
     from repro.core.engine import WeakInstanceEngine
-    from repro.core.maintenance import ExpressionRILookup, algebraic_insert
+    from repro.core.maintenance import algebraic_insert
+    from repro.oracle import ExpressionRILookup
 
     engine = WeakInstanceEngine(state.scheme)
     plan = engine.plan(target)

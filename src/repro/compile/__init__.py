@@ -54,8 +54,9 @@ def _ri_branches(
     scheme: DatabaseScheme, key: frozenset[str]
 ) -> list[Expression]:
     """The lossless-join branches behind ``σ_{K='k'}`` — the same
-    construction as ``ExpressionRILookup._branches_for`` (union peeled
-    to its operands, projections peeled to their join operands)."""
+    construction as ``repro.oracle.ExpressionRILookup._branches_for``
+    (union peeled to its operands, projections peeled to their join
+    operands)."""
     from repro.core.key_equivalent import total_projection_expression
 
     expression = total_projection_expression(scheme, key)

@@ -2,7 +2,7 @@
 selections over kernel programs).
 
 :class:`CompiledRILookup` is a drop-in for
-:class:`repro.core.maintenance.ExpressionRILookup` — same branch
+:class:`repro.oracle.ExpressionRILookup` — same branch
 construction, same fixpoint loop, same counters, same
 :class:`~repro.foundations.errors.InconsistentStateError` messages, so
 an insert's accept/reject outcome and its rejection diagnostics are
@@ -29,7 +29,7 @@ class CompiledRILookup:
     """Assemble the representative-instance row for a key value with
     compiled single-tuple selections (the Algorithm 2 step-(4) lookup).
 
-    Mirrors :class:`~repro.core.maintenance.ExpressionRILookup`
+    Mirrors :class:`~repro.oracle.ExpressionRILookup`
     line for line — probe keys in ``scheme.all_keys()`` order, one
     selection per lossless-join branch, merge until a fixpoint — with
     the interpreted ``Select(...).evaluate`` replaced by a memoized

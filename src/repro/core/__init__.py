@@ -34,26 +34,16 @@ from repro.core.key_equivalent import (
     total_projection_key_equivalent,
 )
 from repro.core.maintenance import (
-    ChaseRILookup,
     Extension,
-    ExpressionRILookup,
-    GreatestExpressionRILookup,
     InsertTraceStep,
     StateIndex,
     algebraic_insert,
     ctm_insert,
     extend_tuple,
 )
-from repro.core.materialized import MaterializedRepInstance
-from repro.core.views import BlockMaterializedViews
-from repro.core.query import (
-    QueryPlan,
-    total_projection_plan,
-    total_projection_reducible,
-)
+from repro.core.query import QueryPlan, total_projection_plan
 from repro.core.reducible import (
     RecognitionResult,
-    find_reducible_partition_bruteforce,
     induced_scheme,
     is_independence_reducible,
     key_equivalent_partition,
@@ -71,18 +61,13 @@ from repro.core.split import (
 __all__ = [
     "BatchOutcome",
     "BlockOutcome",
-    "BlockMaterializedViews",
-    "ChaseRILookup",
     "CorrespondingState",
     "Update",
     "WeakInstanceEngine",
     "corresponding_state",
     "Extension",
-    "ExpressionRILookup",
-    "GreatestExpressionRILookup",
     "InsertMaintainer",
     "InsertTraceStep",
-    "MaterializedRepInstance",
     "KERepInstance",
     "MaintainerReport",
     "ParallelExecutor",
@@ -96,7 +81,6 @@ __all__ = [
     "describe_violations",
     "extend_tuple",
     "find_independence_counterexample",
-    "find_reducible_partition_bruteforce",
     "find_split_witness",
     "induced_scheme",
     "is_ctm",
@@ -119,6 +103,5 @@ __all__ = [
     "total_projection_expression",
     "total_projection_key_equivalent",
     "total_projection_plan",
-    "total_projection_reducible",
     "uniqueness_violations",
 ]

@@ -58,7 +58,7 @@ class CorrespondingState:
     def total_projection(self, attributes) -> set[tuple[Hashable, ...]]:
         """Union of the block instances' total projections — only
         meaningful per block; cross-block queries go through
-        :func:`repro.core.query.total_projection_reducible`."""
+        :func:`repro.core.query.total_projection_plan`."""
         out: set[tuple[Hashable, ...]] = set()
         for instance in self.blocks.values():
             out |= instance.total_projection(attributes)

@@ -48,7 +48,6 @@ from repro.state.consistency import (
     chase_state,
 )
 from repro.state.database_state import DatabaseState
-from repro.tableau.chase import chase_relations
 from repro.tableau.symbols import KIND_NDV
 from repro.tableau.tableau import Row, Tableau
 
@@ -130,13 +129,6 @@ class WeakInstanceEngine:
         self._executor: Optional[ParallelExecutor] = None  # guarded-by: _executor_lock
         self._plans: LRUCache = LRUCache(plan_cache_size)
         self._chase: LRUCache = LRUCache(chase_cache_size)
-        # Representative-instance fragments memoized per (block,
-        # relation identities): an insert into one block leaves every
-        # other block's Relation objects — hence its cached chase —
-        # untouched, so only the written block re-chases.
-        self._block_chase: LRUCache = LRUCache(
-            max(chase_cache_size, 4 * max(1, len(self.partition.blocks)))
-        )
         self.read_cache = ReadCache(self.partition, maxsize=read_cache_size)
 
     @property
@@ -202,31 +194,6 @@ class WeakInstanceEngine:
             raise InconsistentStateError("state admits no weak instance")
         return result.tableau
 
-    def _block_chase_result(
-        self, state: DatabaseState, block_index: int
-    ) -> ChaseResult:
-        """The chase of one block's substate, memoized per relation
-        identities — updates to other blocks reuse this entry."""
-        names = self.partition.block_names[block_index]
-        relations = tuple(state[name] for name in names)
-        key = (block_index,) + tuple(id(relation) for relation in relations)
-        entry = self._block_chase.get(key, MISSING)
-        if entry is not MISSING and all(
-            cached is live for cached, live in zip(entry[0], relations)
-        ):
-            return entry[1]
-        block = self.partition.blocks[block_index]
-        result = chase_relations(
-            block.universe,
-            (
-                (name, relation.columns, relation.row_vectors)
-                for name, relation in zip(names, relations)
-            ),
-            block.fds,
-        )
-        self._block_chase.put(key, (relations, result))
-        return result
-
     def _assembled_chase(self, state: DatabaseState) -> ChaseResult:
         """``CHASE_F(T_r)`` assembled from per-block chases.
 
@@ -239,7 +206,7 @@ class WeakInstanceEngine:
         a block's universe get fresh ndvs, exactly as the global state
         tableau would."""
         results = [
-            self._block_chase_result(state, index)
+            chase_state(self.partition.substate(state, index))
             for index in range(len(self.partition.blocks))
         ]
         steps = sum(result.steps for result in results)
@@ -283,7 +250,6 @@ class WeakInstanceEngine:
             "plans": self._plans.info(),
             "compiled": self._compiled.info(),
             "chase": self._chase.info(),
-            "block_chase": self._block_chase.info(),
             "read": self.read_cache.info(),
         }
 
@@ -495,14 +461,6 @@ class WeakInstanceEngine:
         return BlockOutcome(
             block_index=-1, substate=merged_state, applied=ops, ops=ops
         )
-
-    def streaming(self, state: DatabaseState):
-        """Per-block materialized views over ``state`` — the insert-heavy
-        companion API (see :class:`repro.core.views.BlockMaterializedViews`).
-        Only available for independence-reducible schemes."""
-        from repro.core.views import BlockMaterializedViews
-
-        return BlockMaterializedViews(state, self.recognition)
 
     # -- queries ------------------------------------------------------------------
     def plan(self, attributes: AttrsLike) -> QueryPlan:

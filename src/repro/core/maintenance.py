@@ -10,10 +10,10 @@ key-equivalent schemes, all validated against the full-chase baseline:
 * **Algorithm 2** (:func:`algebraic_insert`) — for any key-equivalent
   scheme: repeatedly join the inserted tuple with the representative-
   instance tuple sharing each newly available key (Theorem 3.1).  The
-  representative-instance lookup is pluggable: a chase-backed index
-  (ground truth) or the predetermined lossless-join expressions of
-  Theorem 3.2 (:class:`ExpressionRILookup`), which make the scheme
-  algebraic-maintainable.
+  representative-instance lookup is pluggable (:class:`RILookup`):
+  production passes the compiled Theorem 3.2 expressions of
+  :class:`repro.compile.lookup.CompiledRILookup`; the reference lookups
+  live in :mod:`repro.oracle`.
 * **Full chase** — :func:`repro.state.consistency.maintain_by_chase`.
 
 Every routine reports how many stored tuples it retrieved, which is the
@@ -25,13 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Protocol
 
-from repro.algebra.expressions import Select
-from repro.core.key_equivalent import (
-    KERepInstance,
-    key_equivalent_chase,
-    require_key_equivalent,
-    total_projection_expression,
-)
+from repro.core.key_equivalent import require_key_equivalent
 from repro.core.split import is_split_free
 from repro.foundations.attrs import fmt_attrs, sorted_attrs
 from repro.foundations.errors import (
@@ -260,202 +254,6 @@ class RILookup(Protocol):
     def tuples_retrieved(self) -> int: ...
 
 
-class ChaseRILookup:
-    """Ground-truth lookup: materialize the representative instance with
-    Algorithm 1 and index it by the scheme's keys.  Reads the whole
-    state once (reported in ``tuples_retrieved``)."""
-
-    def __init__(self, state: DatabaseState) -> None:
-        instance = key_equivalent_chase(state, check_scheme=False)
-        if instance is None:
-            raise InconsistentStateError(
-                "cannot maintain an inconsistent state"
-            )
-        self.instance: KERepInstance = instance
-        self.tuples_retrieved = state.total_tuples()
-
-    def find(
-        self, key: frozenset[str], values: Mapping[str, Hashable]
-    ) -> Optional[dict[str, Hashable]]:
-        ordered = sorted_attrs(key)
-        return self.instance.lookup(key, [values[a] for a in ordered])
-
-
-class ExpressionRILookup:
-    """Theorem 3.2's lookup: assemble the representative-instance row for
-    a key value by single-tuple conjunctive selections over the
-    predetermined lossless-join expressions.
-
-    For each key that becomes total in the accumulating row, evaluate
-    ``σ_{K='k'}`` over each branch of the Corollary 3.1(b) expression
-    for that key (a join of a minimal lossless subset covering it); the
-    non-empty results are single tuples of the unique representative-
-    instance row and are merged until a fixpoint.  The number of
-    selections depends only on the scheme — this is what makes
-    key-equivalent schemes algebraic-maintainable — while the *cost* of
-    evaluating a branch still scales with the state, which is why split
-    schemes are nonetheless not ctm (Theorem 3.4).
-    """
-
-    def __init__(self, state: DatabaseState) -> None:
-        self.state = state
-        self.scheme = state.scheme
-        self.tuples_retrieved = 0
-        self.selections_issued = 0
-        self._branches: dict[frozenset[str], list] = {}
-
-    def _branches_for(self, key: frozenset[str]) -> list:
-        branches = self._branches.get(key)
-        if branches is None:
-            expression = total_projection_expression(self.scheme, key)
-            # A union's branches are the per-subset joins; a single
-            # subset yields the projection itself.
-            from repro.algebra.expressions import UnionExpr
-
-            if isinstance(expression, UnionExpr):
-                branches = list(expression.operands)
-            else:
-                branches = [expression]
-            # Selections need the full join (not the projection onto the
-            # key), so peel the projection and keep its operand.
-            from repro.algebra.expressions import Project
-
-            branches = [
-                branch.operand if isinstance(branch, Project) else branch
-                for branch in branches
-            ]
-            self._branches[key] = branches
-        return branches
-
-    def find(
-        self, key: frozenset[str], values: Mapping[str, Hashable]
-    ) -> Optional[dict[str, Hashable]]:
-        row: dict[str, Hashable] = {a: values[a] for a in key}
-        matched = False
-        grew = True
-        while grew:
-            grew = False
-            for probe_key in self.scheme.all_keys():
-                if not probe_key <= set(row):
-                    continue
-                condition = {a: row[a] for a in probe_key}
-                for branch in self._branches_for(probe_key):
-                    selection = Select(branch, condition)
-                    result = selection.evaluate(self.state)
-                    self.selections_issued += 1
-                    if len(result) > 1:
-                        raise InconsistentStateError(
-                            "a lossless-join selection returned more than "
-                            "one tuple; the state is inconsistent"
-                        )
-                    for match in result:
-                        matched = True
-                        self.tuples_retrieved += 1
-                        merged = _join_partial(row, match)
-                        if merged is None:
-                            raise InconsistentStateError(
-                                "lossless-join selections disagree; the "
-                                "state is inconsistent"
-                            )
-                        if len(merged) > len(row):
-                            grew = True
-                        row = merged
-        return row if matched else None
-
-
-class GreatestExpressionRILookup:
-    """The paper's literal Theorem 3.2 / Example 7 mechanism: evaluate
-    ``σ_{K='k'}`` over the join of *every* lossless subset covering
-    ``K`` and keep the greatest non-empty one (the expression over the
-    largest subset; the paper shows the non-empty results are totally
-    informative and the greatest carries the whole representative-
-    instance row).
-
-    Exponential in the number of relation schemes — this class exists
-    for fidelity and cross-validation; :class:`ExpressionRILookup` is
-    the practical backend with identical answers (property-tested).
-    """
-
-    def __init__(self, state: DatabaseState, max_relations: int = 12) -> None:
-        scheme = state.scheme
-        if len(scheme.relations) > max_relations:
-            raise NotApplicableError(
-                "GreatestExpressionRILookup enumerates every lossless "
-                "subset of the scheme (exponential in the relation "
-                f"count) and is capped at {max_relations} relation "
-                f"schemes; this scheme has {len(scheme.relations)}. "
-                "Use ExpressionRILookup, the practical backend with "
-                "identical answers, or raise max_relations explicitly."
-            )
-        self.state = state
-        self.scheme = scheme
-        self.tuples_retrieved = 0
-        self.selections_issued = 0
-        self._subsets_by_key: dict[frozenset[str], list] = {}
-
-    def _subsets_for(self, key: frozenset[str]) -> list:
-        cached = self._subsets_by_key.get(key)
-        if cached is None:
-            from itertools import combinations
-
-            from repro.schema.lossless import is_lossless_subset
-
-            members = self.scheme.relations
-            cached = []
-            for size in range(1, len(members) + 1):
-                for combo in combinations(members, size):
-                    union = frozenset().union(
-                        *(m.attributes for m in combo)
-                    )
-                    if not key <= union:
-                        continue
-                    if is_lossless_subset(
-                        list(combo), self.scheme.fds, self.scheme.universe
-                    ):
-                        cached.append(combo)
-            self._subsets_by_key[key] = cached
-        return cached
-
-    def find(
-        self, key: frozenset[str], values: Mapping[str, Hashable]
-    ) -> Optional[dict[str, Hashable]]:
-        from repro.algebra.expressions import RelationRef, Select, join_all
-
-        condition = {a: values[a] for a in key}
-        merged: Optional[dict[str, Hashable]] = None
-        for subset in self._subsets_for(key):
-            expression = Select(
-                join_all(
-                    [RelationRef(m.name, m.attributes) for m in subset]
-                ),
-                condition,
-            )
-            result = expression.evaluate(self.state)
-            self.selections_issued += 1
-            if len(result) > 1:
-                raise InconsistentStateError(
-                    "a lossless-join selection returned more than one "
-                    "tuple; the state is inconsistent"
-                )
-            for match in result:
-                self.tuples_retrieved += 1
-                if merged is None:
-                    merged = dict(match)
-                    continue
-                # All non-empty results are fragments of the unique
-                # representative-instance row (Lemma 3.2(c)); the
-                # greatest expression's output is their union, which we
-                # assemble directly.
-                joined = _join_partial(merged, match)
-                if joined is None:
-                    raise InconsistentStateError(
-                        "lossless-join selections disagree; the state "
-                        "is inconsistent"
-                    )
-                merged = joined
-        return merged
-
-
 @dataclass(frozen=True)
 class InsertTraceStep:
     """One iteration of Algorithm 2's while loop: the key processed,
@@ -482,7 +280,7 @@ def algebraic_insert(
     relation_name: str,
     values: Mapping[str, Hashable],
     *,
-    lookup: Optional[RILookup] = None,
+    lookup: RILookup,
     check_scheme: bool = True,
     trace: Optional[list[InsertTraceStep]] = None,
 ) -> MaintenanceOutcome:
@@ -492,7 +290,8 @@ def algebraic_insert(
     inserted tuple with the representative-instance row sharing each
     processed key; newly covered attributes may embed further keys,
     which are processed in turn.  The updated state is consistent iff no
-    join ever empties (Theorem 3.1).
+    join ever empties (Theorem 3.1).  ``lookup`` answers the
+    representative-instance probes (see :class:`RILookup`).
 
     Pass a list as ``trace`` to receive one :class:`InsertTraceStep`
     per loop iteration — the paper's Example 6 walk-through, machine
@@ -506,9 +305,6 @@ def algebraic_insert(
         raise StateError(
             f"tuple attributes do not match {relation_name}'s scheme"
         )
-    if lookup is None:
-        lookup = ChaseRILookup(state)
-
     unprocessed = {frozenset(key) for key in member.keys}
     processed: set[frozenset[str]] = set()
     closure = set(member.attributes)

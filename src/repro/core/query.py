@@ -16,19 +16,15 @@ scheme: that is boundedness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Optional
 
 from repro.algebra.expressions import (
     Expression,
     Project,
-    evaluate_natural_join,
     join_all,
     union_all_exprs,
 )
-from repro.core.key_equivalent import (
-    key_equivalent_chase,
-    total_projection_expression,
-)
+from repro.core.key_equivalent import total_projection_expression
 from repro.core.reducible import (
     RecognitionResult,
     recognize_independence_reducible,
@@ -37,18 +33,11 @@ from repro.foundations.attrs import (
     AttrsLike,
     attrs,
     fmt_attrs,
-    sorted_attrs,
     union_all,
 )
-from repro.foundations.errors import (
-    InconsistentStateError,
-    NotApplicableError,
-    SchemaError,
-)
+from repro.foundations.errors import NotApplicableError, SchemaError
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.lossless import extension_join_subsets_covering
-from repro.state.database_state import DatabaseState
-from repro.state.relation import Relation
 
 
 @dataclass(frozen=True)
@@ -69,15 +58,6 @@ class QueryPlan:
 
     def __str__(self) -> str:
         return f"[{fmt_attrs(self.target)}] = {self.expression}"
-
-
-def _block_substate(
-    state: DatabaseState, block: DatabaseScheme
-) -> DatabaseState:
-    """The substate of ``state`` on one partition block."""
-    return DatabaseState(
-        block, {name: list(state[name]) for name in block.names}
-    )
 
 
 def total_projection_plan(
@@ -137,105 +117,3 @@ def total_projection_plan(
     )
 
 
-def total_projection_reducible(
-    state: DatabaseState,
-    attributes: AttrsLike,
-    recognition: Optional[RecognitionResult] = None,
-    *,
-    method: str = "blocks",
-) -> set[tuple[Hashable, ...]]:
-    """``[X]`` on an independence-reducible scheme without chasing the
-    whole state.
-
-    ``method="expression"`` evaluates the fully expanded Theorem 4.1
-    plan directly on the stored relations.  ``method="blocks"``
-    (default) materializes each block's representative instance with
-    Algorithm 1 and joins the blocks' ``Yj``-total projections —
-    typically faster and the shape Section 4.1's proof actually
-    manipulates.  Both agree with the full-chase baseline; tests verify
-    all three.
-    """
-    target = attrs(attributes)
-    scheme = state.scheme
-    if recognition is None:
-        recognition = recognize_independence_reducible(scheme)
-    if not recognition.accepted:
-        raise NotApplicableError(
-            "Theorem 4.1 applies to independence-reducible schemes only: "
-            f"{recognition.rejection_reason}"
-        )
-    if method == "expression":
-        plan = total_projection_plan(scheme, target, recognition)
-        relation = plan.expression.evaluate(state)
-        columns = relation.columns
-        positions = [columns.index(a) for a in sorted_attrs(target)]
-        return {
-            tuple(row[i] for i in positions) for row in relation.row_vectors
-        }
-    if method != "blocks":
-        raise ValueError(f"unknown method: {method!r}")
-
-    induced = recognition.induced
-    blocks = {
-        member.name: block
-        for member, block in zip(induced, recognition.partition)
-    }
-    # Materialize each block's representative instance once.
-    block_instances = {}
-    for name, block in blocks.items():
-        instance = key_equivalent_chase(
-            _block_substate(state, block), check_scheme=False
-        )
-        if instance is None:
-            raise InconsistentStateError(
-                f"block {name} of the state is inconsistent"
-            )
-        block_instances[name] = instance
-
-    subsets = extension_join_subsets_covering(induced, target)
-    ordered_target = sorted_attrs(target)
-    result: set[tuple[Hashable, ...]] = set()
-    for subset in subsets:
-        # One relation of Yj-total value vectors per member, projected
-        # out of the block's representative instance (deduplication is
-        # free: the rows land in a set).
-        operands: list[Relation] = []
-        annihilated = False
-        identity = True
-        for member in subset:
-            others = union_all(
-                other.attributes for other in subset if other is not member
-            )
-            y = member.attributes & (others | target)
-            ordered_y = tuple(sorted_attrs(y))
-            vectors = {
-                tuple(row[a] for a in ordered_y)
-                for row in block_instances[member.name].classes
-                if all(a in row for a in ordered_y)
-            }
-            if not vectors:
-                annihilated = True
-                break
-            if not ordered_y:
-                # Nullary contribution: one empty tuple — the join
-                # identity; an empty classes list annihilated above.
-                continue
-            identity = False
-            operands.append(Relation.from_vectors(y, ordered_y, vectors))
-        if annihilated:
-            continue
-        if identity:
-            # Every member contributed the nullary identity: the branch
-            # yields exactly the empty target tuple (target ⊆ ∪Yj = ∅).
-            result.add(())
-            continue
-        # The optimizer pipeline does the rest: semi-join reduction,
-        # greedy ordering, and pushdown of everything but the target and
-        # join attributes.
-        joined = evaluate_natural_join(operands, needed=target)
-        columns = joined.columns
-        positions = [columns.index(a) for a in ordered_target]
-        result.update(
-            tuple(row[i] for i in positions) for row in joined.row_vectors
-        )
-    return result

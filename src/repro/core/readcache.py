@@ -47,8 +47,7 @@ class BlockVersions:
     """Monotonic per-block version counters over immutable states.
 
     Versions are assigned lazily per ``(block index, identities of the
-    block's relations)`` — the same identity-keyed memo discipline as
-    the engine's block-chase cache.  Entries keep strong references to
+    block's relations)``.  Entries keep strong references to
     the relation objects (so an ``id`` cannot be recycled while its
     entry lives) and every lookup re-verifies identity before trusting
     the key.  Eviction is harmless: a re-seen block merely earns a new,

@@ -12,10 +12,9 @@ testing independence of the scheme induced by that partition
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.independence import is_independent, uniqueness_violations
-from repro.core.key_equivalent import is_key_equivalent
 from repro.fd.fdset import FDSet
 from repro.foundations.attrs import fmt_attrs, sorted_attrs, union_all
 from repro.schema.database_scheme import DatabaseScheme
@@ -155,41 +154,3 @@ def is_independence_reducible(scheme: DatabaseScheme) -> bool:
     return recognize_independence_reducible(scheme).accepted
 
 
-def _set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
-    """All partitions of a sequence (Bell-number many; tiny inputs
-    only)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for smaller in _set_partitions(rest):
-        for index in range(len(smaller)):
-            yield (
-                smaller[:index]
-                + [[first] + smaller[index]]
-                + smaller[index + 1 :]
-            )
-        yield [[first]] + smaller
-
-
-def find_reducible_partition_bruteforce(
-    scheme: DatabaseScheme, max_relations: int = 9
-) -> Optional[list[DatabaseScheme]]:
-    """Definitional search: try every partition of the relation schemes
-    and return the first independence-reducible one, or None.
-
-    Bell-number blowup — guarded by ``max_relations``.  Used by tests to
-    cross-validate that Algorithm 6 accepts exactly the definitional
-    class (Corollary 5.1 + Theorem 5.1).
-    """
-    if len(scheme.relations) > max_relations:
-        raise ValueError(
-            f"brute-force partition search capped at {max_relations} relations"
-        )
-    for grouping in _set_partitions(list(scheme.names)):
-        blocks = [scheme.subscheme(group) for group in grouping]
-        if not all(is_key_equivalent(block) for block in blocks):
-            continue
-        if is_independent(induced_scheme(blocks)):
-            return blocks
-    return None

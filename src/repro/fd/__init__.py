@@ -8,7 +8,7 @@ from repro.fd.armstrong import (
     explain_key,
     verify_derivation,
 )
-from repro.fd.closure import ClosureIndex, closure, closure_linear, closure_naive
+from repro.fd.closure import ClosureIndex, closure, closure_linear
 from repro.fd.cover import is_cover, minimal_cover, remove_extraneous_lhs
 from repro.fd.fd import FD, fd, parse_fd, parse_fds
 from repro.fd.fdset import FDSet, FDsLike
@@ -37,7 +37,6 @@ __all__ = [
     "ClosureIndex",
     "closure",
     "closure_linear",
-    "closure_naive",
     "candidate_keys",
     "database_scheme_is_bcnf",
     "fd",

@@ -1,12 +1,10 @@
 """Attribute closure.
 
 ``X⁺`` with respect to a set of fds ``F`` is the set of attributes ``A``
-with ``X → A ∈ F⁺`` (paper, Section 2.3).  Two algorithms are provided:
-
-* :func:`closure_naive` — the textbook fixpoint loop, O(|F|² · width);
-  kept as an oracle for property-based tests.
-* :func:`closure_linear` — Beeri–Bernstein counting algorithm, linear in
-  the total size of ``F``; the default used throughout the library.
+with ``X → A ∈ F⁺`` (paper, Section 2.3).  :func:`closure_linear` is the
+Beeri–Bernstein counting algorithm, linear in the total size of ``F``;
+the textbook fixpoint loop it is property-tested against is
+:func:`repro.oracle.closure_naive`.
 
 :class:`ClosureIndex` preassembles the counting structures so that many
 closures over the same fd set (the common pattern in key enumeration,
@@ -20,20 +18,6 @@ from typing import Iterable, Sequence
 
 from repro.fd.fd import FD
 from repro.foundations.attrs import AttrsLike, attrs
-
-
-def closure_naive(start: AttrsLike, fds: Iterable[FD]) -> frozenset[str]:
-    """Fixpoint attribute closure; quadratic but obviously correct."""
-    result = set(attrs(start))
-    fd_list = list(fds)
-    changed = True
-    while changed:
-        changed = False
-        for dependency in fd_list:
-            if dependency.lhs <= result and not dependency.rhs <= result:
-                result.update(dependency.rhs)
-                changed = True
-    return frozenset(result)
 
 
 class ClosureIndex:

@@ -50,14 +50,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import ServiceError, StoreError, WALError
-from repro.io import (
-    dump_json_atomic,
-    dump_scheme,
-    load_json,
-    scheme_from_dict,
-    scheme_to_dict,
-)
+from repro.io import dump_json_atomic, dump_scheme, load_json
 from repro.obs.spans import Tracer, span, tracing
+from repro.schema.database_scheme import DatabaseScheme
 from repro.service.store import (
     SCHEME_FILE,
     SNAPSHOT_FILE,
@@ -127,9 +122,9 @@ class FollowerStore:
 
     # -- replication ----------------------------------------------------------
     def bootstrap(
-        self, scheme_dict: Mapping[str, Any], snapshot: Mapping[str, Any]
+        self, scheme: DatabaseScheme, snapshot: Mapping[str, Any]
     ) -> None:
-        """(Re)initialise from the primary's snapshot.
+        """(Re)initialise from the primary's ``scheme`` and snapshot.
 
         Also the shipper's recovery path when compaction on the primary
         deleted a segment this follower still needed: any previously
@@ -142,7 +137,6 @@ class FollowerStore:
             snapshot.get("state"), dict
         ):
             raise ServiceError("malformed bootstrap snapshot")
-        scheme = scheme_from_dict(scheme_dict)
         engine = WeakInstanceEngine(scheme)
         state = engine.load(snapshot["state"])
         # Persist the store files first: a promote after a crash of the
@@ -475,7 +469,7 @@ class WalShipper:
 
     def _bootstrap(self, follower: FollowerStore) -> dict[str, int]:
         snapshot = load_json(self.store.directory / SNAPSHOT_FILE)
-        follower.bootstrap(scheme_to_dict(self.store.scheme), snapshot)
+        follower.bootstrap(self.store.scheme, snapshot)
         self.bootstraps += 1
         seq = int(snapshot["seq"])
         return {"segment": self._segment_holding(seq + 1), "offset": 0}

@@ -276,32 +276,27 @@ class Session:
     """A named handle on a :class:`ShardRouter`.
 
     Thread-safe to share, cheap to create; all methods delegate to the
-    router and bump both the router's and the session's counters.
+    router, whose counters count them.
     """
 
     def __init__(self, router: "ShardRouter", name: str) -> None:
         self.router = router
         self.name = name
-        self.metrics = MetricsRegistry()
 
     def insert(
         self, relation_name: str, values: Mapping[str, Hashable]
     ) -> RouterInsertOutcome:
-        self.metrics.increment("ops.insert")
         return self.router.insert(relation_name, values)
 
     def delete(
         self, relation_name: str, values: Mapping[str, Hashable]
     ) -> None:
-        self.metrics.increment("ops.delete")
         self.router.delete(relation_name, values)
 
     def apply_batch(self, updates: Sequence[Update]) -> RouterBatchOutcome:
-        self.metrics.increment("ops.batch")
         return self.router.apply_batch(updates)
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
-        self.metrics.increment("ops.query")
         return self.router.query(attributes)
 
     def state(self) -> DatabaseState:
@@ -728,7 +723,12 @@ class ShardRouter:
         copy enters the mirror under the generation read before its
         fetch, and only if that generation is even and has not moved,
         so a gather racing a write never installs a stale copy; the
-        gather counters count only installing gathers."""
+        gather counters count only installing gathers.  A closed router
+        raises ``ServiceError`` before it probes the mirror, so a
+        gather it could answer without an RPC fails like every other
+        op."""
+        if self._closed:
+            raise ServiceError("router is closed")
         names = list(names)
         reused: dict[str, Relation] = {}
         with self._mirror_lock:

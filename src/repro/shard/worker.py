@@ -128,14 +128,7 @@ class ShardWorker:
     ) -> dict[str, Any]:
         store = self.store
         if op == "ping":
-            payload: dict[str, Any] = {
-                "ok": True,
-                "shard": self.shard,
-                "relations": list(store.scheme.names),
-            }
-            if isinstance(store, DurableStore):
-                payload["recovery"] = store.recovery.to_dict()
-            return payload
+            return {"ok": True}
         if op == "insert":
             outcome = store.insert(request["relation"], request["values"])
             return {"ok": True, "outcome": outcome.to_dict()}

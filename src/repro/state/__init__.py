@@ -4,7 +4,6 @@
 from repro.state.consistency import (
     MaintenanceOutcome,
     chase_state,
-    chase_state_naive,
     is_consistent,
     is_locally_consistent,
     maintain_by_chase,
@@ -21,7 +20,6 @@ __all__ = [
     "Relation",
     "TupleLike",
     "chase_state",
-    "chase_state_naive",
     "is_consistent",
     "is_locally_consistent",
     "maintain_by_chase",

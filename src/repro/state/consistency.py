@@ -20,7 +20,7 @@ from repro.fd.projection import project_fds
 from repro.foundations.attrs import AttrsLike, attrs
 from repro.foundations.errors import InconsistentStateError
 from repro.state.database_state import DatabaseState
-from repro.tableau.chase import ChaseResult, chase_naive, chase_relations
+from repro.tableau.chase import ChaseResult, chase_relations
 from repro.tableau.tableau import Tableau
 
 
@@ -65,16 +65,6 @@ def chase_state(state: DatabaseState, fds: Optional[FDsLike] = None) -> ChaseRes
         ),
         _constraints(state, fds),
     )
-
-
-def chase_state_naive(
-    state: DatabaseState, fds: Optional[FDsLike] = None
-) -> ChaseResult:
-    """``CHASE_F(T_r)`` via the original full-sweep pipeline: build the
-    state tableau, then chase it with the naive engine.  The
-    differential-test oracle and benchmark baseline for
-    :func:`chase_state`."""
-    return chase_naive(state.tableau(), _constraints(state, fds))
 
 
 def is_consistent(state: DatabaseState, fds: Optional[FDsLike] = None) -> bool:

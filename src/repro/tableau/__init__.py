@@ -1,6 +1,6 @@
 """Tableaux and the chase (paper, Sections 2.2, 2.3, 2.5)."""
 
-from repro.tableau.chase import ChaseResult, chase, chase_naive, satisfies
+from repro.tableau.chase import ChaseResult, chase, satisfies
 from repro.tableau.provenance import Application, ProvenanceChase
 from repro.tableau.minimize import (
     equivalent,
@@ -41,7 +41,6 @@ __all__ = [
     "Tableau",
     "bmsu_chased_rows",
     "chase",
-    "chase_naive",
     "chased_scheme_tableau",
     "constant",
     "constant_value",

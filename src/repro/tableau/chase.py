@@ -6,25 +6,23 @@ the preferred one; equating two distinct constants is an inconsistency
 and yields the empty tableau (paper, Section 2.3).  ``CHASE_F(T)``
 applies the rules exhaustively.
 
-Two engines live here:
-
-* the worklist engine (:func:`chase`, :func:`chase_relations`) — symbols
-  are interned to integers whose ordering encodes the renaming
-  precedence (constants < distinguished < nondistinguished, within-kind
-  ordered like :func:`repro.tableau.symbols.preferred`), rows become int
-  vectors kept *eagerly resolved* (every cell always holds its class
-  representative), each fd-rule keeps a persistent group map from LHS
-  signatures to the group's RHS anchor, and a symbol-occurrence index
-  maps every representative to the rows that mention it.  After one full
-  initial pass, only rows whose symbols were actually merged re-enter
-  the worklist — the semi-naive / dirty-row discipline — so saturated
-  regions of the tableau are never re-swept, and every hot dict
-  operation hashes a small int instead of a symbol tuple.
-  :func:`chase_relations` additionally builds its vectors straight from
-  stored value tuples, skipping per-row dict/Row/Tableau construction on
-  the ``CHASE_F(T_r)`` hot path.
-* :func:`chase_naive` — the original full-sweep engine, kept verbatim
-  as the differential-test oracle and the benchmark baseline.
+This module holds the worklist engine (:func:`chase`,
+:func:`chase_relations`, :class:`DeltaChase`): symbols are interned to
+integers whose ordering encodes the renaming precedence (constants <
+distinguished < nondistinguished, within-kind ordered like
+:func:`repro.tableau.symbols.preferred`), rows become int vectors kept
+*eagerly resolved* (every cell always holds its class representative),
+each fd-rule keeps a persistent group map from LHS signatures to the
+group's RHS anchor, and a symbol-occurrence index maps every
+representative to the rows that mention it. After one full initial pass,
+only rows whose symbols were actually merged re-enter the worklist — the
+semi-naive / dirty-row discipline — so saturated regions of the tableau
+are never re-swept, and every hot dict operation hashes a small int
+instead of a symbol tuple. :func:`chase_relations` additionally builds
+its vectors straight from stored value tuples, skipping per-row
+dict/Row/Tableau construction on the ``CHASE_F(T_r)`` hot path. The
+original full-sweep engine, :func:`repro.oracle.chase_naive`, is the
+differential-test oracle and the benchmark baseline.
 
 The number of effective symbol merges (``steps``) is the "number of
 fd-rule applications" the paper's boundedness arguments count (Section
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, Sequence, Tuple
 
 from repro.fd.fdset import FDSet, FDsLike
 from repro.foundations.attrs import AttrsLike, attrs, sorted_attrs
@@ -47,49 +45,8 @@ from repro.tableau.symbols import (
     KIND_DV,
     KIND_NDV,
     Symbol,
-    is_constant,
-    preferred,
 )
 from repro.tableau.tableau import Row, Tableau
-
-
-class _SymbolUnionFind:
-    """Union-find over symbols with precedence-respecting representatives.
-
-    Used by the naive engine; the worklist engine keeps its union-find
-    over interned integers inside :func:`_chase_core`.
-    """
-
-    def __init__(self) -> None:
-        self._parent: dict[Symbol, Symbol] = {}
-
-    def find(self, symbol: Symbol) -> Symbol:
-        parent = self._parent
-        root = symbol
-        while root in parent:
-            root = parent[root]
-        # Path compression.
-        while symbol in parent:
-            parent[symbol], symbol = root, parent[symbol]
-        return root
-
-    def union(self, left: Symbol, right: Symbol) -> Optional[Symbol]:
-        """Equate two symbols.  Returns the losing root when a merge
-        happened, ``None`` when the symbols were already equal.
-
-        Raises :class:`_Contradiction` when both roots are distinct
-        constants.
-        """
-        left_root = self.find(left)
-        right_root = self.find(right)
-        if left_root == right_root:
-            return None
-        if is_constant(left_root) and is_constant(right_root):
-            raise _Contradiction(left_root, right_root)
-        winner = preferred(left_root, right_root)
-        loser = right_root if winner == left_root else left_root
-        self._parent[loser] = winner
-        return loser
 
 
 class _Contradiction(Exception):
@@ -485,7 +442,8 @@ class DeltaChase:
     consistent history (both equal the number of symbol classes merged
     away, which Church-Rosser makes order-invariant), so maintenance
     diagnostics built on a delta basis match the full re-chase exactly;
-    the differential suite asserts this against :func:`chase_naive`.
+    the differential suite asserts this against
+    :func:`repro.oracle.chase_naive`.
 
     Not thread-safe: callers serialize extensions (block-parallel
     batches use one basis per block, which are share-nothing).
@@ -777,55 +735,6 @@ class DeltaChase:
             steps=self._steps,
             passes=self._passes,
         )
-
-
-def chase_naive(tableau: Tableau, fds: FDsLike) -> ChaseResult:
-    """The original full-sweep ``CHASE_F(tableau)``.
-
-    Rules are applied in passes over the whole tableau until no symbol
-    merge occurs.  Kept as the differential-test oracle for
-    :func:`chase` and as the benchmarks' naive baseline.
-    """
-    fd_list = _split_rules(fds)
-    uf = _SymbolUnionFind()
-    rows = tableau.rows
-    steps = 0
-    passes = 0
-    try:
-        changed = True
-        while changed:
-            changed = False
-            passes += 1
-            for lhs, rhs_attr in fd_list:
-                groups: dict[tuple[Symbol, ...], Symbol] = {}
-                for row in rows:
-                    signature = tuple(uf.find(row[a]) for a in lhs)
-                    rhs_symbol = uf.find(row[rhs_attr])
-                    anchor = groups.get(signature)
-                    if anchor is None:
-                        groups[signature] = rhs_symbol
-                    elif uf.union(anchor, rhs_symbol) is not None:
-                        steps += 1
-                        changed = True
-                        # Keep the group's anchor current so later rows in
-                        # this pass merge against the surviving symbol.
-                        groups[signature] = uf.find(anchor)
-    except _Contradiction:
-        return ChaseResult(
-            Tableau(tableau.universe),
-            consistent=False,
-            steps=steps,
-            passes=passes,
-        )
-
-    resolved = Tableau(
-        tableau.universe,
-        (
-            Row({a: uf.find(row[a]) for a in tableau.universe}, tag=row.tag)
-            for row in rows
-        ),
-    )
-    return ChaseResult(resolved, consistent=True, steps=steps, passes=passes)
 
 
 def satisfies(tableau: Tableau, fds: FDsLike) -> bool:

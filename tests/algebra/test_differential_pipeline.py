@@ -19,13 +19,12 @@ from repro.algebra.expressions import (
     Project,
     evaluate_natural_join,
     join_relations,
-    join_relations_naive,
     project_relation,
     ref,
     select_relation,
 )
-from repro.core.query import total_projection_reducible
 from repro.foundations.errors import StateError
+from repro.oracle import join_relations_naive, total_projection_reducible
 from repro.state.consistency import total_projection
 from repro.state.relation import Relation
 from repro.workloads.random_schemes import random_reducible_scheme

@@ -11,9 +11,7 @@ from repro.workloads.paper import (
     example1_university,
     example2_not_algebraic,
     example4_split_scheme,
-    example12_reducible,
 )
-from repro.workloads.states import dense_consistent_state
 
 
 class TestToDict:
@@ -39,20 +37,7 @@ class TestToDict:
 
 
 class TestEngineStreaming:
-    def test_streaming_views(self):
-        scheme = example12_reducible()
-        engine = WeakInstanceEngine(scheme)
-        state = dense_consistent_state(scheme, 4)
-        views = engine.streaming(state)
-        assert views.query("AD") == state_projection(state, "AD")
-
     def test_plan_raises_outside_class(self):
         engine = WeakInstanceEngine(example2_not_algebraic())
         with pytest.raises(NotApplicableError):
             engine.plan("AC")
-
-
-def state_projection(state, target):
-    from repro.state.consistency import total_projection
-
-    return total_projection(state, target)

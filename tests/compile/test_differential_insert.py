@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.ctm import InsertMaintainer
 from repro.core.engine import BatchOutcome, WeakInstanceEngine
-from repro.core.maintenance import ExpressionRILookup, algebraic_insert
+from repro.core.maintenance import algebraic_insert
+from repro.oracle import ExpressionRILookup
 from repro.state.consistency import maintain_by_chase
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from repro.workloads.paper import (

@@ -11,8 +11,8 @@ from repro.compile import (
     plan_fingerprint,
 )
 from repro.core.engine import WeakInstanceEngine
-from repro.core.query import total_projection_reducible
 from repro.foundations.attrs import attrs
+from repro.oracle import total_projection_reducible
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from repro.workloads.paper import example4_split_scheme, example5_state
 

@@ -16,11 +16,11 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from repro.core.query import total_projection_reducible
 from repro.core.reducible import recognize_independence_reducible
 from repro.fd.fd import FD
 from repro.fd.fdset import FDSet
 from repro.foundations.attrs import attrs
+from repro.oracle import total_projection_reducible
 from repro.state.consistency import chase_state
 from repro.workloads.random_schemes import (
     random_berge_acyclic_scheme,

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.maintenance import (
-    ChaseRILookup,
-    ExpressionRILookup,
-    GreatestExpressionRILookup,
     StateIndex,
     algebraic_insert,
     ctm_insert,
     extend_tuple,
 )
 from repro.foundations.errors import NotApplicableError
+from repro.oracle import (
+    ChaseRILookup,
+    ExpressionRILookup,
+    GreatestExpressionRILookup,
+)
 from repro.state.consistency import maintain_by_chase
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from tests.conftest import seeded_rng
@@ -101,10 +103,12 @@ class TestAlgorithm2:
         from repro.core.maintenance import InsertTraceStep
 
         trace: list[InsertTraceStep] = []
+        state = example6_state()
         outcome = algebraic_insert(
-            example6_state(),
+            state,
             "R1",
             {"A": "a", "B": "b", "E": "e'"},
+            lookup=ChaseRILookup(state),
             trace=trace,
         )
         assert not outcome.consistent
@@ -122,13 +126,21 @@ class TestAlgorithm2:
         """Example 6: inserting <a, b, e'> into r1 joins down to the
         empty tuple at the CD step — output no."""
         state = example6_state()
-        outcome = algebraic_insert(state, "R1", {"A": "a", "B": "b", "E": "e'"})
+        outcome = algebraic_insert(
+            state,
+            "R1",
+            {"A": "a", "B": "b", "E": "e'"},
+            lookup=ChaseRILookup(state),
+        )
         assert not outcome.consistent
 
     def test_example6_accepts_fresh_insert(self):
         state = example6_state()
         outcome = algebraic_insert(
-            state, "R1", {"A": "a9", "B": "b9", "E": "e9"}
+            state,
+            "R1",
+            {"A": "a9", "B": "b9", "E": "e9"},
+            lookup=ChaseRILookup(state),
         )
         assert outcome.consistent
         # The witness tuple q is the insert itself — no stored tuple
@@ -141,7 +153,10 @@ class TestAlgorithm2:
         <a, b, e> where r2/r5 know a and b extends q with c and d)."""
         state = example6_state()
         outcome = algebraic_insert(
-            state, "R1", {"A": "a", "B": "b", "E": "e"}
+            state,
+            "R1",
+            {"A": "a", "B": "b", "E": "e"},
+            lookup=ChaseRILookup(state),
         )
         assert outcome.consistent
         assert outcome.witness == {

@@ -4,9 +4,10 @@ Example 12 walk-through, against the full-chase baseline."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.query import total_projection_plan, total_projection_reducible
+from repro.core.query import total_projection_plan
 from repro.core.reducible import recognize_independence_reducible
 from repro.foundations.errors import NotApplicableError
+from repro.oracle import total_projection_reducible
 from repro.state.consistency import representative_instance
 from tests.conftest import reducible_schemes, seeded_rng
 from repro.workloads.paper import (

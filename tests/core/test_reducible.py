@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from repro.core.independence import is_independent
 from repro.core.key_equivalent import is_key_equivalent
 from repro.core.reducible import (
-    find_reducible_partition_bruteforce,
     induced_scheme,
     is_independence_reducible,
     key_equivalent_partition,
@@ -15,6 +14,7 @@ from repro.core.reducible import (
 )
 from repro.fd.normal_forms import database_scheme_is_bcnf
 from repro.hypergraph.acyclicity import is_gamma_acyclic
+from repro.oracle import find_reducible_partition_bruteforce
 from repro.schema.operations import augment, reduce_scheme, subset_family
 from tests.conftest import (
     arbitrary_schemes,

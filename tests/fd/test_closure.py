@@ -3,9 +3,10 @@ the naive and linear algorithms (property-based)."""
 
 from hypothesis import given
 
-from repro.fd.closure import ClosureIndex, closure_linear, closure_naive
+from repro.fd.closure import ClosureIndex, closure_linear
 from repro.fd.fd import FD
 from repro.fd.fdset import FDSet
+from repro.oracle import closure_naive
 from tests.conftest import attribute_sets, fd_sets
 
 

@@ -111,22 +111,19 @@ class TestNonStringDomains:
         # Inconsistent: same key B=None, different C.
         assert not ctm_insert(state, "R2", {"B": None, "C": "x"}).consistent
 
-    def test_none_constants_through_materialized_instance(self):
-        from repro.core.materialized import MaterializedRepInstance
-
+    def test_none_constants_through_engine(self):
         scheme = DatabaseScheme.from_spec(
             {"R1": ("AB", ["A", "B"]), "R2": ("BC", ["B", "C"])}
         )
-        state = DatabaseState(
-            scheme,
+        engine = WeakInstanceEngine(scheme)
+        state = engine.load(
             {
                 "R1": [{"A": None, "B": "b"}],
                 "R2": [{"B": "b", "C": None}],
-            },
+            }
         )
-        materialized = MaterializedRepInstance(state)
-        assert materialized.total_projection("AC") == {(None, None)}
-        assert materialized.insert("R1", {"A": "a2", "B": "b"}) is None
+        assert engine.query(state, "AC") == {(None, None)}
+        assert not engine.insert(state, "R1", {"A": "a2", "B": "b"}).consistent
 
 
 class TestEmptyAndDuplicate:

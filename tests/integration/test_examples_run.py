@@ -35,5 +35,4 @@ def test_expected_examples_present():
         "query_answering",
         "paper_tour",
         "synthesis_pipeline",
-        "streaming_inserts",
     } <= names

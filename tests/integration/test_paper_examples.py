@@ -10,12 +10,8 @@ from repro.core.key_equivalent import (
     key_equivalent_representative_instance,
     total_projection_expression,
 )
-from repro.core.maintenance import (
-    ExpressionRILookup,
-    algebraic_insert,
-    ctm_insert,
-)
-from repro.core.query import total_projection_plan, total_projection_reducible
+from repro.core.maintenance import algebraic_insert, ctm_insert
+from repro.core.query import total_projection_plan
 from repro.core.reducible import (
     key_equivalent_partition,
     recognize_independence_reducible,
@@ -23,6 +19,11 @@ from repro.core.reducible import (
 from repro.core.split import is_split_free, split_keys
 from repro.core.independence import is_independent
 from repro.hypergraph.acyclicity import is_alpha_acyclic, is_gamma_acyclic
+from repro.oracle import (
+    ChaseRILookup,
+    ExpressionRILookup,
+    total_projection_reducible,
+)
 from repro.state.consistency import is_consistent, maintain_by_chase
 from repro.state.database_state import DatabaseState, tuples_from_rows
 from repro.workloads import paper
@@ -118,7 +119,10 @@ class TestExample6:
     def test_rejection(self):
         state = paper.example6_state()
         outcome = algebraic_insert(
-            state, "R1", {"A": "a", "B": "b", "E": "e'"}
+            state,
+            "R1",
+            {"A": "a", "B": "b", "E": "e'"},
+            lookup=ChaseRILookup(state),
         )
         assert not outcome.consistent
         assert not maintain_by_chase(

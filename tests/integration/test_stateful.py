@@ -1,7 +1,6 @@
 """Stateful (rule-based) testing: a random interleaving of inserts and
-deletes driven through the WeakInstanceEngine and the materialized
-representative instance, continuously checked against the full-chase
-oracle.
+deletes driven through the WeakInstanceEngine, continuously checked
+against the full-chase oracle.
 
 This is the library's strongest end-to-end test: whatever sequence of
 operations hypothesis invents, the incremental machinery must agree
@@ -20,8 +19,6 @@ from hypothesis.stateful import (
 import hypothesis.strategies as st
 
 from repro.core.engine import WeakInstanceEngine
-from repro.core.key_equivalent import key_equivalent_chase
-from repro.core.materialized import MaterializedRepInstance
 from repro.state.consistency import is_consistent
 from repro.state.database_state import DatabaseState
 from repro.workloads.paper import example10_scheme
@@ -31,9 +28,8 @@ from repro.workloads.states import universe_tuple
 class MaintenanceMachine(RuleBasedStateMachine):
     """Drive Example 10's split-free key-equivalent triangle.
 
-    The machine tracks three views of the same data: the engine's
-    immutable state (ground truth storage), the incrementally
-    maintained representative instance, and — per invariant — the
+    The machine tracks two views of the same data: the engine's
+    immutable state (ground truth storage) and — per invariant — the
     full-chase recomputation.
     """
 
@@ -42,7 +38,6 @@ class MaintenanceMachine(RuleBasedStateMachine):
         self.scheme = example10_scheme()
         self.engine = WeakInstanceEngine(self.scheme)
         self.state = self.engine.empty_state()
-        self.materialized = MaterializedRepInstance(self.state)
 
     def _tuple_for(self, relation_name: str, entity: int, twist: bool):
         full = universe_tuple(self.scheme, entity)
@@ -69,11 +64,6 @@ class MaintenanceMachine(RuleBasedStateMachine):
             f"engine disagrees with chase on inserting {values} into "
             f"{relation}"
         )
-        merged = self.materialized.insert(relation, values)
-        assert (merged is not None) == expected, (
-            "materialized instance disagrees with chase on inserting "
-            f"{values} into {relation}"
-        )
         if expected:
             self.state = outcome.state
 
@@ -86,24 +76,10 @@ class MaintenanceMachine(RuleBasedStateMachine):
         if values not in self.state[relation]:
             return
         self.state = self.engine.delete(self.state, relation, values)
-        # Deletions shrink the stored state but the materialized
-        # instance is insert-only; rebuild it to stay aligned.
-        self.materialized = MaterializedRepInstance(self.state)
 
     @invariant()
     def state_is_consistent(self):
         assert is_consistent(self.state)
-
-    @invariant()
-    def materialized_matches_rebuild(self):
-        rebuilt = key_equivalent_chase(self.state)
-        assert rebuilt is not None
-        assert sorted(
-            tuple(sorted(row.items()))
-            for row in self.materialized.classes()
-        ) == sorted(
-            tuple(sorted(row.items())) for row in rebuilt.classes
-        )
 
     @invariant()
     def engine_queries_match_chase(self):

@@ -10,20 +10,18 @@ from repro.core.key_equivalent import (
     key_equivalent_chase,
     total_projection_key_equivalent,
 )
-from repro.core.maintenance import (
-    ChaseRILookup,
-    ExpressionRILookup,
-    StateIndex,
-    algebraic_insert,
-    ctm_insert,
-)
+from repro.core.maintenance import StateIndex, algebraic_insert, ctm_insert
 from repro.core.reducible import (
-    find_reducible_partition_bruteforce,
     is_independence_reducible,
     recognize_independence_reducible,
 )
 from repro.core.split import is_split_free
 from repro.fd.normal_forms import database_scheme_is_bcnf
+from repro.oracle import (
+    ChaseRILookup,
+    ExpressionRILookup,
+    find_reducible_partition_bruteforce,
+)
 from repro.state.consistency import (
     chase_state,
     is_consistent,

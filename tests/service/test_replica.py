@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import ServiceError, StoreError, WALError
-from repro.io import scheme_to_dict, state_to_dict
+from repro.io import state_to_dict
 from repro.service.replica import FollowerStore, WalShipper
 from repro.service.store import DurableStore
 from repro.service.wal import scan_wal, segment_paths
@@ -241,7 +241,7 @@ class TestCrashes:
             with make_primary(tmp_path, scheme) as primary:
                 primary.insert("R4", r4_tuple(0))
                 follower.bootstrap(
-                    scheme_to_dict(scheme),
+                    scheme,
                     {"seq": 0, "state": {}},
                 )
                 with pytest.raises(WALError, match="damaged"):
@@ -259,7 +259,7 @@ class TestCrashes:
             ]
             with FollowerStore(tmp_path / "follower") as follower:
                 follower.bootstrap(
-                    scheme_to_dict(scheme), {"seq": 0, "state": {}}
+                    scheme, {"seq": 0, "state": {}}
                 )
                 follower.replay(1, lines[:1])
                 with pytest.raises(WALError, match="diverged"):
@@ -283,7 +283,7 @@ class TestCrashes:
             engine.close()
             with FollowerStore(tmp_path / "follower") as follower:
                 follower.bootstrap(
-                    scheme_to_dict(scheme),
+                    scheme,
                     {"seq": 0, "state": state_to_dict(forked)},
                 )
                 with pytest.raises(StoreError, match="diverged"):
@@ -347,7 +347,7 @@ class TestPromote:
                 follower.promote()
                 with pytest.raises(ServiceError, match="promoted"):
                     follower.bootstrap(
-                        scheme_to_dict(scheme), {"seq": 0, "state": {}}
+                        scheme, {"seq": 0, "state": {}}
                     )
 
 

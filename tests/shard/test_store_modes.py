@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.foundations.errors import ServiceError
 from repro.shard.frontend import dispatch
 from repro.shard.router import ShardRouter
 from repro.workloads.paper import example1_university
@@ -116,3 +117,17 @@ def test_closed_router_refuses_every_op(shards, request_):
         "ok": False,
         "error": {"type": "ServiceError", "message": "router is closed"},
     }
+
+
+def test_closed_router_refuses_reads_its_mirror_could_answer():
+    """Gathered reads whose every relation is mirrored need no RPC, so
+    they must check for a closed router themselves."""
+    router = ShardRouter.in_memory(example1_university(), 2)
+    router.insert("R4", {"C": "c", "S": "s", "G": "A"})
+    assert router.query("CS") == {("c", "s")}
+    router.query("CGHRST")  # mirrors every relation
+    router.close()
+    with pytest.raises(ServiceError, match="router is closed"):
+        router.query("CS")
+    with pytest.raises(ServiceError, match="router is closed"):
+        router.state

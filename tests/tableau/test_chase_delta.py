@@ -11,9 +11,9 @@ extensions as if the rejected rows were never offered.
 
 import random
 
-from repro.state.consistency import chase_state_naive
+from repro.oracle import chase_naive, chase_state_naive
 from repro.state.database_state import DatabaseState
-from repro.tableau.chase import DeltaChase, chase_naive, chase_relations
+from repro.tableau.chase import DeltaChase, chase_relations
 from repro.workloads.adversarial import (
     example2_chain_state,
     example2_killer_insert,

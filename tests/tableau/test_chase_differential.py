@@ -11,9 +11,10 @@ order-invariant), and on every total projection.
 
 import random
 
-from repro.state.consistency import chase_state, chase_state_naive
+from repro.oracle import chase_naive, chase_state_naive
+from repro.state.consistency import chase_state
 from repro.state.database_state import DatabaseState
-from repro.tableau.chase import chase, chase_naive
+from repro.tableau.chase import chase
 from repro.workloads.adversarial import (
     example2_chain_state,
     example2_killer_insert,

@@ -137,7 +137,8 @@ class TestExample5Family:
     def test_algorithm2_selection_count_is_flat(self):
         """Against the same family, Algorithm 2's expression lookup uses
         a number of single-tuple selections independent of the chain."""
-        from repro.core.maintenance import ExpressionRILookup, algebraic_insert
+        from repro.core.maintenance import algebraic_insert
+        from repro.oracle import ExpressionRILookup
 
         counts = []
         for n in (2, 8, 32):
