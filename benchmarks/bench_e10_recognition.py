@@ -67,7 +67,7 @@ def test_bruteforce_latency(benchmark, n_relations):
     benchmark(lambda: find_reducible_partition_bruteforce(scheme))
 
 
-@pytest.mark.parametrize("tiles", [1, 2, 4])
+@pytest.mark.parametrize("tiles", [1, 2, 4, 16, 64])
 def test_recognition_latency_tiled_university(benchmark, record, tiles):
     """Deterministic scaling: each tile adds 5 relations / 3 blocks of
     the Example 1 shape; recognition must stay polynomial and keep

@@ -38,6 +38,21 @@ def pytest_runtest_call(item):
     _durations[item.nodeid] = time.perf_counter() - start
 
 
+def merge_test_timings(
+    report: dict, durations: dict[str, float], root: Path
+) -> dict:
+    """Merge per-test seconds into ``report["tests"]``, dropping the
+    timings of node ids whose file no longer exists under ``root`` (a
+    deleted benchmark's numbers would otherwise stay forever).  Every
+    other key of ``report`` is left as it is."""
+    tests = report.setdefault("tests", {})
+    for nodeid in [n for n in tests if not (root / n.split("::")[0]).exists()]:
+        del tests[nodeid]
+    for nodeid, seconds in durations.items():
+        tests[nodeid] = round(seconds, 6)
+    return report
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Merge the per-test timings into BENCH_perf.json, preserving the
     scenario records other writers put there."""
@@ -49,9 +64,7 @@ def pytest_sessionfinish(session, exitstatus):
             report = json.loads(BENCH_JSON_PATH.read_text())
         except (OSError, ValueError):
             report = {}
-    tests = report.setdefault("tests", {})
-    for nodeid, seconds in _durations.items():
-        tests[nodeid] = round(seconds, 6)
+    merge_test_timings(report, _durations, BENCH_JSON_PATH.parent)
     BENCH_JSON_PATH.write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )

@@ -8,7 +8,9 @@ condition*: for all ``Ri ≠ Rj``, the closure of ``Ri`` under ``F − Fj``
 contains no key dependency embedded in ``Rj``.
 
 The characterization is the production test; an exhaustive small-state
-falsifier is provided for cross-validation in the test suite.
+falsifier is provided for cross-validation in the test suite, and the
+per-pair definition it prunes is
+:func:`repro.oracle.uniqueness_violations_naive`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
+from repro.fd.fdset import FDSet
 from repro.foundations.attrs import fmt_attrs
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.relation_scheme import RelationScheme
@@ -30,14 +33,29 @@ def uniqueness_violations(
 
     Each violation is ``(Ri, Rj, K, A)``: the closure of ``Ri`` under
     ``F − Fj`` contains the key dependency ``K → A`` embedded in ``Rj``
-    (``K`` a declared key of ``Rj``, ``A ∈ Rj − K``).
+    (``K`` a declared key of ``Rj``, ``A ∈ Rj − K``), listed in member,
+    key and attribute order.
+
+    Closure is monotone in the fd set, so the closure of ``Ri`` under
+    ``F − Fj`` lies inside its closure under ``F``.  A pair whose ``Rj``
+    has no declared key inside ``Ri⁺`` (under ``F``) cannot violate the
+    condition and is skipped; ``F − Fj`` is built once per ``Rj``, and
+    only for ``Rj`` that some surviving pair needs.
     """
+    full_closures = [
+        scheme.fds.closure(member.attributes) for member in scheme.relations
+    ]
+    excluding: dict[str, FDSet] = {}
     violations: list[tuple[str, str, frozenset[str], str]] = []
-    for left in scheme.relations:
+    for left, reach in zip(scheme.relations, full_closures):
         for right in scheme.relations:
             if left.name == right.name:
                 continue
-            closure = scheme.fds_excluding(right).closure(left.attributes)
+            if not any(key <= reach for key in right.keys):
+                continue
+            if right.name not in excluding:
+                excluding[right.name] = scheme.fds_excluding(right)
+            closure = excluding[right.name].closure(left.attributes)
             for key in right.keys:
                 if not key <= closure:
                     continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.independence import is_independent, uniqueness_violations
+from repro.core.independence import uniqueness_violations
 from repro.fd.fdset import FDSet
 from repro.foundations.attrs import fmt_attrs, sorted_attrs, union_all
 from repro.schema.database_scheme import DatabaseScheme
@@ -127,14 +127,14 @@ def recognize_independence_reducible(
     partition = tuple(key_equivalent_partition(scheme))
     induced = induced_scheme(partition)
     covers = tuple(block.fds for block in partition)
-    if is_independent(induced):
+    violations = uniqueness_violations(induced)
+    if not violations:
         return RecognitionResult(
             accepted=True,
             partition=partition,
             induced=induced,
             embedded_cover=covers,
         )
-    violations = uniqueness_violations(induced)
     detail = "; ".join(
         f"({left})+ under F−F_{right} embeds key dependency "
         f"{fmt_attrs(key)}→{attribute} of {right}"

@@ -22,6 +22,7 @@ Two tests are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from repro.fd.fdset import FDSet
@@ -71,9 +72,7 @@ def is_key_split(scheme: DatabaseScheme, key: AttrsLike) -> bool:
     avoiding = _schemes_avoiding(scheme, key_set)
     if not avoiding:
         return False
-    fds = FDSet()
-    for member in avoiding:
-        fds = fds | member.key_dependencies
+    fds = FDSet(chain.from_iterable(m.key_dependencies for m in avoiding))
     return any(
         key_set <= fds.closure(member.attributes) for member in avoiding
     )

@@ -34,11 +34,11 @@ class FDSet:
             members = parse_fds(fds)
         else:
             members = fds
-        unique = sorted(set(members))
+        unique = set(members)
         for member in unique:
             if not isinstance(member, FD):
                 raise TypeError(f"FDSet members must be FD, got {member!r}")
-        self._fds: tuple[FD, ...] = tuple(unique)
+        self._fds: tuple[FD, ...] = tuple(sorted(unique, key=FD._sort_key))
         self._index = ClosureIndex(self._fds)
         self._hash: int | None = None
 
@@ -63,7 +63,7 @@ class FDSet:
         return self._hash
 
     def __or__(self, other: FDsLike) -> "FDSet":
-        return FDSet(tuple(self._fds) + tuple(FDSet(other)._fds))
+        return FDSet(self._fds + FDSet(other)._fds)
 
     def __sub__(self, other: FDsLike) -> "FDSet":
         removed = set(FDSet(other)._fds)

@@ -10,6 +10,7 @@ declaration (keys must be minimal and mutually incomparable).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from repro.fd.fd import FD
@@ -46,10 +47,12 @@ def key_dependencies(
     keys_by_scheme: Mapping[frozenset[str], Sequence[frozenset[str]]]
 ) -> FDSet:
     """Union of key dependencies over a whole database scheme."""
-    union = FDSet()
-    for scheme, keys in keys_by_scheme.items():
-        union = union | key_dependencies_of(scheme, keys)
-    return union
+    return FDSet(
+        chain.from_iterable(
+            key_dependencies_of(scheme, keys)
+            for scheme, keys in keys_by_scheme.items()
+        )
+    )
 
 
 def validate_declared_keys(

@@ -18,6 +18,9 @@ importer inside the package.
 * :func:`chase_naive` and :func:`chase_state_naive` — the full-sweep
   chase; check :func:`repro.tableau.chase.chase`,
   ``chase_relations`` and ``DeltaChase`` (``tests/tableau``).
+* :func:`uniqueness_violations_naive` — the per-pair uniqueness
+  condition; checks :func:`repro.core.independence.uniqueness_violations`
+  (``tests/core/test_independence.py``).
 * :func:`find_reducible_partition_bruteforce` — the definitional
   partition search; checks Algorithm 6 (``tests/core/test_reducible.py``,
   ``tests/integration/test_theorems.py``).
@@ -216,6 +219,33 @@ def chase_state_naive(
     differential-test oracle and benchmark baseline for
     :func:`repro.state.consistency.chase_state`."""
     return chase_naive(state.tableau(), _constraints(state, fds))
+
+
+# -- independence (uniqueness condition) --------------------------------------
+
+
+def uniqueness_violations_naive(
+    scheme: DatabaseScheme,
+) -> list[tuple[str, str, frozenset[str], str]]:
+    """The uniqueness condition by its definition: for every ordered
+    pair ``Ri ≠ Rj``, the closure of ``Ri`` under a freshly built
+    ``F − Fj``.  Same violations, in the same order, as
+    :func:`repro.core.independence.uniqueness_violations`."""
+    violations: list[tuple[str, str, frozenset[str], str]] = []
+    for left in scheme.relations:
+        for right in scheme.relations:
+            if left.name == right.name:
+                continue
+            closure = scheme.fds_excluding(right).closure(left.attributes)
+            for key in right.keys:
+                if not key <= closure:
+                    continue
+                for attribute in sorted(right.attributes - key):
+                    if attribute in closure:
+                        violations.append(
+                            (left.name, right.name, key, attribute)
+                        )
+    return violations
 
 
 # -- recognition (Algorithm 6) ------------------------------------------------

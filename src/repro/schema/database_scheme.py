@@ -9,6 +9,7 @@ quantifies over.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 from repro.fd.fdset import FDSet
@@ -46,10 +47,11 @@ class DatabaseScheme:
         object.__setattr__(
             self, "universe", union_all(member.attributes for member in members)
         )
-        fds = FDSet()
-        for member in members:
-            fds = fds | member.key_dependencies
-        object.__setattr__(self, "_fds", fds)
+        object.__setattr__(
+            self,
+            "_fds",
+            FDSet(chain.from_iterable(m.key_dependencies for m in members)),
+        )
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("DatabaseScheme is immutable")
@@ -119,11 +121,13 @@ class DatabaseScheme:
         """``F − F_j``: the key dependencies of all *other* members, as
         used by the uniqueness-condition independence test (Section 2.7)."""
         excluded = self._resolve(name_or_scheme)
-        fds = FDSet()
-        for member in self.relations:
-            if member.name != excluded.name:
-                fds = fds | member.key_dependencies
-        return fds
+        return FDSet(
+            chain.from_iterable(
+                member.key_dependencies
+                for member in self.relations
+                if member.name != excluded.name
+            )
+        )
 
     def _resolve(self, name_or_scheme: Union[str, RelationScheme]) -> RelationScheme:
         if isinstance(name_or_scheme, RelationScheme):

@@ -8,6 +8,7 @@ of covers of the projections ``F⁺|Ri`` is itself a cover of ``F``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from repro.fd.fdset import FDSet, FDsLike
@@ -20,10 +21,11 @@ def embedded_cover(schemes: Iterable[AttrsLike], fds: FDsLike) -> FDSet:
     """The union of projection covers ``∪i cover(F⁺|Ri)`` — the largest
     embedded fd set derivable from ``F``."""
     fd_set = FDSet(fds)
-    union = FDSet()
-    for scheme in schemes:
-        union = union | project_fds(fd_set, attrs(scheme))
-    return union
+    return FDSet(
+        chain.from_iterable(
+            project_fds(fd_set, attrs(scheme)) for scheme in schemes
+        )
+    )
 
 
 def is_cover_embedding(schemes: Iterable[AttrsLike], fds: FDsLike) -> bool:

@@ -30,7 +30,7 @@ Two subtleties fix the semantics:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from repro.fd.fdset import FDSet, FDsLike
@@ -45,10 +45,7 @@ from repro.tableau.symbols import is_dv
 def subset_embedded_fds(members: Sequence[RelationScheme]) -> FDSet:
     """The members' own key dependencies (NOT the full ``F⁺|∪S``; see the
     module docstring — this weaker set drives the rooted construction)."""
-    fds = FDSet()
-    for member in members:
-        fds = fds | member.key_dependencies
-    return fds
+    return FDSet(chain.from_iterable(m.key_dependencies for m in members))
 
 
 def is_lossless_subset(

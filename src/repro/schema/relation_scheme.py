@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.fd.fdset import FDSet
 from repro.fd.keydeps import key_dependencies_of
 from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs
 from repro.foundations.errors import SchemaError
@@ -22,9 +21,11 @@ class RelationScheme:
 
     When no keys are declared the scheme is *all-key* (its only key is
     the full attribute set, contributing no non-trivial dependency).
+    ``key_dependencies`` — the key dependencies ``K → attributes − K``
+    the scheme embeds — is computed once, at construction.
     """
 
-    __slots__ = ("name", "attributes", "keys")
+    __slots__ = ("name", "attributes", "keys", "key_dependencies")
 
     def __init__(
         self,
@@ -56,6 +57,9 @@ class RelationScheme:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "attributes", attribute_set)
         object.__setattr__(self, "keys", key_sets)
+        object.__setattr__(
+            self, "key_dependencies", key_dependencies_of(attribute_set, key_sets)
+        )
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("RelationScheme is immutable")
@@ -74,11 +78,6 @@ class RelationScheme:
         return hash((self.name, self.attributes, self.keys))
 
     # -- semantics ------------------------------------------------------------
-    @property
-    def key_dependencies(self) -> FDSet:
-        """The key dependencies ``K → attributes − K`` this scheme embeds."""
-        return key_dependencies_of(self.attributes, self.keys)
-
     def is_all_key(self) -> bool:
         """True iff the only declared key is the full attribute set."""
         return self.keys == (self.attributes,)

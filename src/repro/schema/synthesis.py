@@ -18,6 +18,7 @@ dependency-preserving, lossless and in 3NF.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from repro.fd.cover import minimal_cover
@@ -134,10 +135,11 @@ def synthesize_3nf(
         )
         if not contained:
             continue
-        remaining = FDSet()
-        for other in kept:
-            if other is not member:
-                remaining = remaining | other.key_dependencies
+        remaining = FDSet(
+            chain.from_iterable(
+                other.key_dependencies for other in kept if other is not member
+            )
+        )
         if remaining.covers(member.key_dependencies):
             kept.remove(member)
     return normalize_keys(DatabaseScheme(kept))

@@ -1,8 +1,14 @@
 """Tests for the uniqueness-condition independence test, cross-validated
-against exhaustive small-state LSAT/WSAT search."""
+against exhaustive small-state LSAT/WSAT search and against the
+per-pair definition, plus a count gate on how many ``F − F_j`` sets
+recognition builds."""
 
-from hypothesis import given, settings
+import random
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+from repro.core import independence, reducible
 from repro.core.independence import (
     describe_violations,
     find_independence_counterexample,
@@ -10,9 +16,20 @@ from repro.core.independence import (
     satisfies_uniqueness_condition,
     uniqueness_violations,
 )
+from repro.core.reducible import recognize_independence_reducible
+from repro.oracle import uniqueness_violations_naive
 from repro.schema.database_scheme import DatabaseScheme
 from repro.state.consistency import is_consistent, is_locally_consistent
-from tests.conftest import arbitrary_schemes, independent_schemes
+from repro.workloads.random_schemes import random_scheme
+from repro.workloads.scaling import tiled_university
+from tests.conftest import (
+    arbitrary_schemes,
+    berge_acyclic_schemes,
+    independent_schemes,
+    key_equivalent_schemes,
+    reducible_schemes,
+    seeded_rng,
+)
 from repro.workloads.paper import (
     example1_university,
     example3_triangle,
@@ -104,3 +121,113 @@ class TestCrossValidation:
             assert not is_independent(scheme)
         elif is_independent(scheme):
             assert state is None
+
+
+@st.composite
+def wide_random_schemes(draw):
+    """``random_scheme`` with more members than ``arbitrary_schemes``,
+    so rejected schemes carry violations between many pairs."""
+    rng = draw(seeded_rng())
+    n_rel = draw(st.integers(min_value=2, max_value=8))
+    n_attr = draw(st.integers(min_value=3, max_value=9))
+    return random_scheme(rng, n_attributes=n_attr, n_relations=n_rel)
+
+
+#: A scheme from every generator in ``repro.workloads.random_schemes``,
+#: plus the tiled university scheme.
+every_generator = st.one_of(
+    arbitrary_schemes(),
+    wide_random_schemes(),
+    key_equivalent_schemes(),
+    independent_schemes(),
+    reducible_schemes().map(lambda drawn: drawn[0]),
+    berge_acyclic_schemes(),
+    st.integers(min_value=1, max_value=4).map(tiled_university),
+)
+
+
+def _naive_outputs(scheme):
+    """``describe_violations`` and Algorithm 6's rejection reason with
+    the per-pair definition plugged in as the violation finder."""
+    with mock.patch.object(
+        independence, "uniqueness_violations", uniqueness_violations_naive
+    ), mock.patch.object(
+        reducible, "uniqueness_violations", uniqueness_violations_naive
+    ):
+        return (
+            describe_violations(scheme),
+            recognize_independence_reducible(scheme).rejection_reason,
+        )
+
+
+def _assert_matches_definition(scheme):
+    assert uniqueness_violations(scheme) == uniqueness_violations_naive(scheme)
+    result = recognize_independence_reducible(scheme)
+    assert uniqueness_violations(result.induced) == (
+        uniqueness_violations_naive(result.induced)
+    )
+    assert (describe_violations(scheme), result.rejection_reason) == (
+        _naive_outputs(scheme)
+    )
+    return result
+
+
+class TestAgainstDefinition:
+    """The pruned violation search lists exactly what the per-pair
+    definition lists, in the same order, so every message built from
+    the list is unchanged."""
+
+    @given(every_generator)
+    @settings(max_examples=120)
+    def test_every_generator_matches_the_definition(self, scheme):
+        _assert_matches_definition(scheme)
+
+    def test_rejected_random_schemes_match_the_definition(self):
+        # The E11 sweep's generator rejects about a quarter of its
+        # schemes; both branches must be compared, not just acceptance.
+        rng = random.Random(1988)
+        outcomes = [
+            _assert_matches_definition(
+                random_scheme(rng, n_attributes=6, n_relations=rng.randint(3, 7))
+            ).accepted
+            for _ in range(60)
+        ]
+        assert 0 < outcomes.count(False) < len(outcomes)
+
+    def test_paper_examples_match_the_definition(self):
+        for scheme in (example1_university(), example3_triangle()):
+            assert uniqueness_violations(scheme)
+            _assert_matches_definition(scheme)
+
+
+class TestRecognitionCost:
+    """A count-based complexity gate: ``F − F_j`` is built at most once
+    per induced relation, and the number built grows at most linearly
+    in the number of tiles."""
+
+    @staticmethod
+    def _excluded_names(tiles):
+        excluded = []
+        original = DatabaseScheme.fds_excluding
+
+        def counting(scheme, name_or_scheme):
+            excluded.append(getattr(name_or_scheme, "name", name_or_scheme))
+            return original(scheme, name_or_scheme)
+
+        with mock.patch.object(DatabaseScheme, "fds_excluding", counting):
+            result = recognize_independence_reducible(tiled_university(tiles))
+        assert result.accepted
+        return excluded, len(result.induced)
+
+    def test_fd_sets_built_per_relation_not_per_pair(self):
+        counts = {}
+        for tiles in (4, 16, 64):
+            excluded, induced = self._excluded_names(tiles)
+            assert len(excluded) == len(set(excluded))
+            assert len(excluded) <= induced
+            counts[tiles] = len(excluded)
+        # Linear in k: each tile may add at most what the first four
+        # tiles averaged (the per-pair definition makes 3k·(3k−1)).
+        per_tile = max(counts[4] / 4, 1)
+        assert counts[16] <= 16 * per_tile
+        assert counts[64] <= 64 * per_tile
