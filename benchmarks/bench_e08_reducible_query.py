@@ -3,11 +3,12 @@ independence-reducible schemes.
 
 Regenerates: the paper's [ACG] expression on Example 12; agreement of
 block evaluation, full-expression evaluation and the chase baseline;
-and the latency separation between block evaluation and re-chasing as
-the state grows.
+the latency separation between block evaluation and re-chasing as
+the state grows; and plan-building latency as the scheme grows.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.reducible import recognize_independence_reducible
 from repro.oracle import total_projection_reducible
 from repro.state.consistency import total_projection
 from repro.workloads.paper import example12_reducible
+from repro.workloads.scaling import tiled_university
 from repro.workloads.states import random_consistent_state
 
 SIZES = [16, 64, 256]
@@ -74,3 +76,29 @@ def test_chase_baseline_latency(benchmark, n):
     scheme = example12_reducible()
     state = random_consistent_state(scheme, rng, n_entities=n)
     benchmark(lambda: total_projection(state, "ACG"))
+
+
+@pytest.mark.parametrize("tiles", [1, 6, 16, 64])
+def test_plan_latency_tiled_university(benchmark, record, tiles):
+    """Building one tile's plans — every 2-, 3- and 4-attribute target,
+    the query shapes of the ``write_churn`` serving workload — must not
+    grow with the number of tiles around it: a plan reads only the
+    target's attribute-connected component."""
+    scheme = tiled_university(tiles)
+    recognition = recognize_independence_reducible(scheme)
+    targets = [
+        [f"{letter}{tiles - 1}" for letter in combo]
+        for size in (2, 3, 4)
+        for combo in combinations("HRCTSG", size)
+    ]
+    plans = benchmark(
+        lambda: [
+            total_projection_plan(scheme, target, recognition)
+            for target in targets
+        ]
+    )
+    record(
+        "E8",
+        f"plans over tiled university tiles={tiles}",
+        f"{len(plans)} targets, {sum(len(p.branches) for p in plans)} branches",
+    )

@@ -65,15 +65,24 @@ BENCH_PATH_NAME = "BENCH_perf.json"
 BENCH_SEED = 20260805
 
 
-def _best_seconds(run: Callable[[], object], repeats: int) -> float:
-    best = float("inf")
+def _best_seconds(
+    optimized: Callable[[], object],
+    naive: Callable[[], object],
+    repeats: int,
+) -> tuple[float, float]:
+    """Best-of-``repeats`` wall time of each side.  The sides alternate
+    sample by sample, so a slow spell of the host lands on both rather
+    than on whichever side it was timing.  Each sample follows one
+    untimed run of its own side, so it times a warm run, as back-to-back
+    samples did, not one run in the caches the other side left."""
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return best
+        for side, run in enumerate((optimized, naive)):
+            run()
+            start = time.perf_counter()
+            run()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def _scenario(
@@ -90,8 +99,7 @@ def _scenario(
         raise AssertionError(
             f"{name}: optimized and naive pipelines disagree"
         )
-    optimized_seconds = _best_seconds(optimized, repeats)
-    naive_seconds = _best_seconds(naive, repeats)
+    optimized_seconds, naive_seconds = _best_seconds(optimized, naive, repeats)
     tuples = state.total_tuples()
     return {
         "tuples": tuples,

@@ -37,6 +37,7 @@ from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, sorted_attrs
 from repro.foundations.cache import MISSING, CacheInfo, LRUCache
 from repro.foundations.errors import (
     InconsistentStateError,
+    NotApplicableError,
     SchemaError,
     StateError,
 )
@@ -481,12 +482,15 @@ class WeakInstanceEngine:
     def explain(self, attributes: AttrsLike) -> str:
         """Human-readable account of how ``[X]`` will be evaluated."""
         target = attrs(attributes)
+        reason = "scheme outside the independence-reducible class"
         if self.reducible:
-            return str(self.plan(target))
+            try:
+                return str(self.plan(target))
+            except NotApplicableError as error:
+                reason = str(error)
         return (
             f"[{fmt_attrs(target)}] = π!_{fmt_attrs(target)}(CHASE_F(T_r)) "
-            "(scheme outside the independence-reducible class; "
-            "no predetermined expression is available)"
+            f"({reason}; no predetermined expression is available)"
         )
 
     def evaluate(
@@ -496,7 +500,10 @@ class WeakInstanceEngine:
         compiled kernel program of the predetermined plan on a reducible
         scheme, the chase outside the class.  A target no plan covers
         (``SchemaError``, attributes outside the universe included) has
-        no total tuples, so its answer is empty."""
+        no total tuples, so its answer is empty.  A target whose plan
+        would read a block past the exact lossless-subset enumeration's
+        cap (``NotApplicableError``) is answered by the chase of the
+        whole state, as outside the class."""
         target = attrs(attributes)
         if not self.reducible:
             return self.representative(state).total_projection(target)
@@ -504,6 +511,13 @@ class WeakInstanceEngine:
             plan = self.plan(target)
         except SchemaError:
             return set()
+        except NotApplicableError:
+            # Not representative(): its per-block assembly misses rules
+            # that fire across blocks, which such a target can need.
+            chased = chase_state(state)
+            if not chased.consistent:
+                raise InconsistentStateError("state admits no weak instance")
+            return chased.tableau.total_projection(target)
         program = self.kernels.expression_program(
             self.partition.fingerprint, plan.expression
         )

@@ -37,7 +37,7 @@ from repro.foundations.attrs import (
 )
 from repro.foundations.errors import NotApplicableError, SchemaError
 from repro.schema.database_scheme import DatabaseScheme
-from repro.schema.lossless import extension_join_subsets_covering
+from repro.schema.lossless import extension_join_positions
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,11 @@ def total_projection_plan(
     """Build the Theorem 4.1 expression for ``[X]``.
 
     Raises :class:`NotApplicableError` when the scheme is not
-    independence-reducible, :class:`SchemaError` when ``X`` is not
-    coverable by an extension join over ``D``.
+    independence-reducible or a block the plan reads has more members
+    than the exact lossless-subset enumeration takes (see
+    :func:`~repro.schema.lossless.minimal_lossless_subsets_covering`),
+    :class:`SchemaError` when ``X`` is not coverable by an extension
+    join over ``D``.
     """
     target = attrs(attributes)
     if not target <= scheme.universe:
@@ -84,11 +87,7 @@ def total_projection_plan(
             f"{recognition.rejection_reason}"
         )
     induced = recognition.induced
-    blocks = {
-        member.name: block
-        for member, block in zip(induced, recognition.partition)
-    }
-    subsets = extension_join_subsets_covering(induced, target)
+    subsets = extension_join_positions(induced, target)
     if not subsets:
         raise SchemaError(
             f"no extension join over {induced} covers {fmt_attrs(target)}"
@@ -98,14 +97,17 @@ def total_projection_plan(
     for subset in subsets:
         meta: list[tuple[str, frozenset[str]]] = []
         operands: list[Expression] = []
-        for member in subset:
+        for position in subset:
+            member = induced.relations[position]
             others = union_all(
-                other.attributes for other in subset if other is not member
+                induced.relations[other].attributes
+                for other in subset
+                if other != position
             )
             y = member.attributes & (others | target)
             # [Yj] over the block: Corollary 3.1(b) expansion.
             operands.append(
-                total_projection_expression(blocks[member.name], y)
+                total_projection_expression(recognition.partition[position], y)
             )
             meta.append((member.name, y))
         branch_expressions.append(Project(join_all(operands), target))

@@ -34,12 +34,13 @@ from typing import Callable, Hashable, Optional
 from repro.core.partition import SchemePartition
 from repro.core.query import QueryPlan
 from repro.foundations.cache import MISSING, CacheInfo, LRUCache
-from repro.foundations.errors import SchemaError
+from repro.foundations.errors import ReproError
 from repro.state.database_state import DatabaseState
 
 #: A plan provider: ``target -> QueryPlan`` (the engine's memoized
 #: :meth:`~repro.core.engine.WeakInstanceEngine.plan`).  May raise
-#: :class:`SchemaError` for targets no predetermined expression covers.
+#: :class:`SchemaError` for targets no predetermined expression covers
+#: and :class:`NotApplicableError` for targets the chase answers.
 PlanProvider = Callable[[frozenset], QueryPlan]
 
 
@@ -95,10 +96,11 @@ class ReadCache:
     ``touched_blocks`` is memoized per target in an LRU as large as the
     result cache (targets outside the universe are answered too, so the
     set of targets a client can name is unbounded): reducible schemes
-    read the plan's relation names and map them to blocks; uncoverable
-    targets (``SchemaError``) and non-reducible schemes degrade to all
-    blocks, which is sound — their answers may depend on the whole
-    state, so any write must change the key.
+    read the plan's relation names and map them to blocks; targets
+    without a plan (any ``ReproError`` from the planner) and
+    non-reducible schemes degrade to all blocks, which is sound — their
+    answers may depend on the whole state, so any write must change the
+    key.
     """
 
     __slots__ = ("_partition", "versions", "_results", "_touched")
@@ -126,10 +128,10 @@ class ReadCache:
         else:
             try:
                 plan = plan_for(target)
-            except SchemaError:
-                # No extension join covers the target: the answer is
-                # empty whatever the data, but keying on every block
-                # keeps the entry trivially sound.
+            except ReproError:
+                # No plan: either no extension join covers the target
+                # (the answer is empty whatever the data) or the chase
+                # answers it; keying on every block is sound for both.
                 blocks = every
             else:
                 blocks = tuple(

@@ -13,9 +13,15 @@ from typing import Iterable, Iterator, Union
 
 from repro.fd.closure import ClosureIndex
 from repro.fd.fd import FD, parse_fds
-from repro.foundations.attrs import AttrsLike, attrs, union_all
+from repro.foundations.attrs import AttrsLike, attrs, sorted_attrs, union_all
 
 FDsLike = Union["FDSet", str, Iterable[FD]]
+
+
+def as_fdset(fds: FDsLike) -> "FDSet":
+    """``fds`` itself when it already is an :class:`FDSet` (sets are
+    immutable, so there is nothing to copy), else a new one."""
+    return fds if isinstance(fds, FDSet) else FDSet(fds)
 
 
 class FDSet:
@@ -25,7 +31,7 @@ class FDSet:
     or a string in arrow notation (``"A->B, B->C"``).
     """
 
-    __slots__ = ("_fds", "_index", "_hash")
+    __slots__ = ("_fds", "_index", "_hash", "_rules")
 
     def __init__(self, fds: FDsLike = ()) -> None:
         if isinstance(fds, FDSet):
@@ -41,6 +47,7 @@ class FDSet:
         self._fds: tuple[FD, ...] = tuple(sorted(unique, key=FD._sort_key))
         self._index = ClosureIndex(self._fds)
         self._hash: int | None = None
+        self._rules: tuple[tuple[tuple[str, ...], str], ...] | None = None
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[FD]:
@@ -112,6 +119,17 @@ class FDSet:
         return FDSet(
             singleton for member in self._fds for singleton in member.split_rhs()
         )
+
+    def singleton_rules(self) -> tuple[tuple[tuple[str, ...], str], ...]:
+        """The fd-rules the chase applies: :meth:`split_rhs` without the
+        trivial members, as ``(sorted lhs, rhs attribute)`` pairs in
+        that set's order.  Computed once, since the set is immutable."""
+        if self._rules is None:
+            self._rules = tuple(
+                (tuple(sorted_attrs(dependency.lhs)), next(iter(dependency.rhs)))
+                for dependency in self.split_rhs().nontrivial()
+            )
+        return self._rules
 
     def embedded_in(self, scheme: AttrsLike) -> "FDSet":
         """The member fds whose attributes all lie inside ``scheme``.

@@ -14,6 +14,30 @@ from typing import Iterable, Optional, Sequence
 from repro.foundations.attrs import AttrsLike, attrs, union_all
 
 
+def component_positions(edges: Iterable[AttrsLike]) -> list[list[int]]:
+    """The positions of a family of sets grouped into
+    intersection-connected components: components ordered by their
+    first position, positions ascending within each.  Linear in the
+    total size of the sets."""
+    edge_sets = [attrs(edge) for edge in edges]
+    parent = list(range(len(edge_sets)))
+
+    def find(position: int) -> int:
+        while parent[position] != position:
+            parent[position] = parent[parent[position]]
+            position = parent[position]
+        return position
+
+    holder: dict[str, int] = {}
+    for position, edge in enumerate(edge_sets):
+        for node in edge:
+            parent[find(position)] = find(holder.setdefault(node, position))
+    grouped: dict[int, list[int]] = {}
+    for position in range(len(edge_sets)):
+        grouped.setdefault(find(position), []).append(position)
+    return list(grouped.values())
+
+
 def connected_components(
     edges: Iterable[AttrsLike],
 ) -> list[list[frozenset[str]]]:
@@ -23,23 +47,10 @@ def connected_components(
     component keep their input order.
     """
     edge_sets = [attrs(edge) for edge in edges]
-    unassigned = list(range(len(edge_sets)))
-    components: list[list[frozenset[str]]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        component = [seed]
-        covered = set(edge_sets[seed])
-        grew = True
-        while grew:
-            grew = False
-            for index in list(unassigned):
-                if edge_sets[index] & covered:
-                    component.append(index)
-                    covered |= edge_sets[index]
-                    unassigned.remove(index)
-                    grew = True
-        components.append([edge_sets[i] for i in sorted(component)])
-    return components
+    return [
+        [edge_sets[position] for position in positions]
+        for positions in component_positions(edge_sets)
+    ]
 
 
 def is_connected_family(edges: Sequence[AttrsLike]) -> bool:

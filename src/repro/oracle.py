@@ -24,6 +24,13 @@ importer inside the package.
 * :func:`find_reducible_partition_bruteforce` — the definitional
   partition search; checks Algorithm 6 (``tests/core/test_reducible.py``,
   ``tests/integration/test_theorems.py``).
+* :func:`total_projection_plan_naive`, with
+  :func:`extension_join_subsets_covering_naive` (rooted key-growth from
+  every member, scanning every member per step) and
+  :func:`minimal_lossless_subsets_covering_naive` (every candidate
+  chased) — the Theorem 4.1 planner's searches as first written; check
+  :func:`repro.core.query.total_projection_plan` and
+  :mod:`repro.schema.lossless` (``tests/core/test_query.py``).
 * :func:`total_projection_reducible` — Theorem 4.1 evaluated from the
   blocks' representative instances or the uncompiled expression; checks
   the compiled query plan (``tests/compile``, ``tests/algebra``).
@@ -40,41 +47,51 @@ from itertools import combinations
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.algebra.expressions import (
+    Expression,
     Project,
     RelationRef,
     Select,
     UnionExpr,
     evaluate_natural_join,
     join_all,
+    union_all_exprs,
 )
 from repro.core.independence import is_independent
 from repro.core.key_equivalent import (
     KERepInstance,
     is_key_equivalent,
     key_equivalent_chase,
-    total_projection_expression,
 )
 from repro.core.maintenance import _join_partial
-from repro.core.query import total_projection_plan
+from repro.core.query import QueryPlan, total_projection_plan
 from repro.core.reducible import (
     RecognitionResult,
     induced_scheme,
     recognize_independence_reducible,
 )
 from repro.fd.fd import FD
-from repro.fd.fdset import FDsLike
-from repro.foundations.attrs import AttrsLike, attrs, sorted_attrs, union_all
-from repro.foundations.errors import InconsistentStateError, NotApplicableError
-from repro.schema.database_scheme import DatabaseScheme
-from repro.schema.lossless import (
-    extension_join_subsets_covering,
-    is_lossless_subset,
+from repro.fd.fdset import FDSet, FDsLike
+from repro.foundations.attrs import (
+    AttrsLike,
+    attrs,
+    fmt_attrs,
+    sorted_attrs,
+    union_all,
 )
+from repro.foundations.errors import (
+    InconsistentStateError,
+    NotApplicableError,
+    SchemaError,
+)
+from repro.schema.database_scheme import DatabaseScheme
+from repro.schema.relation_scheme import RelationScheme
+from repro.schema.lossless import extension_join_subsets_covering
 from repro.state.consistency import _constraints
 from repro.state.database_state import DatabaseState
 from repro.state.relation import Relation
-from repro.tableau.chase import ChaseResult, _Contradiction, _split_rules
-from repro.tableau.symbols import Symbol, is_constant, preferred
+from repro.tableau.chase import ChaseResult, _Contradiction
+from repro.tableau.scheme_tableau import scheme_tableau
+from repro.tableau.symbols import Symbol, is_constant, is_dv, preferred
 from repro.tableau.tableau import Row, Tableau
 
 
@@ -169,7 +186,12 @@ def chase_naive(tableau: Tableau, fds: FDsLike) -> ChaseResult:
     :func:`repro.tableau.chase.chase` and as the benchmarks' naive
     baseline.
     """
-    fd_list = _split_rules(fds)
+    # The rules are derived here rather than read from the set's cached
+    # ``singleton_rules``, so the differential suites check that too.
+    fd_list = [
+        (sorted_attrs(dependency.lhs), next(iter(dependency.rhs)))
+        for dependency in FDSet(fds).split_rhs().nontrivial()
+    ]
     uf = _SymbolUnionFind()
     rows = tableau.rows
     steps = 0
@@ -289,6 +311,169 @@ def find_reducible_partition_bruteforce(
         if is_independent(induced_scheme(blocks)):
             return blocks
     return None
+
+
+# -- query planning (Theorem 4.1) ---------------------------------------------
+
+
+def _lossless_by_chase(
+    members: Sequence[RelationScheme], scheme: DatabaseScheme
+) -> bool:
+    """Whether ``members`` is a lossless subset of ``scheme``, whatever
+    its size: chase ``T_S`` padded to the universe under the scheme's
+    fds and look for a row distinguished on all of ``∪S``."""
+    joint = union_all(member.attributes for member in members)
+    tableau = scheme_tableau(
+        [(member.name, member.attributes) for member in members],
+        scheme.universe,
+    )
+    chased = chase_naive(tableau, scheme.fds).tableau
+    return any(all(is_dv(row[a]) for a in joint) for row in chased)
+
+
+def minimal_lossless_subsets_covering_naive(
+    scheme: DatabaseScheme, target: AttrsLike, max_relations: int = 14
+) -> list[tuple[RelationScheme, ...]]:
+    """Every subset by increasing size, supersets of earlier finds
+    skipped, each covering one chased.  Same subsets, order and cap as
+    :func:`repro.schema.lossless.minimal_lossless_subsets_covering`."""
+    if len(scheme.relations) > max_relations:
+        raise NotApplicableError(
+            f"exact lossless-subset enumeration capped at {max_relations} "
+            "relations"
+        )
+    target_set = attrs(target)
+    found: list[frozenset[str]] = []
+    results: list[tuple[RelationScheme, ...]] = []
+    for size in range(1, len(scheme.relations) + 1):
+        for subset in combinations(scheme.relations, size):
+            names = frozenset(member.name for member in subset)
+            if any(previous <= names for previous in found):
+                continue
+            if target_set <= union_all(
+                member.attributes for member in subset
+            ) and _lossless_by_chase(subset, scheme):
+                found.append(names)
+                results.append(subset)
+    return sorted(results, key=lambda subset: tuple(m.name for m in subset))
+
+
+def extension_join_subsets_covering_naive(
+    scheme: DatabaseScheme, target: AttrsLike
+) -> list[tuple[RelationScheme, ...]]:
+    """Rooted key-growth from every member, scanning every member at
+    every step.  Same subsets, in the same order, as
+    :func:`repro.schema.lossless.extension_join_subsets_covering`."""
+    target_set = attrs(target)
+    members = scheme.relations
+    index_of = {member.name: i for i, member in enumerate(members)}
+    found: set[frozenset[str]] = set()
+    visited: set[frozenset[str]] = set()
+
+    def position(member: RelationScheme) -> int:
+        return index_of[member.name]
+
+    def explore(
+        current_names: frozenset[str], current_attrs: frozenset[str]
+    ) -> None:
+        if current_names in visited:
+            return
+        visited.add(current_names)
+        if target_set <= current_attrs:
+            found.add(current_names)
+            return
+        for member in members:
+            if member.name in current_names:
+                continue
+            if any(key <= current_attrs for key in member.keys):
+                explore(
+                    current_names | {member.name},
+                    current_attrs | member.attributes,
+                )
+
+    for root in members:
+        explore(frozenset({root.name}), root.attributes)
+
+    return sorted(
+        (
+            tuple(sorted((scheme[name] for name in chosen), key=position))
+            for chosen in found
+            if not any(other < chosen for other in found)
+        ),
+        key=lambda subset: tuple(m.name for m in subset),
+    )
+
+
+def total_projection_expression_naive(
+    scheme: DatabaseScheme, target: frozenset[str]
+) -> Expression:
+    """Corollary 3.1(b) from the naive enumeration: the same expression
+    as :func:`repro.core.key_equivalent.total_projection_expression`."""
+    subsets = minimal_lossless_subsets_covering_naive(scheme, target)
+    if not subsets:
+        raise SchemaError(
+            f"no lossless subset of {scheme} covers {fmt_attrs(target)}"
+        )
+    return union_all_exprs(
+        [
+            Project(
+                join_all([RelationRef(m.name, m.attributes) for m in subset]),
+                target,
+            )
+            for subset in subsets
+        ]
+    )
+
+
+def total_projection_plan_naive(
+    scheme: DatabaseScheme,
+    attributes: AttrsLike,
+    recognition: Optional[RecognitionResult] = None,
+) -> QueryPlan:
+    """The Theorem 4.1 plan assembled from the naive searches above.
+    Same ``str(plan)``, branches and exception types as
+    :func:`repro.core.query.total_projection_plan`."""
+    target = attrs(attributes)
+    if not target <= scheme.universe:
+        raise SchemaError(
+            f"{fmt_attrs(target)} is not contained in the universe"
+        )
+    if recognition is None:
+        recognition = recognize_independence_reducible(scheme)
+    if not recognition.accepted:
+        raise NotApplicableError(
+            "Theorem 4.1 applies to independence-reducible schemes only: "
+            f"{recognition.rejection_reason}"
+        )
+    induced = recognition.induced
+    blocks = {
+        member.name: block
+        for member, block in zip(induced, recognition.partition)
+    }
+    subsets = extension_join_subsets_covering_naive(induced, target)
+    if not subsets:
+        raise SchemaError(
+            f"no extension join over {induced} covers {fmt_attrs(target)}"
+        )
+    branch_expressions: list[Expression] = []
+    branch_meta: list[tuple[tuple[str, frozenset[str]], ...]] = []
+    for subset in subsets:
+        meta: list[tuple[str, frozenset[str]]] = []
+        operands: list[Expression] = []
+        for member in subset:
+            others = union_all(
+                other.attributes for other in subset if other is not member
+            )
+            y = member.attributes & (others | target)
+            operands.append(total_projection_expression_naive(blocks[member.name], y))
+            meta.append((member.name, y))
+        branch_expressions.append(Project(join_all(operands), target))
+        branch_meta.append(tuple(meta))
+    return QueryPlan(
+        target=target,
+        expression=union_all_exprs(branch_expressions),
+        branches=tuple(branch_meta),
+    )
 
 
 # -- total projections (Theorem 4.1) ------------------------------------------
@@ -457,7 +642,7 @@ class ExpressionRILookup:
     def _branches_for(self, key: frozenset[str]) -> list:
         branches = self._branches.get(key)
         if branches is None:
-            expression = total_projection_expression(self.scheme, key)
+            expression = total_projection_expression_naive(self.scheme, key)
             # A union's branches are the per-subset joins; a single
             # subset yields the projection itself.
             if isinstance(expression, UnionExpr):
@@ -551,9 +736,7 @@ class GreatestExpressionRILookup:
                     )
                     if not key <= union:
                         continue
-                    if is_lossless_subset(
-                        list(combo), self.scheme.fds, self.scheme.universe
-                    ):
+                    if _lossless_by_chase(combo, self.scheme):
                         cached.append(combo)
             self._subsets_by_key[key] = cached
         return cached

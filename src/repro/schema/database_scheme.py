@@ -13,8 +13,15 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, Union
 
 from repro.fd.fdset import FDSet
-from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, union_all
+from repro.foundations.attrs import (
+    AttrsLike,
+    attrs,
+    fmt_attrs,
+    sorted_attrs,
+    union_all,
+)
 from repro.foundations.errors import SchemaError
+from repro.hypergraph.paths import component_positions
 from repro.schema.relation_scheme import RelationScheme
 
 #: Spec entry: attributes, or (attributes, keys).
@@ -29,7 +36,9 @@ class DatabaseScheme:
     dependencies — the constraint set the paper assumes throughout.
     """
 
-    __slots__ = ("relations", "_by_name", "universe", "_fds")
+    __slots__ = (
+        "relations", "_by_name", "universe", "_fds", "_keyed_on", "_components"
+    )
 
     def __init__(self, relations: Iterable[RelationScheme]) -> None:
         members = tuple(relations)
@@ -52,6 +61,8 @@ class DatabaseScheme:
             "_fds",
             FDSet(chain.from_iterable(m.key_dependencies for m in members)),
         )
+        object.__setattr__(self, "_keyed_on", None)
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("DatabaseScheme is immutable")
@@ -139,6 +150,42 @@ class DatabaseScheme:
         """All distinct declared keys across the scheme, sorted."""
         keys = {key for member in self.relations for key in member.keys}
         return sorted(keys, key=lambda key: tuple(sorted(key)))
+
+    @property
+    def keyed_on(self) -> Mapping[str, tuple[int, ...]]:
+        """Attribute → positions of the members one of whose declared
+        keys contains it, in member order.  Built on first use (the
+        scheme is immutable)."""
+        if self._keyed_on is None:
+            index: dict[str, list[int]] = {}
+            for position, member in enumerate(self.relations):
+                for attribute in sorted_attrs(union_all(member.keys)):
+                    index.setdefault(attribute, []).append(position)
+            object.__setattr__(
+                self,
+                "_keyed_on",
+                {attribute: tuple(found) for attribute, found in index.items()},
+            )
+        return self._keyed_on
+
+    @property
+    def components(self) -> tuple[tuple[tuple[int, ...], frozenset[str]], ...]:
+        """The attribute-connected components: each is the positions of
+        its members (two members are connected when they share an
+        attribute) with the union of their attributes, ordered by first
+        member.  Built on first use."""
+        if self._components is None:
+            components = tuple(
+                (
+                    tuple(positions),
+                    union_all(self.relations[p].attributes for p in positions),
+                )
+                for positions in component_positions(
+                    member.attributes for member in self.relations
+                )
+            )
+            object.__setattr__(self, "_components", components)
+        return self._components
 
     def keys_embedded_in(self, attribute_set: AttrsLike) -> list[frozenset[str]]:
         """Declared keys contained in ``attribute_set`` — the "keys

@@ -33,8 +33,9 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
-from repro.fd.fdset import FDSet, FDsLike
+from repro.fd.fdset import FDSet, FDsLike, as_fdset
 from repro.foundations.attrs import AttrsLike, attrs, union_all
+from repro.foundations.errors import NotApplicableError
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.relation_scheme import RelationScheme
 from repro.tableau.chase import chase
@@ -61,11 +62,14 @@ def is_lossless_subset(
     attributes and the members').  The test chases ``T_S`` padded to the
     universe under ``fds`` and accepts when some row carries
     distinguished variables on all of ``∪S`` — i.e. ``S`` is lossless
-    with respect to ``F⁺|∪S``.
+    with respect to ``F⁺|∪S``.  One member needs no chase: ``T_S`` is
+    then one row, distinguished on all of ``∪S``.
     """
     if not members:
         return False
-    fd_set = subset_embedded_fds(members) if fds is None else FDSet(fds)
+    if len(members) == 1:
+        return True
+    fd_set = subset_embedded_fds(members) if fds is None else as_fdset(fds)
     joint = union_all(member.attributes for member in members)
     full = (
         attrs(universe)
@@ -93,11 +97,11 @@ def minimal_lossless_subsets_covering(
     Subsets are enumerated by increasing size so supersets of found
     subsets are pruned; each candidate is tested with the chase-based
     losslessness check under the scheme's full dependency set.  Raises
-    ``ValueError`` beyond ``max_relations`` members — use
+    :class:`NotApplicableError` beyond ``max_relations`` members — use
     :func:`extension_join_subsets_covering` for large split-free inputs.
     """
     if len(scheme.relations) > max_relations:
-        raise ValueError(
+        raise NotApplicableError(
             "exact lossless-subset enumeration capped at "
             f"{max_relations} relations; use extension_join_subsets_covering"
         )
@@ -120,6 +124,65 @@ def minimal_lossless_subsets_covering(
     return sorted(results, key=lambda subset: tuple(m.name for m in subset))
 
 
+def _absorbable(
+    scheme: DatabaseScheme, chosen: frozenset[int], covered: frozenset[str]
+) -> set[int]:
+    """Positions of the members outside ``chosen`` with a declared key
+    inside ``covered``: the next steps of rooted key-growth.  Only
+    members keyed on a covered attribute are looked at."""
+    keyed_on = scheme.keyed_on
+    members = scheme.relations
+    return {
+        position
+        for attribute in covered
+        for position in keyed_on.get(attribute, ())
+        if position not in chosen
+        and any(key <= covered for key in members[position].keys)
+    }
+
+
+def extension_join_positions(
+    scheme: DatabaseScheme, target: frozenset[str]
+) -> list[tuple[int, ...]]:
+    """:func:`extension_join_subsets_covering` as tuples of member
+    positions (each in member order, the list in that function's
+    order)."""
+    members = scheme.relations
+    found: set[frozenset[int]] = set()
+    visited: set[frozenset[int]] = set()
+    # Every declared key is non-empty (RelationScheme rejects an empty
+    # one), so each absorbed member shares an attribute with the growing
+    # subset: growth never leaves its root's attribute-connected
+    # component, and a component whose attributes miss part of the
+    # target roots nothing that could cover it.
+    stack = [
+        (frozenset((root,)), members[root].attributes)
+        for positions, union in scheme.components
+        if target <= union
+        for root in positions
+    ]
+    while stack:
+        chosen, covered = stack.pop()
+        if chosen in visited:
+            continue
+        visited.add(chosen)
+        if target <= covered:
+            found.add(chosen)
+            continue
+        for position in _absorbable(scheme, chosen, covered):
+            stack.append(
+                (chosen | {position}, covered | members[position].attributes)
+            )
+    return sorted(
+        (
+            tuple(sorted(chosen))
+            for chosen in found
+            if not any(other < chosen for other in found)
+        ),
+        key=lambda subset: tuple(members[p].name for p in subset),
+    )
+
+
 def extension_join_subsets_covering(
     scheme: DatabaseScheme, target: AttrsLike
 ) -> list[tuple[RelationScheme, ...]]:
@@ -130,45 +193,15 @@ def extension_join_subsets_covering(
     Polynomial-ish and always sound (every result is lossless); complete
     for split-free schemes (Corollary 3.2(a)) and for the induced scheme
     of Theorem 4.1, where Sagiv's evaluation uses exactly these access
-    paths.
+    paths.  Growth is rooted only in the attribute-connected components
+    that cover the target, and each step looks only at the members keyed
+    on a covered attribute (both indexes are built once per scheme).
     """
-    target_set = attrs(target)
     members = scheme.relations
-    index_of = {member.name: i for i, member in enumerate(members)}
-    found: set[frozenset[str]] = set()
-    visited: set[frozenset[str]] = set()
-
-    def explore(current_names: frozenset[str], current_attrs: frozenset[str]) -> None:
-        if current_names in visited:
-            return
-        visited.add(current_names)
-        if target_set <= current_attrs:
-            found.add(current_names)
-            return
-        for member in members:
-            if member.name in current_names:
-                continue
-            if any(key <= current_attrs for key in member.keys):
-                explore(
-                    current_names | {member.name},
-                    current_attrs | member.attributes,
-                )
-
-    for root in members:
-        explore(frozenset({root.name}), root.attributes)
-
-    minimal = [
-        chosen
-        for chosen in sorted(found, key=sorted)
-        if not any(other < chosen for other in found)
+    return [
+        tuple(members[position] for position in subset)
+        for subset in extension_join_positions(scheme, attrs(target))
     ]
-    subsets = [
-        tuple(
-            sorted((scheme[name] for name in chosen), key=lambda m: index_of[m.name])
-        )
-        for chosen in minimal
-    ]
-    return sorted(subsets, key=lambda subset: tuple(m.name for m in subset))
 
 
 def lossless_subset_attributes(

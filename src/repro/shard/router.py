@@ -42,10 +42,13 @@ Serial equivalence is the contract:
   relations all live there (block-local totals are exact); otherwise
   the referenced relations are gathered and the plan is evaluated
   router-side by a full-scheme engine, so cross-shard extension joins
-  (Theorem 4.1) return exactly the single-process answer.  Gathers
-  read through a *relation mirror*: the router keeps the last fetched
-  copy of each relation with the write generation it was fetched at,
-  and re-fetches only relations a write has named since.  A query with
+  (Theorem 4.1) return exactly the single-process answer; a target
+  the engine answers by the chase (its plan would read a block past
+  the exact lossless-subset enumeration's cap) gathers every relation.
+  Gathers read through a *relation mirror*: the router keeps the last
+  fetched copy of each relation with the write generation it was
+  fetched at, and re-fetches only relations a write has named since.
+  A query with
   no plan (a target no plan covers, or any target outside the class)
   goes to shard 0 when there is one shard, which answers over its whole
   state.
@@ -83,6 +86,7 @@ from repro.foundations.cache import MISSING, LRUCache
 from repro.foundations.errors import (
     NotApplicableError,
     ReproError,
+    SchemaError,
     ServiceError,
     StateError,
     StoreError,
@@ -668,8 +672,13 @@ class ShardRouter:
                 try:
                     plan = self._engine.plan(target)
                     names = sorted(plan.expression.relation_names())
-                except ReproError:
+                except SchemaError:
                     names = None
+                except ReproError:
+                    # The chase answers this target (see
+                    # ``WeakInstanceEngine.evaluate``): it may read any
+                    # relation.
+                    names = self.scheme.names
                 if names:
                     targets = {
                         self.map.relation_shard[name] for name in names
@@ -688,15 +697,13 @@ class ShardRouter:
                     },
                 )
                 return {tuple(row) for row in response["rows"]}
-            # Scatter-gather: gather what the plan touches and evaluate
-            # with full-scheme code.  A multi-shard deployment implies
-            # an accepted scheme (one outside the class is one shard,
-            # answered above over its whole state), so "no plan" here
-            # means an uncoverable target (``SchemaError``) whose
-            # answer is empty on every consistent state — gather only
-            # the relations whose attributes overlap the target instead
-            # of fanning out to every shard, and let the same
-            # evaluation confirm it.
+            # Scatter-gather: gather what the plan touches (the whole
+            # state for a target the chase answers) and evaluate with
+            # full-scheme code.  ``names is None`` means an uncoverable
+            # target (``SchemaError``) whose answer is empty on every
+            # consistent state — gather only the relations whose
+            # attributes overlap the target instead of fanning out to
+            # every shard, and let the same evaluation confirm it.
             self.metrics.increment("router.gather_queries")
             if names is None:
                 names = sorted(

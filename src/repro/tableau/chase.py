@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Hashable, Iterable, Sequence, Tuple
 
-from repro.fd.fdset import FDSet, FDsLike
+from repro.fd.fdset import FDsLike, as_fdset
 from repro.foundations.attrs import AttrsLike, attrs, sorted_attrs
 from repro.foundations.errors import StateError
 from repro.obs.spans import span
@@ -87,15 +87,6 @@ StoredVectors = Tuple[str, Sequence[str], Iterable[Tuple[Hashable, ...]]]
 #: Interned ids for nondistinguished variables start here, above every
 #: constant id, so the min-id rule automatically prefers constants.
 _NDV_ID_BASE = 1 << 60
-
-
-def _split_rules(fds: FDsLike) -> list[tuple[list[str], str]]:
-    """The fd set split to singleton right-hand sides, as
-    ``(sorted lhs, rhs attribute)`` pairs."""
-    return [
-        (sorted_attrs(dependency.lhs), next(iter(dependency.rhs)))
-        for dependency in FDSet(fds).split_rhs().nontrivial()
-    ]
 
 
 def _chase_core(
@@ -259,7 +250,7 @@ def chase(tableau: Tableau, fds: FDsLike) -> ChaseResult:
     tableau.  Termination is guaranteed for fds because each merge
     strictly reduces the number of symbol classes.
     """
-    rules = _split_rules(fds)
+    rules = as_fdset(fds).singleton_rules()
     rows = tableau.rows
     if not rules or not rows:
         # Mirror the naive engine: one (empty) sweep confirms fixpoint.
@@ -326,7 +317,7 @@ def chase_relations(
     order = sorted_attrs(universe_attrs)
     column = {a: i for i, a in enumerate(order)}
     width = len(order)
-    rules = _split_rules(fds)
+    rules = as_fdset(fds).singleton_rules()
 
     # Constants are interned on the fly (ids 0, 1, ...); fresh ndvs
     # count up from _NDV_ID_BASE, so every constant id is below every
@@ -457,7 +448,7 @@ class DeltaChase:
         self._width = len(self._order)
         self._rule_columns = [
             ([self._column[a] for a in lhs], self._column[rhs_attr])
-            for lhs, rhs_attr in _split_rules(fds)
+            for lhs, rhs_attr in as_fdset(fds).singleton_rules()
         ]
         self._cells: list[list[int]] = []
         self._tags: list[str] = []

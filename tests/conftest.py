@@ -29,6 +29,7 @@ from repro.workloads.random_schemes import (
     random_reducible_scheme,
     random_scheme,
 )
+from repro.workloads.scaling import tiled_university
 
 settings.register_profile(
     "ci",
@@ -117,6 +118,29 @@ def arbitrary_schemes(draw):
     n_rel = draw(st.integers(min_value=1, max_value=4))
     n_attr = draw(st.integers(min_value=2, max_value=6))
     return random_scheme(rng, n_attributes=n_attr, n_relations=n_rel)
+
+
+@st.composite
+def wide_random_schemes(draw):
+    """``random_scheme`` with more members than ``arbitrary_schemes``,
+    so rejected schemes carry violations between many pairs."""
+    rng = draw(seeded_rng())
+    n_rel = draw(st.integers(min_value=2, max_value=8))
+    n_attr = draw(st.integers(min_value=3, max_value=9))
+    return random_scheme(rng, n_attributes=n_attr, n_relations=n_rel)
+
+
+#: A scheme from every generator in ``repro.workloads.random_schemes``,
+#: plus the tiled university scheme.
+every_generator = st.one_of(
+    arbitrary_schemes(),
+    wide_random_schemes(),
+    key_equivalent_schemes(),
+    independent_schemes(),
+    reducible_schemes().map(lambda drawn: drawn[0]),
+    berge_acyclic_schemes(),
+    st.integers(min_value=1, max_value=4).map(tiled_university),
+)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ recognition builds."""
 import random
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.core import independence, reducible
 from repro.core.independence import (
@@ -24,11 +24,8 @@ from repro.workloads.random_schemes import random_scheme
 from repro.workloads.scaling import tiled_university
 from tests.conftest import (
     arbitrary_schemes,
-    berge_acyclic_schemes,
+    every_generator,
     independent_schemes,
-    key_equivalent_schemes,
-    reducible_schemes,
-    seeded_rng,
 )
 from repro.workloads.paper import (
     example1_university,
@@ -121,29 +118,6 @@ class TestCrossValidation:
             assert not is_independent(scheme)
         elif is_independent(scheme):
             assert state is None
-
-
-@st.composite
-def wide_random_schemes(draw):
-    """``random_scheme`` with more members than ``arbitrary_schemes``,
-    so rejected schemes carry violations between many pairs."""
-    rng = draw(seeded_rng())
-    n_rel = draw(st.integers(min_value=2, max_value=8))
-    n_attr = draw(st.integers(min_value=3, max_value=9))
-    return random_scheme(rng, n_attributes=n_attr, n_relations=n_rel)
-
-
-#: A scheme from every generator in ``repro.workloads.random_schemes``,
-#: plus the tiled university scheme.
-every_generator = st.one_of(
-    arbitrary_schemes(),
-    wide_random_schemes(),
-    key_equivalent_schemes(),
-    independent_schemes(),
-    reducible_schemes().map(lambda drawn: drawn[0]),
-    berge_acyclic_schemes(),
-    st.integers(min_value=1, max_value=4).map(tiled_university),
-)
 
 
 def _naive_outputs(scheme):

@@ -4,6 +4,7 @@ Corollary 3.1(b) — and for the rooted extension-join enumeration."""
 import pytest
 from hypothesis import given, settings
 
+from repro.foundations.errors import NotApplicableError
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.lossless import (
     extension_join_subsets_covering,
@@ -98,7 +99,7 @@ class TestLosslessSubsetCheck:
         scheme = DatabaseScheme.from_spec(
             {f"R{i}": ("AB", ["A"]) for i in range(1, 17)}
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NotApplicableError):
             minimal_lossless_subsets_covering(scheme, "AB")
 
 

@@ -1,11 +1,13 @@
-"""Routing edge cases: inline collapse, round-robin packing, and
-batches that leave some shards untouched."""
+"""Routing edge cases: inline collapse, round-robin packing, batches
+that leave some shards untouched, and targets without a plan."""
 
 import multiprocessing
 
 import pytest
 
 from repro.foundations.errors import StateError
+from repro.oracle import chase_state_naive
+from repro.schema.database_scheme import DatabaseScheme
 from repro.shard.router import ShardMap, ShardRouter, shard_map_for
 from repro.workloads.paper import (
     example1_university,
@@ -127,3 +129,45 @@ class TestPartialFanout:
             assert snapshot.get('ops.batch_updates{shard="1"}', 0) == 0
         finally:
             router.close()
+
+
+class TestOverCapBlock:
+    """A target whose plan would read a block past the exact
+    lossless-subset enumeration's cap is answered by the chase: at one
+    shard by the worker, at two by a gather of the whole state."""
+
+    @staticmethod
+    def _scheme(second_block):
+        spec = {
+            f"R{i}": (["K", f"A{i}"], [["K"]]) for i in range(1, 17)
+        }
+        if second_block:
+            spec["Q"] = (["A1", "B"], [["A1"]])
+        return DatabaseScheme.from_spec(spec)
+
+    def _check(self, second_block, shards, targets):
+        router = ShardRouter.in_memory(self._scheme(second_block), shards)
+        try:
+            assert router.shards == shards
+            router.insert("R1", {"K": "k", "A1": "a1"})
+            router.insert("R2", {"K": "k", "A2": "a2"})
+            router.insert("R2", {"K": "j", "A2": "b2"})
+            if second_block:
+                router.insert("Q", {"A1": "a1", "B": "b"})
+            state = router.state
+            for target in targets:
+                expected = chase_state_naive(state).tableau.total_projection(
+                    frozenset(target)
+                )
+                assert expected
+                assert router.query(target) == expected, target
+        finally:
+            router.close()
+
+    def test_in_process(self):
+        self._check(False, 1, [["A1", "A2"], ["K", "A2"]])
+
+    def test_two_shards_gather_the_whole_state(self):
+        # [A2B] joins the over-cap block (through K and A1) with Q on
+        # the other shard; gathering only R2 and Q would answer ∅.
+        self._check(True, 2, [["A1", "A2"], ["A2", "B"], ["A1", "B"]])
