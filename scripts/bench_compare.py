@@ -13,7 +13,12 @@ A scenario regresses when its fresh speedup falls below
 scenario that shipped at 4.0x may wobble down to 3.0x with scheduler
 noise, but not further.  Scenarios present in the baseline and missing
 from the fresh run (or vice versa) are reported but only the tracked
-intersection gates.
+intersection gates.  Beside each ratio the report prints both timed
+sides at baseline and fresh (``naive_seconds``/``optimized_seconds``,
+``cold_open_seconds``/``promote_seconds``) wherever the records carry
+them, so a ratio that fell because its slow side got faster reads
+differently from one whose fast side got slower; the verdict reads the
+ratio alone.
 
 Each record carries its host's facts (``cpu_count``, ``python``,
 ``seed``, ``git_rev``; see ``repro.bench.write_report``).  Two speedup
@@ -43,6 +48,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))  # for the benchmarks package
 
 TOLERANCE = 0.25
+
+#: The two timed sides a speedup record may carry, slow side first.
+SIDES = (
+    ("naive_seconds", "optimized_seconds"),
+    ("cold_open_seconds", "promote_seconds"),
+)
 
 
 def load_records(path: Path) -> dict[str, dict]:
@@ -92,6 +103,23 @@ def refusal(baseline: dict, fresh: dict) -> str | None:
     return None
 
 
+def sides(baseline: dict, fresh: dict) -> str:
+    """Both sides' seconds at baseline and fresh, e.g. ``naive_seconds
+    0.015818 -> 0.003800  optimized_seconds 0.003617 -> 0.002600``, for
+    every side either record carries (``n/a`` where one lacks it);
+    empty when neither carries any."""
+
+    def seconds(record: dict, key: str) -> str:
+        return f"{record[key]:.6f}" if key in record else "n/a"
+
+    return "  ".join(
+        f"{key} {seconds(baseline, key)} -> {seconds(fresh, key)}"
+        for pair in SIDES
+        if any(key in baseline or key in fresh for key in pair)
+        for key in pair
+    )
+
+
 def compare(
     baseline: dict[str, dict], fresh: dict[str, dict]
 ) -> tuple[list[str], list[str], list[str]]:
@@ -123,6 +151,9 @@ def compare(
             f"{name:{width}}  baseline {base:6.2f}x  "
             f"fresh {got:6.2f}x  floor {floor:6.2f}x  {verdict}"
         )
+        timed = sides(baseline[name], fresh[name])
+        if timed:
+            lines.append(f"{'':{width}}    {timed}")
         if got < floor:
             regressions.append(name)
     for name in sorted(names - set(tracked)):

@@ -247,10 +247,11 @@ def run_parallel_scenarios(
       scheme, through ``WeakInstanceEngine.batch`` serially and with a
       ``workers``-wide block executor.  The independence decomposition
       routes each tile's updates to its blocks; beyond any pool
-      concurrency, the block path amortizes one substate extraction,
-      one persistent :class:`~repro.core.maintenance.StateIndex`, and
-      one full-state merge over the whole slice, where the serial loop
-      pays each per insert.
+      concurrency, the block path amortizes one substate extraction
+      and one full-state merge over the whole slice, where the serial
+      loop pays each per insert.  Both sides probe the key indexes
+      the relations carry across writes
+      (:meth:`~repro.state.relation.Relation.key_index`).
     * ``delta_insert_replay_e02_n64``: sixteen accepted inserts
       replayed in sequence on Example 2's chain (the full-chase
       strategy's home turf) — the engine's persistent

@@ -20,11 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional, Sequence, TYPE_CHECKING
 
-from repro.core.maintenance import (
-    StateIndex,
-    algebraic_insert,
-    ctm_insert,
-)
+from repro.core.maintenance import algebraic_insert, ctm_insert
 from repro.core.partition import RoutedUpdate, SchemePartition, partition_scheme
 from repro.core.reducible import (
     RecognitionResult,
@@ -245,31 +241,22 @@ class InsertMaintainer:
         Blocks are share-nothing, so the slice's outcome is exactly what
         the serial batch would decide at each of these global indexes —
         the earliest rejection (or raised error) across all blocks is
-        the serial batch's first failure.  One :class:`StateIndex` is
-        kept exact across the loop for ctm blocks, replacing the
-        per-insert rebuild of the single-insert path."""
+        the serial batch's first failure.  Ctm blocks probe the key
+        indexes each relation carries from write to write (see
+        :meth:`~repro.state.relation.Relation.key_index`)."""
         is_ctm = self.partition.block_ctm[block_index]
-        index = StateIndex(substate) if is_ctm else None
         current = substate
         applied = 0
         for global_index, operation, relation_name, values in operations:
             try:
                 if operation == "insert":
                     if is_ctm:
-                        assert index is not None
-                        duplicate = values in current[relation_name]
                         outcome = ctm_insert(
                             current,
                             relation_name,
                             values,
-                            index=index,
                             check_scheme=False,
                         )
-                        if outcome.consistent and not duplicate:
-                            assert outcome.state is not None
-                            index.absorb(
-                                relation_name, values, outcome.state
-                            )
                     else:
                         outcome = algebraic_insert(
                             current,
@@ -291,8 +278,6 @@ class InsertMaintainer:
                     current = outcome.state
                 else:  # "delete" — route_updates admits nothing else
                     current = current.delete(relation_name, values)
-                    if index is not None:
-                        index.evict(relation_name, current)
             except Exception as error:  # noqa: BLE001 — replayed by rank
                 # Captured, not raised: the serial batch only reaches
                 # this op when every earlier op succeeded, so the error
@@ -323,7 +308,8 @@ class InsertMaintainer:
         """Validate and apply one insertion on a consistent state.
 
         Returns the block-level decision lifted to the full state: the
-        outcome's ``state`` is the updated full state when consistent.
+        outcome's ``state`` is the full state with the block's updated
+        relation adopted when consistent.
         """
         strategy = self._strategy.get(relation_name)
         if strategy is None:
@@ -334,11 +320,7 @@ class InsertMaintainer:
         substate = self._substate(state, block)
         if strategy.startswith("algorithm-5"):
             outcome = ctm_insert(
-                substate,
-                relation_name,
-                values,
-                index=StateIndex(substate),
-                check_scheme=False,
+                substate, relation_name, values, check_scheme=False
             )
         else:
             outcome = algebraic_insert(
@@ -358,9 +340,12 @@ class InsertMaintainer:
                 chase_steps=outcome.chase_steps,
                 witness=outcome.witness,
             )
+        assert outcome.state is not None
         return MaintenanceOutcome(
             consistent=True,
-            state=state.insert(relation_name, values),
+            state=state.with_relation(
+                relation_name, outcome.state[relation_name]
+            ),
             tuples_examined=outcome.tuples_examined,
             chase_steps=outcome.chase_steps,
             witness=outcome.witness,

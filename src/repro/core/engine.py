@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import count
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.compile import KernelSpace
@@ -33,7 +32,7 @@ from repro.core.partition import (
 )
 from repro.core.query import QueryPlan, total_projection_plan
 from repro.core.readcache import ReadCache
-from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs, sorted_attrs
+from repro.foundations.attrs import AttrsLike, attrs, fmt_attrs
 from repro.foundations.cache import MISSING, CacheInfo, LRUCache
 from repro.foundations.errors import (
     InconsistentStateError,
@@ -43,14 +42,9 @@ from repro.foundations.errors import (
 )
 from repro.obs.spans import span
 from repro.schema.database_scheme import DatabaseScheme
-from repro.state.consistency import (
-    ChaseResult,
-    MaintenanceOutcome,
-    chase_state,
-)
+from repro.state.consistency import MaintenanceOutcome, chase_state
 from repro.state.database_state import DatabaseState
-from repro.tableau.symbols import KIND_NDV
-from repro.tableau.tableau import Row, Tableau
+from repro.tableau.tableau import Tableau
 
 #: One batch operation: ("insert" | "delete", relation name, tuple).
 Update = tuple[str, str, Mapping[str, Hashable]]
@@ -167,10 +161,19 @@ class WeakInstanceEngine:
     ) -> DatabaseState:
         """Bulk-load a state and verify it is consistent.
 
-        The chase this runs is memoized, so a ``query`` on the loaded
-        state reuses the representative instance computed here."""
+        On a scheme of several blocks the check chases each block's
+        substate: the induced scheme is independent, so the state is
+        consistent iff every block substate is (Section 4.2).  Otherwise
+        it chases the whole state, memoized, so a ``query`` on the
+        loaded state reuses the representative instance computed
+        here."""
         state = DatabaseState(self.scheme, relations)
-        self.representative(state)  # raises when inconsistent
+        if not self.partition.parallelizable:
+            self.representative(state)  # raises when inconsistent
+            return state
+        for index in range(len(self.partition.blocks)):
+            if not chase_state(self.partition.substate(state, index)).consistent:
+                raise InconsistentStateError("state admits no weak instance")
         return state
 
     def representative(self, state: DatabaseState) -> Tableau:
@@ -185,65 +188,12 @@ class WeakInstanceEngine:
         # repro.foundations.cache.MISSING).
         entry = self._chase.get(key, MISSING)
         if entry is MISSING or entry[0] is not state:
-            if self.partition.parallelizable:
-                entry = (state, self._assembled_chase(state))
-            else:
-                entry = (state, chase_state(state))
+            entry = (state, chase_state(state))
             self._chase.put(key, entry)
         result = entry[1]
         if not result.consistent:
             raise InconsistentStateError("state admits no weak instance")
         return result.tableau
-
-    def _assembled_chase(self, state: DatabaseState) -> ChaseResult:
-        """``CHASE_F(T_r)`` assembled from per-block chases.
-
-        Sound because an accepted partition admits no cross-block rule
-        firing: a key of block ``P`` embedded in block ``Q``'s
-        attributes would violate the uniqueness condition Algorithm 6
-        checks, so chase rules only ever equate symbols within one
-        block's rows.  Block-local ndvs are renumbered during assembly
-        to keep them distinct across blocks; the padding columns outside
-        a block's universe get fresh ndvs, exactly as the global state
-        tableau would."""
-        results = [
-            chase_state(self.partition.substate(state, index))
-            for index in range(len(self.partition.blocks))
-        ]
-        steps = sum(result.steps for result in results)
-        passes = max((result.passes for result in results), default=1)
-        universe = self.scheme.universe
-        if not all(result.consistent for result in results):
-            return ChaseResult(
-                Tableau(universe),
-                consistent=False,
-                steps=steps,
-                passes=passes,
-            )
-        fresh = count()
-        rows: list[Row] = []
-        for block, result in zip(self.partition.blocks, results):
-            remap: dict = {}
-            padding = sorted_attrs(universe - block.universe)
-            for row in result.tableau.rows:
-                cells: dict = {}
-                for attribute, symbol in row.cells.items():
-                    if symbol[0] == KIND_NDV:
-                        renamed = remap.get(symbol)
-                        if renamed is None:
-                            renamed = remap[symbol] = (KIND_NDV, next(fresh))
-                        cells[attribute] = renamed
-                    else:
-                        cells[attribute] = symbol
-                for attribute in padding:
-                    cells[attribute] = (KIND_NDV, next(fresh))
-                rows.append(Row(cells, tag=row.tag))
-        return ChaseResult(
-            Tableau(universe, rows),
-            consistent=True,
-            steps=steps,
-            passes=passes,
-        )
 
     def cache_info(self) -> dict[str, CacheInfo]:
         """Hit/miss/eviction accounting for the engine's memo layers."""
@@ -512,12 +462,7 @@ class WeakInstanceEngine:
         except SchemaError:
             return set()
         except NotApplicableError:
-            # Not representative(): its per-block assembly misses rules
-            # that fire across blocks, which such a target can need.
-            chased = chase_state(state)
-            if not chased.consistent:
-                raise InconsistentStateError("state admits no weak instance")
-            return chased.tableau.total_projection(target)
+            return self.representative(state).total_projection(target)
         program = self.kernels.expression_program(
             self.partition.fingerprint, plan.expression
         )

@@ -38,11 +38,15 @@ from repro.state.database_state import DatabaseState
 
 
 class StateIndex:
-    """Hash indexes over a state's relations, by (relation, key attrs).
+    """Key-indexed probes into a state's relations, with their counts.
 
     Models the storage layer the ctm definition assumes: a single-tuple
     conjunctive selection ``σ_{K='k'}(π_X(Ri))`` is one indexed probe.
-    Retrieved-tuple counts are accumulated for the experiments.
+    The hash indexes are the relations' own
+    (:meth:`~repro.state.relation.Relation.key_index`), built once per
+    relation object and carried across writes, so a probe costs the
+    same at every state size.  Probes and retrieved-tuple counts are
+    accumulated for the experiments.
     """
 
     def __init__(self, state: DatabaseState) -> None:
@@ -50,22 +54,6 @@ class StateIndex:
         self.scheme = state.scheme
         self.tuples_retrieved = 0
         self.probes = 0
-        self._indexes: dict[
-            tuple[str, tuple[str, ...]], dict[tuple, list[dict[str, Hashable]]]
-        ] = {}
-
-    def _index_for(
-        self, relation_name: str, key_attrs: tuple[str, ...]
-    ) -> dict[tuple, list[dict[str, Hashable]]]:
-        signature = (relation_name, key_attrs)
-        index = self._indexes.get(signature)
-        if index is None:
-            index = {}
-            for values in self.state[relation_name]:
-                key_values = tuple(values[a] for a in key_attrs)
-                index.setdefault(key_values, []).append(values)
-            self._indexes[signature] = index
-        return index
 
     def lookup(
         self,
@@ -76,44 +64,13 @@ class StateIndex:
         """All tuples of the relation matching the key values; counts the
         probe and the retrieved tuples."""
         ordered = tuple(sorted_attrs(key))
-        index = self._index_for(relation_name, ordered)
-        matches = index.get(tuple(key_values[a] for a in ordered), [])
+        relation = self.state[relation_name]
+        matches = relation.key_index(ordered).get(
+            tuple(key_values[a] for a in ordered), ()
+        )
         self.probes += 1
         self.tuples_retrieved += len(matches)
-        return matches
-
-    def absorb(
-        self,
-        relation_name: str,
-        values: Mapping[str, Hashable],
-        state: DatabaseState,
-    ) -> None:
-        """Register one just-inserted tuple and adopt the updated state.
-
-        Keeps every already-built index of the relation exact, so a
-        batch loop can probe one persistent index instead of rebuilding
-        from scratch per insert (lazily built indexes read the adopted
-        state).  Callers must not absorb a tuple the relation already
-        stored — relations are sets, so a duplicate insert changes
-        nothing and must leave the index alone."""
-        self.state = state
-        stored = dict(values)
-        for (name, key_attrs), index in self._indexes.items():
-            if name != relation_name:
-                continue
-            key_values = tuple(stored[a] for a in key_attrs)
-            index.setdefault(key_values, []).append(stored)
-
-    def evict(self, relation_name: str, state: DatabaseState) -> None:
-        """Drop the relation's built indexes (e.g. after a deletion) and
-        adopt the updated state; the next probe rebuilds lazily."""
-        self.state = state
-        for signature in [
-            signature
-            for signature in self._indexes
-            if signature[0] == relation_name
-        ]:
-            del self._indexes[signature]
+        return [dict(zip(relation.columns, row)) for row in matches]
 
 
 @dataclass(frozen=True)

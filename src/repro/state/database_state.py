@@ -87,6 +87,15 @@ class DatabaseState:
         updated[name] = self[name].without_tuple(values)
         return _from_relations(self.scheme, updated)
 
+    def with_relation(self, name: str, relation: Relation) -> "DatabaseState":
+        """A new state storing ``relation`` (the very object, on
+        ``name``'s attributes) as relation ``name``."""
+        if relation.attributes != self[name].attributes:
+            raise StateError(f"relation for {name} has wrong attributes")
+        updated = dict(self._relations)
+        updated[name] = relation
+        return _from_relations(self.scheme, updated)
+
     def union(self, other: "DatabaseState") -> "DatabaseState":
         """Relation-wise union of two states on the same scheme."""
         if self.scheme != other.scheme:

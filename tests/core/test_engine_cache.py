@@ -1,12 +1,16 @@
 """Tests for the engine's memo layers and outcome propagation: the
-bounded LRU caches behind plans and representative instances, and
-``modify``/block-lift diagnostics surviving rejection."""
+bounded LRU caches behind plans and representative instances, the
+representative instance itself, and ``modify``/block-lift diagnostics
+surviving rejection."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import WeakInstanceEngine
+from repro.foundations.attrs import sorted_attrs
 from repro.foundations.cache import LRUCache
 from repro.foundations.errors import InconsistentStateError
+from repro.state.consistency import chase_state
 from repro.workloads.adversarial import (
     example2_chain_state,
     example2_killer_insert,
@@ -15,7 +19,10 @@ from repro.workloads.paper import (
     example1_university,
     example2_not_algebraic,
     example12_reducible,
+    example12_state,
 )
+from repro.workloads.states import random_consistent_state
+from tests.conftest import every_generator, seeded_rng
 
 
 class TestLRUCache:
@@ -103,10 +110,59 @@ class TestChaseMemoization:
         assert engine.cache_info()["chase"].hits == 1
 
     def test_load_seeds_the_cache(self):
-        engine = WeakInstanceEngine(example1_university())
-        state = engine.load({"R1": [{"H": "h", "R": "r", "C": "c"}]})
+        # One block (outside the class here), so load chases the whole
+        # state and memoizes it.
+        engine = WeakInstanceEngine(example2_not_algebraic())
+        relations = {
+            name: list(relation)
+            for name, relation in example2_chain_state(4)
+        }
+        state = engine.load(relations)
         engine.representative(state)
         assert engine.cache_info()["chase"].hits == 1
+
+    def test_load_checks_several_blocks_one_by_one(self):
+        """On a scheme of several blocks, load chases block substates
+        (consistency is block-local) and never the whole state."""
+        engine = WeakInstanceEngine(example1_university())
+        engine.load({"R1": [{"H": "h", "R": "r", "C": "c"}]})
+        assert engine.cache_info()["chase"].size == 0
+        with pytest.raises(InconsistentStateError):
+            engine.load(
+                {
+                    "R1": [{"H": "h", "R": "r", "C": "c"}],
+                    "R3": [{"H": "h", "T": "t", "C": "c2"}],
+                    "R2": [{"H": "h", "T": "t", "R": "r"}],
+                }
+            )
+
+
+class TestRepresentative:
+    def test_example12_rule_across_blocks(self):
+        """R4's key A is embedded in block {R1..R4} and R6 is in block
+        {R5, R6}: A→D joins a's ABC row to d's DEG row across blocks,
+        so [ACG] holds <a, c, g>."""
+        state = example12_state()
+        engine = WeakInstanceEngine(state.scheme)
+        assert engine.partition.parallelizable
+        expected = chase_state(state).tableau.total_projection("ACG")
+        assert expected == {("a", "c", "g")}
+        assert engine.representative(state).total_projection("ACG") == expected
+
+    @given(every_generator, seeded_rng(), st.data())
+    @settings(max_examples=40)
+    def test_total_projections_match_the_whole_state_chase(
+        self, scheme, rng, data
+    ):
+        state = random_consistent_state(scheme, rng, 4)
+        target = data.draw(
+            st.sets(
+                st.sampled_from(sorted_attrs(scheme.universe)), min_size=1
+            )
+        )
+        engine = WeakInstanceEngine(scheme)
+        expected = chase_state(state).tableau.total_projection(target)
+        assert engine.representative(state).total_projection(target) == expected
 
 
 class TestPlanCache:

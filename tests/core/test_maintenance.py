@@ -1,8 +1,14 @@
 """Tests for Algorithms 2, 4 and 5 against the full-chase ground truth,
 reproducing the paper's worked maintenance examples exactly."""
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
+
+import repro.state.relation as relation_module
+from repro.core.engine import WeakInstanceEngine
 
 from repro.core.maintenance import (
     StateIndex,
@@ -28,10 +34,12 @@ from repro.workloads.paper import (
     example10_state,
 )
 from repro.workloads.random_schemes import random_key_equivalent_scheme
+from repro.workloads.scaling import tiled_university
 from repro.workloads.states import (
     conflicting_insert_candidate,
     consistent_insert_candidate,
     random_consistent_state,
+    universe_tuple,
 )
 from repro.core.split import is_split_free
 
@@ -285,3 +293,57 @@ class TestAlgorithm2:
                 assert expr_lookup.find(frozenset(key), values) == (
                     chase_lookup.find(frozenset(key), values)
                 )
+
+
+class TestIndexBuilds:
+    """Algorithm 5 pays for its probes, not for its state: the key
+    indexes it probes are built once per (relation, key) and then
+    follow every write, on the single-insert route and on the block
+    kernel behind a batch slice alike."""
+
+    @staticmethod
+    def _stream(scheme, n):
+        """``n`` inserts of entity projections, half of them entities the
+        start state already holds elsewhere (so probes find rows)."""
+        updates = []
+        for step in range(n):
+            entity = universe_tuple(scheme, step % 24)
+            member = scheme.relations[step % len(scheme.relations)]
+            updates.append(
+                (member.name, {a: entity[a] for a in member.attributes})
+            )
+        return updates
+
+    @pytest.mark.parametrize("route", ["insert", "slice"])
+    @pytest.mark.parametrize("n", [1, 16, 96])
+    def test_each_index_is_built_at_most_once(self, route, n):
+        scheme = tiled_university(2)
+        engine = WeakInstanceEngine(scheme)
+        state = random_consistent_state(scheme, random.Random(5), 12)
+        builds = mock.Mock(wraps=relation_module._build_key_index)
+        with mock.patch.object(relation_module, "_build_key_index", builds):
+            updates = self._stream(scheme, n)
+            if route == "insert":
+                for name, values in updates:
+                    outcome = engine.insert(state, name, values)
+                    assert outcome.consistent
+                    state = outcome.state
+            else:
+                # Prepare-sized slices, each on the previous one's state.
+                for start in range(0, n, 8):
+                    operations = [
+                        (index, "insert", name, values)
+                        for index, (name, values) in enumerate(
+                            updates[start:start + 8], start
+                        )
+                    ]
+                    outcome = engine.apply_slice(state, operations)
+                    assert outcome.substate is not None
+                    state = outcome.substate
+        signatures = [
+            (order, key_attrs) for (_, order, key_attrs), _ in builds.call_args_list
+        ]
+        assert signatures, "the stream probed no index"
+        assert len(signatures) == len(set(signatures))
+        scanned = sum(len(rows) for (rows, _, _), _ in builds.call_args_list)
+        assert scanned <= len(signatures) * state.total_tuples()

@@ -319,8 +319,8 @@ class TestApplySlice:
 
 class TestBlockChaseCache:
     def test_assembled_representative_matches_whole_state_chase(self):
-        """The per-block assembly is sound: its total projections equal
-        the single global chase's."""
+        """On the tiled scheme of many blocks the engine's memoized
+        representative projects like the single global chase."""
         from repro.state.consistency import chase_state
 
         scheme = tiled_university(2)

@@ -51,6 +51,16 @@ class TestUpdates:
         state = state_of(scheme(), R1=[{"A": "a", "B": "b"}])
         assert state.delete("R1", {"A": "a", "B": "b"}).is_empty()
 
+    def test_with_relation_adopts_the_object(self):
+        state = DatabaseState(scheme())
+        relation = state["R1"].with_tuple({"A": "a", "B": "b"})
+        updated = state.with_relation("R1", relation)
+        assert updated["R1"] is relation
+        assert updated["R2"] is state["R2"]
+        assert state.is_empty()
+        with pytest.raises(StateError):
+            state.with_relation("R2", relation)
+
     def test_union_and_difference(self):
         left = state_of(scheme(), R1=[{"A": "a", "B": "b"}])
         right = state_of(scheme(), R2=[{"B": "b", "C": "c"}])

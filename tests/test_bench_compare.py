@@ -58,3 +58,42 @@ def test_matching_cpu_counts_compare(bench_compare):
         {"ratio": record}, {"ratio": dict(record)}
     )
     assert (regressions, refused) == ([], [])
+
+
+def test_both_sides_seconds_print_beside_each_ratio(bench_compare):
+    baseline = {
+        "batch": {
+            "speedup": 4.373,
+            "naive_seconds": 0.015818,
+            "optimized_seconds": 0.003617,
+        },
+        "failover": {
+            "speedup": 26.203,
+            "cold_open_seconds": 0.176034,
+            "promote_seconds": 0.006718,
+        },
+        "plain": {"speedup": 2.0},
+    }
+    fresh = {
+        "batch": {
+            "speedup": 1.462,
+            "naive_seconds": 0.0038,
+            "optimized_seconds": 0.0026,
+        },
+        "failover": {"speedup": 30.0, "promote_seconds": 0.0048},
+        "plain": {"speedup": 2.0},
+    }
+    lines, regressions, refused = bench_compare.compare(baseline, fresh)
+    # The verdict still reads the ratio alone: a slow side that got
+    # faster fails the gate exactly as before.
+    assert regressions == ["batch"]
+    assert refused == []
+    assert lines == [
+        "batch     baseline   4.37x  fresh   1.46x  floor   3.28x  REGRESSED",
+        "            naive_seconds 0.015818 -> 0.003800  "
+        "optimized_seconds 0.003617 -> 0.002600",
+        "failover  baseline  26.20x  fresh  30.00x  floor  19.65x  ok",
+        "            cold_open_seconds 0.176034 -> n/a  "
+        "promote_seconds 0.006718 -> 0.004800",
+        "plain     baseline   2.00x  fresh   2.00x  floor   1.50x  ok",
+    ]
