@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from itertools import groupby
 from typing import Hashable, Optional, Sequence
 
 from repro.state.relation import Relation
@@ -132,7 +133,12 @@ class ColumnStore:
 
     # -- derived caches ---------------------------------------------------------
     def columnar(self, relation: Relation) -> ColumnarRelation:
-        """The interned transposition of ``relation``, cached by identity."""
+        """The interned transposition of ``relation``, cached by identity.
+
+        Interns column by column.  The values a column brings that the
+        interner has not seen get their codes in ``repr`` order, not in
+        row order: rows live in a ``frozenset``, so row order follows
+        the hash seed, and codes must not."""
         with self._lock:
             entry = self._columnar.get(id(relation))
             if entry is not None and entry.relation is relation:
@@ -140,21 +146,17 @@ class ColumnStore:
             codes = self._codes
             decode = self._decode
             columns = relation.columns
-            width = len(columns)
-            cols = [array("q") for _ in range(width)]
-            appends = [col.append for col in cols]
-            for row in relation.row_vectors:
-                for position in range(width):
-                    value = row[position]
-                    code = codes.get(value)
-                    if code is None:
-                        code = len(decode)
-                        codes[value] = code
-                        decode.append(value)
-                    appends[position](code)
-            entry = ColumnarRelation(
-                relation, columns, tuple(cols), len(relation.row_vectors)
-            )
+            rows = relation.row_vectors
+            value_columns = zip(*rows) if rows else [()] * len(columns)
+            cols = []
+            for values in value_columns:
+                fresh = sorted(set(values).difference(codes), key=repr)
+                if fresh:
+                    first = len(decode)
+                    decode.extend(fresh)
+                    codes.update(zip(fresh, range(first, len(decode))))
+                cols.append(array("q", map(codes.__getitem__, values)))
+            entry = ColumnarRelation(relation, columns, tuple(cols), len(rows))
             self._columnar[id(relation)] = entry
             return entry
 
@@ -164,9 +166,10 @@ class ColumnStore:
         """A hash index over the relation's interned columns.
 
         Maps a key — the single code for one position, a code tuple for
-        several — to the list of row indexes holding it.  Built once per
-        (relation identity, positions) and reused by every subsequent
-        scan probe, semi-join and join against the same stored relation.
+        several — to the tuple of row indexes holding it.  Built once
+        per (relation identity, positions) and reused by every
+        subsequent scan probe, semi-join and join against the same
+        stored relation.
         """
         signature = (id(relation), positions)
         with self._lock:
@@ -174,18 +177,7 @@ class ColumnStore:
             if entry is not None and entry[0] is relation:
                 return entry[1]
         columnar = self.columnar(relation)
-        index: dict = {}
-        setdefault = index.setdefault
-        if len(positions) == 1:
-            col = columnar.cols[positions[0]]
-            for row_index in range(columnar.nrows):
-                setdefault(col[row_index], []).append(row_index)
-        else:
-            key_cols = tuple(columnar.cols[p] for p in positions)
-            for row_index in range(columnar.nrows):
-                setdefault(
-                    tuple(col[row_index] for col in key_cols), []
-                ).append(row_index)
+        index = group_rows(key_column(columnar.cols, positions))
         with self._lock:
             self._indexes[signature] = (relation, index)
         return index
@@ -206,28 +198,44 @@ class ColumnStore:
             if entry is not None and entry[0] is relation:
                 return entry[1], entry[2]
         columnar = self.columnar(relation)
-        cols = tuple(columnar.cols[p] for p in positions)
-        seen: set = set()
-        add = seen.add
-        keep: list[int] = []
-        append = keep.append
-        if len(cols) == 1:
-            for row_index, code in enumerate(cols[0]):
-                if code not in seen:
-                    add(code)
-                    append(row_index)
-        else:
-            for row_index, key in enumerate(zip(*cols)):
-                if key not in seen:
-                    add(key)
-                    append(row_index)
-        if len(keep) == columnar.nrows:
-            trimmed = cols
-        else:
-            trimmed = tuple(
-                array("q", map(col.__getitem__, keep)) for col in cols
-            )
-        result = (trimmed, len(keep))
+        trimmed, nrows = dedup(tuple(columnar.cols[p] for p in positions))
         with self._lock:
-            self._trims[signature] = (relation, trimmed, len(keep))
-        return result
+            self._trims[signature] = (relation, trimmed, nrows)
+        return trimmed, nrows
+
+
+# -- row sweeps -------------------------------------------------------------------
+# Each helper is a few passes of C builtins over whole columns; none
+# calls back into Python once per row.
+
+
+def key_column(cols: Sequence, positions: Sequence[int]) -> Sequence:
+    """Every row's key on ``positions``: the bare code column for one
+    position (ints hash faster than 1-tuples), a list of code tuples
+    otherwise."""
+    if len(positions) == 1:
+        return cols[positions[0]]
+    return list(zip(*[cols[p] for p in positions]))
+
+
+def group_rows(keys: Sequence) -> dict:
+    """``key → tuple of the row indexes holding it``, each ascending."""
+    groups = dict(zip(keys, zip(range(len(keys)))))
+    if len(groups) == len(keys):
+        return groups
+    # Some key holds several rows: a stable sort by key puts each key's
+    # rows side by side, in ascending order.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return {
+        key: tuple(rows) for key, rows in groupby(order, keys.__getitem__)
+    }
+
+
+def dedup(cols: tuple) -> tuple[tuple, int]:
+    """Drop repeated rows of equal-length code columns, keeping each
+    row's first occurrence in order.  Returns ``(cols, nrows)``; the
+    columns themselves when no row repeats."""
+    rows = dict.fromkeys(zip(*cols))
+    if len(rows) == len(cols[0]):
+        return cols, len(rows)
+    return tuple(array("q", col) for col in zip(*rows)), len(rows)

@@ -14,7 +14,12 @@ columns (:mod:`repro.compile.columns`):
   larger; an unfiltered base-relation side is probed through its cached
   index instead of building a throwaway table);
 * **project** — column gather plus dedup;
-* **union** — concatenate branches and dedup.
+* **union** — concatenate branches and dedup; a union with one
+  non-empty branch is that branch, unchanged.
+
+Every row sweep — keys, filters, dedup, gathers, decoding — is a pass
+of a C builtin (``zip``, ``map``, ``compress``, ``dict.fromkeys``) over
+whole columns, never a Python call per row.
 
 Selections are *pushed down* at compile time: every equality lands on
 the scans of the base relations that carry its attribute, so the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from itertools import chain, compress, repeat
 from typing import Hashable, Mapping, Optional, Sequence
 
 from repro.algebra.expressions import (
@@ -52,7 +58,7 @@ from repro.foundations.errors import CompileError, StateError
 from repro.obs.spans import span
 from repro.state.relation import Relation
 
-from repro.compile.columns import ColumnStore
+from repro.compile.columns import ColumnStore, dedup, group_rows, key_column
 
 #: What programs evaluate against (same protocol as Expression.evaluate).
 RelationSource = Mapping[str, Relation]
@@ -108,20 +114,6 @@ def _gather(cols: Sequence, keep: Sequence[int]) -> tuple:
     )
 
 
-def _key_reader(cols: Sequence, positions: Sequence[int]):
-    """``row index → join key`` over interned columns: the bare code for
-    a single-column key (ints hash faster than 1-tuples), a code tuple
-    otherwise."""
-    if len(positions) == 1:
-        return cols[positions[0]].__getitem__
-    key_cols = tuple(cols[p] for p in positions)
-
-    def read(row_index: int) -> tuple:
-        return tuple(col[row_index] for col in key_cols)
-
-    return read
-
-
 class _RunContext:
     """Per-execution scratch: the store, the state, bound parameters."""
 
@@ -142,7 +134,14 @@ class ScanOp:
     """Fetch one stored relation; apply fused equality tests via the
     store's cached hash index (the constant-select kernel)."""
 
-    __slots__ = ("dst", "name", "columns", "const_tests", "param_tests")
+    __slots__ = (
+        "dst",
+        "name",
+        "columns",
+        "attributes",
+        "const_tests",
+        "param_tests",
+    )
 
     def __init__(
         self,
@@ -155,16 +154,17 @@ class ScanOp:
         self.dst = dst
         self.name = name
         self.columns = columns
+        self.attributes = frozenset(columns)
         self.const_tests = const_tests
         self.param_tests = param_tests
 
     def run(self, regs: list, ctx: _RunContext) -> None:
         relation = ctx.source[self.name]
-        if relation.attributes != frozenset(self.columns):
+        if relation.attributes != self.attributes:
             raise StateError(
                 f"stored relation {self.name} has attributes "
                 f"{fmt_attrs(relation.attributes)}, expression expects "
-                f"{fmt_attrs(frozenset(self.columns))}"
+                f"{fmt_attrs(self.attributes)}"
             )
         store = ctx.store
         columnar = store.columnar(relation)
@@ -267,6 +267,9 @@ class JoinOp:
         self.semijoin_pairs = tuple(pairs)
 
     def run(self, regs: list, ctx: _RunContext) -> None:
+        if not all(regs[source].nrows for source in self.srcs):
+            regs[self.dst] = _empty(self.out_columns)
+            return
         store = ctx.store
         operands: list[KernelRelation] = []
         for source, trim in zip(self.srcs, self.trims):
@@ -339,22 +342,16 @@ class ProjectOp:
         if operand.columns == self.out_columns:
             regs[self.dst] = operand
             return
-        cols = tuple(operand.cols[p] for p in self.positions)
-        seen: set = set()
-        add = seen.add
-        keep: list[int] = []
-        append = keep.append
-        for row_index, key in enumerate(zip(*cols)):
-            if key not in seen:
-                add(key)
-                append(row_index)
-        regs[self.dst] = KernelRelation(
-            self.out_columns, _gather(cols, keep), len(keep)
-        )
+        cols, nrows = dedup(tuple(operand.cols[p] for p in self.positions))
+        regs[self.dst] = KernelRelation(self.out_columns, cols, nrows)
 
 
 class UnionOp:
-    """Concatenate same-schema branches and dedup."""
+    """Concatenate same-schema branches and dedup.
+
+    Every register is duplicate-free, so a union with one non-empty
+    branch is that branch, unchanged — its ``base`` tag included, which
+    lets a join above it probe the stored relation's cached index."""
 
     __slots__ = ("dst", "srcs", "out_columns")
 
@@ -366,21 +363,17 @@ class UnionOp:
         self.out_columns = out_columns
 
     def run(self, regs: list, ctx: _RunContext) -> None:
-        width = len(self.out_columns)
-        seen: set = set()
-        add = seen.add
-        out = [array("q") for _ in range(width)]
-        appends = [col.append for col in out]
-        total = 0
-        for source in self.srcs:
-            operand: KernelRelation = regs[source]
-            for row in zip(*operand.cols):
-                if row not in seen:
-                    add(row)
-                    for position in range(width):
-                        appends[position](row[position])
-                    total += 1
-        regs[self.dst] = KernelRelation(self.out_columns, tuple(out), total)
+        nonempty = [regs[source] for source in self.srcs if regs[source].nrows]
+        if len(nonempty) <= 1:
+            regs[self.dst] = (
+                nonempty[0] if nonempty else _empty(self.out_columns)
+            )
+            return
+        rows = dict.fromkeys(
+            chain.from_iterable(zip(*branch.cols) for branch in nonempty)
+        )
+        cols = tuple(array("q", col) for col in zip(*rows))
+        regs[self.dst] = KernelRelation(self.out_columns, cols, len(rows))
 
 
 def _trim_dedup(
@@ -390,18 +383,8 @@ def _trim_dedup(
 ) -> KernelRelation:
     """Projection pushdown on an operand: gather the kept columns and
     dedup (the interpreted pipeline's ``project_relation`` does both)."""
-    cols = tuple(operand.cols[p] for p in positions)
-    seen: set = set()
-    add = seen.add
-    keep: list[int] = []
-    append = keep.append
-    for row_index, key in enumerate(zip(*cols)):
-        if key not in seen:
-            add(key)
-            append(row_index)
-    if len(keep) == operand.nrows and len(positions) == len(operand.columns):
-        return operand
-    return KernelRelation(names, _gather(cols, keep), len(keep))
+    cols, nrows = dedup(tuple(operand.cols[p] for p in positions))
+    return KernelRelation(names, cols, nrows)
 
 
 #: Right side smaller than this uses the left's cached base index for a
@@ -417,75 +400,31 @@ def _semijoin(
     right_positions: tuple[int, ...],
 ) -> KernelRelation:
     """``left ⋉ right`` on the given key positions (identity when
-    nothing is filtered, preserving the base tag).  Single-column keys
-    sweep the raw code arrays directly — no per-row reader calls."""
-    use_left_index = (
+    nothing is filtered, preserving the base tag)."""
+    if (
         left.base is not None
         and right.nrows <= _SEMIJOIN_PROBE_BOUND
         and right.nrows * 4 < left.nrows
-    )
-    use_right_index = (
-        right.base is not None
-        and left.nrows <= _SEMIJOIN_PROBE_BOUND
-        and left.nrows * 4 < right.nrows
-    )
-    if len(left_positions) == 1:
-        right_col = right.cols[right_positions[0]]
-        if use_left_index:
-            # Probe the stored relation's cached index with the (few)
-            # right keys instead of sweeping every left row.
-            index = store.index(left.base, left_positions)
-            hit: set[int] = set()
-            for code in right_col:
-                bucket = index.get(code)
-                if bucket:
-                    hit.update(bucket)
-            if len(hit) == left.nrows:
-                return left
-            keep = sorted(hit)
-        elif use_right_index:
-            # Few left rows against a big stored right side: membership
-            # is one probe of the right relation's index per left row.
-            index = store.index(right.base, right_positions)
-            left_col = left.cols[left_positions[0]]
-            keep = [
-                i for i, code in enumerate(left_col) if code in index
-            ]
-            if len(keep) == left.nrows:
-                return left
-        else:
-            seen = set(right_col)
-            left_col = left.cols[left_positions[0]]
-            keep = [
-                i for i, code in enumerate(left_col) if code in seen
-            ]
-            if len(keep) == left.nrows:
-                return left
+    ):
+        # Probe the stored relation's cached index with the (few)
+        # right keys instead of sweeping every left row.
+        index = store.index(left.base, left_positions)
+        right_keys = key_column(right.cols, right_positions)
+        hit = set(chain.from_iterable(filter(None, map(index.get, right_keys))))
+        keep: Sequence[int] = sorted(hit)
     else:
-        right_keys = _key_reader(right.cols, right_positions)
-        left_keys = _key_reader(left.cols, left_positions)
-        if use_left_index:
-            index = store.index(left.base, left_positions)
-            hit = set()
-            for j in range(right.nrows):
-                bucket = index.get(right_keys(j))
-                if bucket:
-                    hit.update(bucket)
-            if len(hit) == left.nrows:
-                return left
-            keep = sorted(hit)
-        elif use_right_index:
-            index = store.index(right.base, right_positions)
-            keep = [
-                i for i in range(left.nrows) if left_keys(i) in index
-            ]
-            if len(keep) == left.nrows:
-                return left
+        if right.base is not None:
+            # A stored right side: membership is a probe of its cached
+            # index, built once per relation object.
+            members = store.index(right.base, right_positions)
         else:
-            seen = {right_keys(j) for j in range(right.nrows)}
-            keep = [i for i in range(left.nrows) if left_keys(i) in seen]
-            if len(keep) == left.nrows:
-                return left
+            members = set(key_column(right.cols, right_positions))
+        left_keys = key_column(left.cols, left_positions)
+        keep = list(
+            compress(range(left.nrows), map(members.__contains__, left_keys))
+        )
+    if len(keep) == left.nrows:
+        return left
     return KernelRelation(
         left.columns, _gather(left.cols, keep), len(keep)
     )
@@ -494,11 +433,13 @@ def _semijoin(
 def _cartesian(
     left: KernelRelation, right: KernelRelation
 ) -> KernelRelation:
-    pairs_left = [
-        i for i in range(left.nrows) for _ in range(right.nrows)
-    ]
-    pairs_right = list(range(right.nrows)) * left.nrows
-    return _assemble(left, pairs_left, right, pairs_right)
+    left_rows = list(
+        chain.from_iterable(
+            map(repeat, range(left.nrows), repeat(right.nrows, left.nrows))
+        )
+    )
+    right_rows = list(range(right.nrows)) * left.nrows
+    return _assemble(left, left_rows, right, right_rows)
 
 
 def _assemble(
@@ -523,6 +464,21 @@ def _assemble(
     return KernelRelation(out_names, tuple(out_cols), len(left_rows))
 
 
+def _match(table: dict, keys: Sequence) -> tuple[list[int], list[int]]:
+    """Probe ``table`` (key → row indexes) with every key.  Returns the
+    matching pairs as two aligned lists: the index into ``keys``, once
+    per match, and the table row it matched."""
+    buckets = list(map(table.get, keys))
+    hits = list(filter(None, buckets))
+    outer = list(compress(range(len(buckets)), buckets))
+    inner = list(chain.from_iterable(hits))
+    # A key index gives each key one row; only a repeated key makes an
+    # outer row match more than once.
+    if len(inner) != len(outer):
+        outer = list(chain.from_iterable(map(repeat, outer, map(len, hits))))
+    return outer, inner
+
+
 def _join_pair(
     store: ColumnStore, left: KernelRelation, right: KernelRelation
 ) -> KernelRelation:
@@ -543,53 +499,15 @@ def _join_pair(
         build, build_positions = right, right_positions
         probe, probe_positions = left, left_positions
         build_is_left = False
-    build_rows: list[int] = []
-    probe_rows: list[int] = []
-    build_append = build_rows.append
-    probe_append = probe_rows.append
-    single = len(build_positions) == 1
+    build_keys = key_column(build.cols, build_positions)
     if probe.base is not None:
         # Look the build rows up in the stored relation's cached index:
         # O(build) probes, no per-run table.
         index = store.index(probe.base, tuple(probe_positions))
-        if single:
-            for i, code in enumerate(build.cols[build_positions[0]]):
-                bucket = index.get(code)
-                if bucket is not None:
-                    for j in bucket:
-                        build_append(i)
-                        probe_append(j)
-        else:
-            build_keys = _key_reader(build.cols, build_positions)
-            for i in range(build.nrows):
-                bucket = index.get(build_keys(i))
-                if bucket is not None:
-                    for j in bucket:
-                        build_append(i)
-                        probe_append(j)
+        build_rows, probe_rows = _match(index, build_keys)
     else:
-        table: dict = {}
-        setdefault = table.setdefault
-        if single:
-            for i, code in enumerate(build.cols[build_positions[0]]):
-                setdefault(code, []).append(i)
-            for j, code in enumerate(probe.cols[probe_positions[0]]):
-                bucket = table.get(code)
-                if bucket is not None:
-                    for i in bucket:
-                        build_append(i)
-                        probe_append(j)
-        else:
-            build_keys = _key_reader(build.cols, build_positions)
-            for i in range(build.nrows):
-                setdefault(build_keys(i), []).append(i)
-            probe_keys = _key_reader(probe.cols, probe_positions)
-            for j in range(probe.nrows):
-                bucket = table.get(probe_keys(j))
-                if bucket is not None:
-                    for i in bucket:
-                        build_append(i)
-                        probe_append(j)
+        probe_keys = key_column(probe.cols, probe_positions)
+        probe_rows, build_rows = _match(group_rows(build_keys), probe_keys)
     if build_is_left:
         return _assemble(build, build_rows, probe, probe_rows)
     return _assemble(probe, probe_rows, build, build_rows)
@@ -660,12 +578,8 @@ class CompiledProgram:
         ``out_columns`` (sorted-attribute) order — the same vectors a
         ``Relation`` over the output would store."""
         result = self.run(store, source, params)
-        decode = store.decoder()
-        rows: set[tuple[Hashable, ...]] = set()
-        add = rows.add
-        for row in zip(*result.cols):
-            add(tuple(decode[code] for code in row))
-        return rows
+        lookup = store.decoder().__getitem__
+        return set(zip(*[map(lookup, col) for col in result.cols]))
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,7 @@ from typing import Any, Mapping, Optional
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import StoreError
 from repro.io import sorted_rows, state_to_dict
-from repro.obs.spans import Tracer, tracing
+from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import cache_series
 from repro.service.store import SCHEME_FILE, DurableStore, MemoryStore
@@ -148,15 +148,7 @@ class ShardWorker:
         if op == "abort":
             return self._abort(request)
         if op == "fetch":
-            names = request.get("relations")
-            if names is None:
-                names = list(store.scheme.names)
-            state = store.state
-            relations = {
-                name: [dict(values) for values in state[name]]
-                for name in names
-            }
-            return {"ok": True, "relations": relations}
+            return self._fetch(request)
         if op == "state":
             return {"ok": True, "state": state_to_dict(store.state)}
         if op == "metrics":
@@ -190,6 +182,23 @@ class ShardWorker:
             store.snapshot()
             return {"ok": True}
         raise ValueError(f"unknown worker op {op!r}")
+
+    def _fetch(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        """The named relations' rows (every relation when none are
+        named): the reply behind a router gather."""
+        with span("worker.fetch") as sp:
+            names = request.get("relations")
+            if names is None:
+                names = list(self.store.scheme.names)
+            state = self.store.state
+            relations = {
+                name: [dict(values) for values in state[name]]
+                for name in names
+            }
+            if sp:
+                sp.add("relations", len(relations))
+                sp.add("rows", sum(map(len, relations.values())))
+        return {"ok": True, "relations": relations}
 
     # -- two-phase batches ----------------------------------------------------
     def _prepare(self, request: Mapping[str, Any]) -> dict[str, Any]:

@@ -115,6 +115,28 @@ class TestAggregation:
             assert "engine.batch" in spans
             assert "engine.block" in spans
 
+    def test_gather_records_worker_fetch_spans(self):
+        """A two-shard ``[C,S]`` gathers R1, R2, R3, R5 from shard 0
+        and R4 from shard 1; each shard's ``fetch`` reply is a
+        ``worker.fetch`` span counting what it shipped."""
+        router = ShardRouter.in_memory(example1_university(), 2)
+        try:
+            assert router.insert("R4", {"C": "c", "S": "s", "G": "A"})
+            assert router.insert("R1", {"C": "c", "H": "h", "R": "r"})
+            assert router.query(("C", "S")) == {("c", "s")}
+            stats = router.stats()
+        finally:
+            router.close()
+        shipped = {}
+        for shard, report in stats["shards"].items():
+            assert report["spans"]["worker.fetch"]["count"] == 1
+            counters = report["span_counters"]
+            shipped[shard] = (
+                counters["worker.fetch.relations"],
+                counters["worker.fetch.rows"],
+            )
+        assert shipped == {"0": (4, 1), "1": (1, 1)}
+
     def test_stats_reports_per_shard_sections(self):
         router = ShardRouter.in_memory(example1_university(), 2)
         try:
