@@ -1,18 +1,21 @@
 #!/usr/bin/env python
 """Alternating parent/change pairs of the front-door serving benchmark.
 
-Exports a base revision into a temporary checkout under
-``.perfbench_run/``, then runs this checkout's ``perfbench/run.py``
-``--pairs`` times on each side, alternating which side goes first.
-Each run has the side's checkout as its working directory, so it
-serves that side's ``src/`` while both sides run the same benchmark
-code.  Every run writes its own record under
+Exports two sides into temporary checkouts under ``.perfbench_run/``:
+the base revision, and this checkout as it stands (``git stash
+create``, or ``HEAD`` when the tree is clean; files git does not track
+are left out, so ``git add`` new ones first).  Then it runs the change
+export's ``perfbench/run.py`` ``--pairs`` times on each side,
+alternating which side goes first.  Each run has the side's export as
+its working directory, so it serves that side's ``src/`` while both
+sides run the same benchmark code from the same kind of place: nothing
+runs from the checkout itself.  Every run writes its own record under
 ``.perfbench_run/pairs/records/``.
 
 Then it prints, per metric, the median and quartiles of each side and
 the pairs the change won (ties count for neither side), runs
 ``perfbench/compare.py`` on the two record sets for the bound verdict,
-and removes the temporary checkout.
+and removes the temporary checkouts.
 
 Usage, from the root of a checkout::
 
@@ -112,12 +115,26 @@ def format_rows(rows: list[dict[str, Any]]) -> list[str]:
     return lines
 
 
-def export(rev: str, dest: Path) -> None:
+def git(root: Path, *args: str) -> str:
+    """The stripped standard output of one git command in ``root``."""
+    return subprocess.run(
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def change_revision(root: Path = ROOT) -> str:
+    """A commit holding the tracked files of ``root`` as they stand:
+    ``git stash create`` (index and working tree; it leaves both
+    alone), or ``HEAD`` when there is nothing to stash."""
+    return git(root, "stash", "create") or git(root, "rev-parse", "HEAD")
+
+
+def export(rev: str, dest: Path, root: Path = ROOT) -> None:
     """Write the tree of ``rev`` into ``dest`` (``git archive``)."""
     dest.mkdir(parents=True)
     archive = subprocess.Popen(
         ["git", "archive", "--format=tar", rev],
-        cwd=ROOT,
+        cwd=root,
         stdout=subprocess.PIPE,
     )
     try:
@@ -131,15 +148,20 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_once(
-    checkout: Path, args: argparse.Namespace, seconds: float, record: Path
+    bench: Path,
+    checkout: Path,
+    args: argparse.Namespace,
+    seconds: float,
+    record: Path,
 ) -> dict[str, Any]:
-    """One benchmark run against ``checkout``; its record."""
+    """One run of the benchmark in ``bench`` against ``checkout``; its
+    record."""
     log = record.with_suffix(".log")
     with open(log, "w") as handle:
         code = subprocess.run(
             [
                 sys.executable,
-                str(ROOT / "perfbench" / "run.py"),
+                str(bench / "perfbench" / "run.py"),
                 "--workload", args.workload,
                 "--seed", str(args.seed),
                 "--seconds", str(seconds),
@@ -165,22 +187,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    rev = subprocess.run(
-        ["git", "rev-parse", "--verify", f"{args.base}^{{commit}}"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    checkout = WORK / f"base-{rev[:12]}"
+    rev = git(ROOT, "rev-parse", "--verify", f"{args.base}^{{commit}}")
+    new_rev = change_revision()
+    sides = {
+        "base": WORK / f"base-{rev[:12]}",
+        "new": WORK / f"new-{new_rev[:12]}",
+    }
     records = WORK / "records"
     records.mkdir(parents=True, exist_ok=True)
-    shutil.rmtree(checkout, ignore_errors=True)
-    sides = {"base": checkout, "new": ROOT}
     runs: dict[str, list[dict[str, Any]]] = {"base": [], "new": []}
     paths: dict[str, list[str]] = {"base": [], "new": []}
     try:
-        export(rev, checkout)
+        for side, side_rev in (("base", rev), ("new", new_rev)):
+            shutil.rmtree(sides[side], ignore_errors=True)
+            export(side_rev, sides[side])
         for pair in range(args.pairs):
             order = ("base", "new") if pair % 2 == 0 else ("new", "base")
             for side in order:
@@ -188,7 +208,9 @@ def main(argv: list[str] | None = None) -> int:
                     f"{args.workload}-seed{args.seed}-trace{args.trace}"
                     f"-{side}-{pair + 1}.json"
                 )
-                result = run_once(sides[side], args, seconds, record)
+                result = run_once(
+                    sides["new"], sides[side], args, seconds, record
+                )
                 runs[side].append(result)
                 paths[side].append(str(record))
                 print(
@@ -198,8 +220,12 @@ def main(argv: list[str] | None = None) -> int:
                     flush=True,
                 )
     finally:
-        shutil.rmtree(checkout, ignore_errors=True)
-    print(f"\n{args.workload} seed {args.seed}: {rev[:12]} vs this checkout")
+        for checkout in sides.values():
+            shutil.rmtree(checkout, ignore_errors=True)
+    print(
+        f"\n{args.workload} seed {args.seed}: {rev[:12]} vs this checkout "
+        f"({new_rev[:12]})"
+    )
     rows = summarize(runs["base"], runs["new"], directions(benchmark))
     for line in format_rows(rows):
         print(line)

@@ -56,7 +56,7 @@ def default_invalidation_config() -> InvalidationConfig:
         required={
             # Every write RPC bumps the write generation of the
             # relations it names, so the router's relation mirror
-            # re-fetches them on the next gather.
+            # reuses a copy only if the write carried it across.
             "shard/router.py::ShardRouter.insert": ("_invalidate",),
             "shard/router.py::ShardRouter.delete": ("_invalidate",),
             "shard/router.py::ShardRouter.apply_batch": ("_invalidate",),

@@ -45,9 +45,12 @@ Serial equivalence is the contract:
   (Theorem 4.1) return exactly the single-process answer; a target
   the engine answers by the chase (its plan would read a block past
   the exact lossless-subset enumeration's cap) gathers every relation.
-  Gathers read through a *relation mirror*: the router keeps the last
-  fetched copy of each relation with the write generation it was
-  fetched at, and re-fetches only relations a write has named since.
+  Gathers read through a *relation mirror*: the router keeps a copy of
+  each relation it gathered with the write generation the copy is
+  exact at.  A write whose outcome the router knows (an accepted,
+  rejected or aborted one) carries the copies of the relations it
+  names forward; a gather fetches only relations it never gathered or
+  that a write of unknown outcome has named since.
   A query with
   no plan (a target no plan covers, or any target outside the class)
   goes to shard 0 when there is one shard, which answers over its whole
@@ -99,8 +102,8 @@ from repro.service.metrics import MetricsRegistry, cache_series, labeled
 from repro.service.store import SCHEME_FILE, SHARD_FILE
 from repro.shard.protocol import recv_frame, send_frame
 from repro.shard.worker import ShardWorker, worker_main
-from repro.state.database_state import DatabaseState
-from repro.state.relation import Relation
+from repro.state.database_state import DatabaseState, _from_relations
+from repro.state.relation import Relation, _from_rows
 
 PathLike = Union[str, Path]
 
@@ -356,6 +359,65 @@ class _InlineChannel:
         self._worker.close()
 
 
+class _Write:
+    """One write's report to the relation mirror (see
+    :meth:`ShardRouter._invalidate`): ``changes`` stays ``None`` until
+    the write reports its outcome as the row changes it made, in update
+    order (none for a rejected insert or an aborted batch)."""
+
+    __slots__ = ("changes",)
+
+    def __init__(self) -> None:
+        self.changes: Optional[Sequence[Update]] = None
+
+    def report(self, changes: Sequence[Update]) -> None:
+        self.changes = changes
+
+
+#: The value types a worker stores exactly as the router sent them: a
+#: JSON frame gives a bool, a float or a ``str`` subclass back as
+#: another object, which a fetch would show.
+_STORED_AS_GIVEN = frozenset({str, int})
+
+
+def _followed(
+    relation: Relation, changes: Sequence[tuple[str, Mapping[str, Any]]]
+) -> Optional[Relation]:
+    """``relation`` after ``changes`` (``(operation, values)`` pairs in
+    update order), as the worker applies them: an insert adds its row
+    unless an equal one is stored, a delete drops the equal row.  The
+    same object when no change moves a row; ``None`` when a change's
+    values are not exactly what the worker stores, so only a fetch
+    shows its copy.  The stored rows are copied for the changes as a
+    whole, not once per change."""
+    attributes, order = relation.attributes, relation.columns
+    stored = relation.row_vectors
+    #: row -> whether it is stored after the changes so far, for the
+    #: rows a change moved.
+    moved: dict[tuple[Hashable, ...], bool] = {}
+    for operation, values in changes:
+        if operation not in ("insert", "delete") or len(values) != len(order):
+            return None
+        try:
+            row = tuple(map(values.__getitem__, order))
+        except KeyError:
+            return None
+        if not _STORED_AS_GIVEN.issuperset(map(type, row)):
+            return None
+        inserting = operation == "insert"
+        if moved.get(row, row in stored) != inserting:
+            moved[row] = inserting
+    if not moved:
+        return relation
+    # A kept row that is stored was deleted and inserted again: the
+    # worker then holds the inserted row, not an equal stored one of
+    # another type (1 for True), so it is dropped before it is added.
+    dropped = [row for row, kept in moved.items() if not kept or row in stored]
+    added = [row for row, kept in moved.items() if kept]
+    rows = stored.difference(dropped) if dropped else stored
+    return _from_rows(attributes, order, rows.union(added) if added else rows)
+
+
 class ShardRouter:
     """Fan inserts, batches and queries out over per-block workers."""
 
@@ -383,13 +445,15 @@ class ShardRouter:
         self._locks: list[threading.Lock] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
         # The relation mirror: name -> (write generation, Relation) of
-        # the last gathered copy.  The invalidation is exact because
-        # every worker write goes through this router under
-        # _write_lock, an update changes only the relation it names
-        # (so bumping that relation's generation around the write RPC
-        # invalidates exactly the copies the write can have changed),
-        # and a restarted router starts with an empty mirror.  An odd
-        # generation marks a write in flight (see _invalidate).
+        # a copy exact while the relation's generation equals it.  The
+        # rule is exact because every worker write goes through this
+        # router under _write_lock, an update changes only the relation
+        # it names (so bumping that relation's generation around the
+        # write RPC invalidates exactly the copies the write can have
+        # changed, and applying the write's own rows to them carries
+        # them forward), and a restarted router starts with an empty
+        # mirror.  An odd generation marks a write in flight (see
+        # _invalidate).
         self._mirror_lock = threading.Lock()
         self._generations: dict[str, int] = {}  # guarded-by: _mirror_lock
         #: name -> (generation, Relation)
@@ -719,8 +783,9 @@ class ShardRouter:
         """A full-scheme state holding the current contents of
         ``names`` (every other relation an empty placeholder).
 
-        Mirror copies whose generation still matches cost no RPC; the
-        rest are fetched from their owning shards in one fan-out.  Each
+        Mirror copies whose generation still matches cost no RPC (a
+        write of known outcome carries its copies forward); the rest
+        are fetched from their owning shards in one fan-out.  Each
         block of the result is one real state of its shard: a fetch RPC
         is one snapshot of its shard, and a matching copy is exact at
         every instant from the generation snapshot until its generation
@@ -773,7 +838,9 @@ class ShardRouter:
                         self._generations.get(name, 0) == generation
                     ):
                         self._mirror[name] = (generation, relation)
-        return DatabaseState(
+        # Every value is a Relation on its member's attributes (fetched
+        # copies are built on them), so the state needs no re-check.
+        return _from_relations(
             self.scheme, {**self._placeholders, **reused, **fetched}
         )
 
@@ -809,23 +876,56 @@ class ShardRouter:
         return relations
 
     @contextmanager
-    def _invalidate(self, names: Iterable[str]) -> Iterator[None]:
+    def _invalidate(self, names: Iterable[str]) -> Iterator["_Write"]:
         """Bracket one write that may change ``names``: their write
         generations turn odd before it (a write is in flight, so no
         gather reuses or installs a copy of them) and even again after
         it, whatever its outcome, so every copy taken before the write
-        stops matching and the next gather re-fetches it."""
-        written = {name for name in names if name in self.map.relation_shard}
-        self._bump(written)
-        try:
-            yield
-        finally:
-            self._bump(written)
+        stops matching.
 
-    def _bump(self, names: Iterable[str]) -> None:
+        A write that reports its outcome on the yielded :class:`_Write`
+        carries the mirror forward instead: a copy that was exact just
+        before the write gets the write's row changes applied and the
+        generation after it, so the next gather reuses it.  A write
+        that raises or reports nothing leaves its copies stale, and the
+        next gather re-fetches them."""
+        written = {name for name in names if name in self.map.relation_shard}
+        write = _Write()
         with self._mirror_lock:
-            for name in names:
-                self._generations[name] = self._generations.get(name, 0) + 1
+            before = {name: self._generations.get(name, 0) for name in written}
+            for name in written:
+                self._generations[name] = before[name] + 1
+        try:
+            yield write
+        finally:
+            self._settle(before, write.changes)
+
+    def _settle(
+        self,
+        before: Mapping[str, int],
+        changes: Optional[Sequence[Update]],
+    ) -> None:
+        """Close a write's bracket: bump each written relation's
+        generation back to even, and with a reported outcome carry
+        every copy that was exact at ``before`` across the write."""
+        grouped: dict[str, list[tuple[str, Mapping[str, Any]]]] = {}
+        for operation, relation_name, values in changes or ():
+            grouped.setdefault(relation_name, []).append((operation, values))
+        with self._mirror_lock:
+            for name, generation in before.items():
+                after = self._generations[name] + 1
+                self._generations[name] = after
+                entry = self._mirror.get(name)
+                if (
+                    changes is None
+                    or entry is None
+                    or entry[0] != generation
+                    or after != generation + 2
+                ):
+                    continue
+                followed = _followed(entry[1], grouped.get(name, ()))
+                if followed is not None:
+                    self._mirror[name] = (after, followed)
 
     # -- writes (serialized) --------------------------------------------------
     def insert(
@@ -841,16 +941,22 @@ class ShardRouter:
                     raise NotApplicableError(
                         f"unknown relation {relation_name!r}"
                     )
-            with self._invalidate((relation_name,)):
+            values = dict(values)
+            with self._invalidate((relation_name,)) as write:
                 response = self._rpc(
                     shard,
                     {
                         "op": "insert",
                         "relation": relation_name,
-                        "values": dict(values),
+                        "values": values,
                     },
                 )
-            outcome = RouterInsertOutcome(response["outcome"])
+                outcome = RouterInsertOutcome(response["outcome"])
+                write.report(
+                    [("insert", relation_name, values)]
+                    if outcome.consistent
+                    else []
+                )
             if not outcome.consistent:
                 self.metrics.increment("store.rejects")
             return outcome
@@ -873,15 +979,17 @@ class ShardRouter:
                     raise StateError(
                         f"no relation named {relation_name!r}"
                     )
-            with self._invalidate((relation_name,)):
+            values = dict(values)
+            with self._invalidate((relation_name,)) as write:
                 self._rpc(
                     shard,
                     {
                         "op": "delete",
                         "relation": relation_name,
-                        "values": dict(values),
+                        "values": values,
                     },
                 )
+                write.report([("delete", relation_name, values)])
 
     def apply_batch(self, updates: Sequence[Update]) -> Any:
         """Atomic cross-shard batch with serial-equivalent semantics.
@@ -896,10 +1004,13 @@ class ShardRouter:
         updates = list(updates)
         written = [update[1] for update in updates]
         with self._write_lock, tracing(self.tracer):
-            with self._invalidate(written):
+            with self._invalidate(written) as write:
                 if self.map.shards == 1:
-                    return self._apply_batch_whole(updates)
-                return self._apply_batch_sharded(updates)
+                    outcome = self._apply_batch_whole(updates)
+                else:
+                    outcome = self._apply_batch_sharded(updates)
+                write.report(updates if outcome else [])
+                return outcome
 
     def _apply_batch_whole(self, updates: list[Update]) -> Any:
         """The one-shard batch: a single ``batch`` op, which the worker

@@ -9,14 +9,18 @@ means an uncoverable target whose answer is empty on every consistent
 state — is answered without contacting any shard at all.
 
 Cross-block gathers read through the router's relation mirror: a
-relation no write has named since it was last fetched costs no RPC,
-and every write path — accepted, rejected, aborted or failed —
-invalidates the relations it names.
+relation costs a gather no RPC once it was fetched, as long as every
+write that named it since reported its outcome (accepted, rejected or
+aborted), which the router applies to its copy; a write whose outcome
+the router never learns (a lost reply) invalidates the relations it
+names.
 """
 
 import random
+import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -170,6 +174,39 @@ def _cross_shard_targets(router, required=None):
     return found
 
 
+def _fetched(router):
+    return router.metrics.snapshot().get("router.gather_relations_fetched", 0)
+
+
+def _tiled_router():
+    """Two shards over two university tiles, tile 0 seeded with WORLD."""
+    router = ShardRouter.in_memory(tiled_university(2), 2)
+    for name, values in WORLD:
+        tiled = {f"{attr}0": value for attr, value in values.items()}
+        assert router.insert(f"T0{name}", tiled).consistent
+    return router
+
+
+@contextmanager
+def _lost_replies(router, lost=lambda payload: True):
+    """Writes whose payload ``lost`` picks reach their worker, which
+    applies them, but their replies are lost: the router sees a
+    ``ServiceError`` and never learns the outcome."""
+    rpc = router._rpc
+
+    def lost_reply(shard, payload):
+        response = rpc(shard, payload)
+        if payload["op"] in ("insert", "delete") and lost(payload):
+            raise ServiceError(f"shard {shard} closed its pipe")
+        return response
+
+    router._rpc = lost_reply
+    try:
+        yield
+    finally:
+        router._rpc = rpc
+
+
 class TestRelationMirror:
     def test_repeated_cross_block_query_costs_no_rpc(self):
         router = _seeded_router()
@@ -210,19 +247,41 @@ class TestRelationMirror:
         finally:
             router.close()
 
-    def test_write_refetches_only_the_written_relation(self):
-        router = ShardRouter.in_memory(tiled_university(2), 2)
+    def test_acknowledged_write_costs_no_gather_rpc(self):
+        router = _tiled_router()
         try:
-            for name, values in WORLD:
-                tiled = {f"{attr}0": value for attr, value in values.items()}
-                assert router.insert(f"T0{name}", tiled).consistent
             targets = _cross_shard_targets(router, required="T0R4")
             assert targets
             for target in targets:
                 router.query(target)
+            fetched = _fetched(router)
+            # An accepted insert, a delete and a rejected insert: the
+            # router knows each outcome, so it carries T0R4's copy.
             assert router.insert(
                 "T0R4", {"C0": "c2", "S0": "s1", "G0": "g2"}
             ).consistent
+            router.delete("T0R4", {"C0": "c1", "S0": "s1", "G0": "g1"})
+            assert not router.insert(
+                "T0R4", {"C0": "c2", "S0": "s1", "G0": "g9"}
+            ).consistent
+            before = _rpcs(router)
+            for target in targets:
+                router.query(target)
+            assert _rpcs(router) - before == 0
+            assert _fetched(router) == fetched
+            _assert_matches_engine(router, targets)
+        finally:
+            router.close()
+
+    def test_lost_reply_write_refetches_only_its_relation(self):
+        router = _tiled_router()
+        try:
+            targets = _cross_shard_targets(router, required="T0R4")
+            for target in targets:
+                router.query(target)
+            with pytest.raises(ServiceError):
+                with _lost_replies(router):
+                    router.insert("T0R4", {"C0": "c2", "S0": "s1", "G0": "g2"})
             sent = []
             fanout = router._fanout
 
@@ -274,19 +333,11 @@ class TestRelationMirror:
         try:
             target = frozenset("HR")
             router.query(target)
-            rpc = router._rpc
-
-            def lost_reply(shard, payload):
-                # The worker applies the write; its reply is lost.
-                rpc(shard, payload)
-                raise ServiceError(f"shard {shard} closed its pipe")
-
-            router._rpc = lost_reply
-            with pytest.raises(ServiceError):
-                router.insert("R5", {"H": "h2", "S": "s2", "R": "r2"})
-            with pytest.raises(ServiceError):
-                router.delete("R1", {"H": "h1", "R": "r1", "C": "c1"})
-            router._rpc = rpc
+            with _lost_replies(router):
+                with pytest.raises(ServiceError):
+                    router.insert("R5", {"H": "h2", "S": "s2", "R": "r2"})
+                with pytest.raises(ServiceError):
+                    router.delete("R1", {"H": "h1", "R": "r1", "C": "c1"})
             rows = router.query(target)
             assert ("h2", "r2") in rows
             _assert_matches_engine(router, [target])
@@ -347,10 +398,11 @@ class TestRelationMirror:
         try:
             assert router.insert(*CONFLICT_R1).consistent
             router.query(CONFLICT_TARGET)  # R1, R2, R3, R5 now mirrored
-            # R3 goes stale; R1 stays fresh in the mirror.
-            assert router.insert(
-                "R3", {"H": "h9", "T": "t9", "C": "c9"}
-            ).consistent
+            # R3 goes stale (the router never learns the write's
+            # outcome); R1 stays fresh in the mirror.
+            with pytest.raises(ServiceError):
+                with _lost_replies(router):
+                    router.insert("R3", {"H": "h9", "T": "t9", "C": "c9"})
             fanout = router._fanout
 
             def racing(payloads):
@@ -395,7 +447,9 @@ class TestRelationMirror:
         router = _conflict_router()
         # The writer cycles R1 row -> empty -> R3 row -> empty; no
         # serial state holds both conflicting rows.  The unrelated rows
-        # make one relation stale while the other stays mirrored.
+        # are written with lost replies, so the router never learns
+        # their outcome: they make one relation stale while the other
+        # stays mirrored.
         junk_r1 = ("R1", {"H": "h8", "R": "r8", "C": "c8"})
         junk_r3 = ("R3", {"H": "h9", "T": "t9", "C": "c9"})
         cycle = [
@@ -427,8 +481,12 @@ class TestRelationMirror:
                 try:
                     for _ in range(40):
                         for kind, args in cycle:
-                            outcome = getattr(router, kind)(*args)
-                            assert kind == "delete" or outcome.consistent
+                            if args in (junk_r1, junk_r3):
+                                with pytest.raises(ServiceError):
+                                    getattr(router, kind)(*args)
+                            else:
+                                outcome = getattr(router, kind)(*args)
+                                assert kind == "delete" or outcome.consistent
                             # Let gathers start in every phase.
                             time.sleep(0.0003)
                 except BaseException as error:  # noqa: BLE001 - re-raised below
@@ -453,14 +511,28 @@ class TestRelationMirror:
                 return fanout(payloads)
 
             router._fanout = slow_fanout
+            junk = [junk_r1[1], junk_r3[1]]
             readers = [threading.Thread(target=reader) for _ in range(2)]
             writing = threading.Thread(target=writer)
-            for thread in readers + [writing]:
-                thread.start()
-            writing.join()
-            stop.set()
-            for thread in readers:
-                thread.join()
+            interval = sys.getswitchinterval()
+            # Switch threads often, so a gather interleaves with a
+            # write's bracket at many more points.
+            sys.setswitchinterval(1e-5)
+            try:
+                with _lost_replies(
+                    router, lambda payload: payload["values"] in junk
+                ):
+                    for thread in readers + [writing]:
+                        thread.start()
+                    writing.join(timeout=120)
+                    stop.set()
+                    for thread in readers:
+                        thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(
+                thread.is_alive() for thread in readers + [writing]
+            )
             assert errors == []
             assert seen
             _assert_matches_engine(router, targets)
@@ -555,3 +627,83 @@ def test_mirror_matches_single_process_after_every_op(name):
                 )
     finally:
         router.close()
+
+
+def _tiled_stream(router, count, rng):
+    """``count`` seeded ops over ``tiled_university(2)``, every write
+    one whose outcome the router learns: fresh inserts (accepted),
+    key conflicts (rejected), deletes of live rows, two-tile batches
+    (some aborting on a conflict), and cross-shard queries."""
+    targets = _cross_shard_targets(router)
+    letters = {"R1": "HRC", "R2": "HTR", "R3": "HTC", "R4": "CSG", "R5": "HSR"}
+    live = []
+    fresh = iter(range(10**9))
+
+    def row(tile):
+        base = rng.choice(sorted(letters))
+        number = next(fresh)
+        values = {f"{a}{tile}": f"{a.lower()}{number}" for a in letters[base]}
+        return f"T{tile}{base}", values
+
+    def conflict():
+        name, values = rng.choice(live)
+        last = sorted(values)[-1]
+        return name, {**values, last: f"{values[last]}!"}
+
+    ops = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.3:
+            ops.append(("query", rng.choice(targets)))
+        elif roll < 0.6 or not live:
+            name, values = row(rng.randrange(2))
+            live.append((name, values))
+            ops.append(("insert", name, values))
+        elif roll < 0.7:
+            ops.append(("insert", *conflict()))
+        elif roll < 0.85:
+            ops.append(("delete", *live.pop(rng.randrange(len(live)))))
+        else:
+            updates = [("insert", *row(tile)) for tile in (0, 1)]
+            if rng.random() < 0.3:
+                updates.append(("insert", *conflict()))
+            else:
+                updates.append(("delete", *live.pop(0)))
+                live.extend(update[1:] for update in updates[:2])
+            ops.append(("batch", updates))
+    return ops
+
+
+@pytest.mark.parametrize("count", [200, 2000])
+def test_gathers_fetch_only_relations_they_gather_cold(count):
+    """Every write here reports its outcome, so after the first gather
+    of a relation the mirror follows it: the fetch count is the number
+    of distinct relations the stream's queries gather."""
+    router = ShardRouter.in_memory(tiled_university(2), 2)
+    engine = WeakInstanceEngine(tiled_university(2))
+    state = engine.empty_state()
+    gathered = set()
+    try:
+        for kind, *args in _tiled_stream(router, count, random.Random(count)):
+            if kind == "query":
+                (target,) = args
+                gathered |= router._engine.plan(
+                    target
+                ).expression.relation_names()
+                assert router.query(target) == engine.query(state, target)
+            elif kind == "insert":
+                outcome = engine.insert(state, *args)
+                assert router.insert(*args).consistent == outcome.consistent
+                state = outcome.state if outcome.consistent else state
+            elif kind == "delete":
+                router.delete(*args)
+                state = engine.delete(state, *args)
+            else:
+                outcome = engine.batch(state, args[0])
+                assert bool(router.apply_batch(args[0])) == bool(outcome)
+                state = outcome.state if outcome else state
+        assert len(gathered) > 2
+        assert _fetched(router) == len(gathered)
+    finally:
+        router.close()
+        engine.close()

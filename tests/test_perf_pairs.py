@@ -88,3 +88,34 @@ def test_directions_read_both_metric_sections(perf_pairs):
         "throughput_ops_s": "higher",
         "router.rpc_ms": "lower",
     }
+
+
+def test_the_change_side_is_exported_as_the_tree_stands(
+    perf_pairs, tmp_path, monkeypatch
+):
+    for variable in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{variable}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{variable}_EMAIL", "bench@example.invalid")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    perf_pairs.git(repo, "init", "-q")
+    (repo / "run.py").write_text("committed\n")
+    perf_pairs.git(repo, "add", "run.py")
+    perf_pairs.git(repo, "commit", "-q", "-m", "seed")
+    head = perf_pairs.git(repo, "rev-parse", "HEAD")
+    # A clean tree exports HEAD itself.
+    assert perf_pairs.change_revision(repo) == head
+    (repo / "run.py").write_text("edited\n")
+    (repo / "new.py").write_text("staged\n")
+    perf_pairs.git(repo, "add", "new.py")
+    (repo / "stray.py").write_text("untracked\n")
+    rev = perf_pairs.change_revision(repo)
+    assert rev != head
+    dest = tmp_path / "export"
+    perf_pairs.export(rev, dest, root=repo)
+    assert (dest / "run.py").read_text() == "edited\n"
+    assert (dest / "new.py").read_text() == "staged\n"
+    assert not (dest / "stray.py").exists()
+    # Exporting touched neither the working tree nor the index.
+    assert (repo / "run.py").read_text() == "edited\n"
+    assert perf_pairs.git(repo, "diff", "--cached", "--name-only") == "new.py"
