@@ -30,7 +30,7 @@ checked whatever the CPU count.
 Usage::
 
     PYTHONPATH=src python scripts/bench_compare.py [--repeats N]
-        [--workers N] [--baseline PATH]
+        [--baseline PATH]
 
 Exit status 1 on any regression, 2 when a comparison was refused —
 wired to ``make bench-compare`` and the ``bench-compare`` CI job.
@@ -61,7 +61,7 @@ def load_records(path: Path) -> dict[str, dict]:
     return dict(json.loads(path.read_text()).get("scenarios", {}))
 
 
-def fresh_records(repeats: int, workers: int) -> dict[str, dict]:
+def fresh_records(repeats: int) -> dict[str, dict]:
     """Re-run the tracked scenarios, each record stamped with this
     host's facts exactly as ``repro.bench.write_report`` stamps them."""
     from repro.bench import (
@@ -74,7 +74,7 @@ def fresh_records(repeats: int, workers: int) -> dict[str, dict]:
     )
 
     scenarios = dict(run_scenarios(repeats=repeats))
-    scenarios.update(run_parallel_scenarios(repeats=repeats, workers=workers))
+    scenarios.update(run_parallel_scenarios(repeats=repeats))
     # The sharded tier's 4-shard-vs-1-shard ratio (its own best-of is
     # baked into run_shard_scenarios; the s8 point is informational).
     scenarios.update(run_shard_scenarios(shard_counts=(1, 4)))
@@ -194,13 +194,6 @@ def main(argv: list[str] | None = None) -> int:
         help="best-of repeats per scenario (default 10)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="block-executor width for the parallel scenarios "
-        "(default 4, matching the committed baseline)",
-    )
-    parser.add_argument(
         "--baseline",
         type=Path,
         default=REPO_ROOT / "BENCH_perf.json",
@@ -213,9 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     if not tracked:
         print(f"no speedup-tracked scenarios in {args.baseline}")
         return 1
-    lines, regressions, refused = compare(
-        baseline, fresh_records(args.repeats, args.workers)
-    )
+    lines, regressions, refused = compare(baseline, fresh_records(args.repeats))
     print("\n".join(lines))
     if regressions:
         print(

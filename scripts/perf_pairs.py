@@ -9,8 +9,11 @@ export's ``perfbench/run.py`` ``--pairs`` times on each side,
 alternating which side goes first.  Each run has the side's export as
 its working directory, so it serves that side's ``src/`` while both
 sides run the same benchmark code from the same kind of place: nothing
-runs from the checkout itself.  Every run writes its own record under
-``.perfbench_run/pairs/records/``.
+runs from the checkout itself.  Every run writes its own record into
+a new directory for the set under ``.perfbench_run/pairs/records/``,
+named for the workload, seed, trace, both revisions and the first free
+set number, so an earlier set stays for ``perfbench/compare.py`` to
+re-read.
 
 Then it prints, per metric, the median and quartiles of each side and
 the pairs the change won (ties count for neither side), runs
@@ -147,6 +150,27 @@ def export(rev: str, dest: Path, root: Path = ROOT) -> None:
             raise SystemExit(f"git archive {rev} failed")
 
 
+def set_directory(
+    records: Path, args: argparse.Namespace, base_rev: str, new_rev: str
+) -> Path:
+    """A new, empty directory for one set of pairs:
+    ``{workload}-seed{seed}-trace{trace}-{base}-{new}-set{n}``, with
+    both revisions' 12-character prefixes and the first free ``n``."""
+    stem = (
+        f"{args.workload}-seed{args.seed}-trace{args.trace}"
+        f"-{base_rev[:12]}-{new_rev[:12]}-set"
+    )
+    number = 1
+    while True:
+        directory = records / f"{stem}{number}"
+        try:
+            directory.mkdir(parents=True)
+        except FileExistsError:
+            number += 1
+            continue
+        return directory
+
+
 def run_once(
     bench: Path,
     checkout: Path,
@@ -193,8 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         "base": WORK / f"base-{rev[:12]}",
         "new": WORK / f"new-{new_rev[:12]}",
     }
-    records = WORK / "records"
-    records.mkdir(parents=True, exist_ok=True)
+    records = set_directory(WORK / "records", args, rev, new_rev)
     runs: dict[str, list[dict[str, Any]]] = {"base": [], "new": []}
     paths: dict[str, list[str]] = {"base": [], "new": []}
     try:
@@ -204,10 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(args.pairs):
             order = ("base", "new") if pair % 2 == 0 else ("new", "base")
             for side in order:
-                record = records / (
-                    f"{args.workload}-seed{args.seed}-trace{args.trace}"
-                    f"-{side}-{pair + 1}.json"
-                )
+                record = records / f"{side}-{pair + 1}.json"
                 result = run_once(
                     sides["new"], sides[side], args, seconds, record
                 )

@@ -228,7 +228,6 @@ CONCURRENCY_CONSTRUCTORS = frozenset(
         "BoundedSemaphore",
         "ThreadPoolExecutor",
         "ProcessPoolExecutor",
-        "ParallelExecutor",
     }
 )
 

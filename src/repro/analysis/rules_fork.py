@@ -21,10 +21,10 @@ out of lexical reach and are left to the importing module's review):
   every pool a fork target needs must be built *after* the fork, in
   the child.
 * **Fork-after-thread ordering** — creating a fork-context ``Process``
-  after a ``Thread`` / ``ParallelExecutor`` / ``ThreadPoolExecutor``
-  in the same scope is an error: the fork duplicates a process that
-  already has running threads, so any lock one of them holds at fork
-  time is locked forever in the child.  (The reverse order —
+  after a ``Thread`` / ``ThreadPoolExecutor`` in the same scope is an
+  error: the fork duplicates a process that already has running
+  threads, so any lock one of them holds at fork time is locked
+  forever in the child.  (The reverse order —
   fork first, threads after, the replica set's pattern — is safe.)
 
 ``# allow-fork: <reason>`` on the flagged line is the reviewed escape
@@ -56,9 +56,7 @@ LOOP_GETTERS = frozenset({"get_event_loop", "get_running_loop"})
 
 #: Constructors whose appearance starts (or may lazily start) threads
 #: in the current process — forking after one is the hazard.
-THREAD_STARTERS = frozenset(
-    {"Thread", "ParallelExecutor", "ThreadPoolExecutor"}
-)
+THREAD_STARTERS = frozenset({"Thread", "ThreadPoolExecutor"})
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 

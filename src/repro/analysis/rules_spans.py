@@ -73,7 +73,8 @@ def default_config(repo_root: Path) -> SpanConfig:
             "core/engine.py::WeakInstanceEngine.delete": ("engine.delete",),
             "core/engine.py::WeakInstanceEngine.query": ("engine.query",),
             "core/engine.py::WeakInstanceEngine.plan": ("engine.plan",),
-            "core/engine.py::WeakInstanceEngine.batch": ("engine.batch",),
+            # batch delegates to apply_slice, which opens the span
+            # for both entry points.
             "core/engine.py::WeakInstanceEngine.apply_slice": (
                 "engine.batch",
             ),
@@ -126,7 +127,7 @@ def default_config(repo_root: Path) -> SpanConfig:
         exempt={
             # Engine: accessors and memo plumbing; the chase spans fire
             # inside chase_state/chase_relations on every cache miss.
-            "core/engine.py::WeakInstanceEngine.close": "resource teardown",
+            "core/engine.py::WeakInstanceEngine.close": "no-op teardown",
             "core/engine.py::WeakInstanceEngine.strategy_report": "accessor",
             "core/engine.py::WeakInstanceEngine.empty_state": "accessor",
             "core/engine.py::WeakInstanceEngine.load": (

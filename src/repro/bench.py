@@ -237,21 +237,18 @@ def run_scenarios(repeats: int = 30) -> dict[str, dict]:
     return scenarios
 
 
-def run_parallel_scenarios(
-    repeats: int = 30, workers: int = 4
-) -> dict[str, dict]:
-    """The block-parallel and delta-maintenance scenarios.
+def run_parallel_scenarios(repeats: int = 30) -> dict[str, dict]:
+    """The block-route and delta-maintenance scenarios.
 
-    * ``scaling_block_parallel_batch_w{workers}`` (``workers > 1``
-      only): a shuffled 192-update batch over 8 tiles of the university
-      scheme, through ``WeakInstanceEngine.batch`` serially and with a
-      ``workers``-wide block executor.  The independence decomposition
-      routes each tile's updates to its blocks; beyond any pool
-      concurrency, the block path amortizes one substate extraction
-      and one full-state merge over the whole slice, where the serial
-      loop pays each per insert.  Both sides probe the key indexes
-      the relations carry across writes
-      (:meth:`~repro.state.relation.Relation.key_index`).
+    * ``block_batch_route`` (informational): a shuffled 192-update
+      batch over 8 tiles of the university scheme, and its first 1 and
+      4 updates, through ``WeakInstanceEngine.batch`` — one routed pass
+      per block — and through
+      :func:`repro.oracle.batch_per_update`, one engine call per
+      update.  The block route amortizes one substate extraction and
+      one full-state merge over each block's slice, where the
+      per-update loop pays both per insert.  Each size records both
+      sides and their ratio (``per_update_over_batch``).
     * ``delta_insert_replay_e02_n64``: sixteen accepted inserts
       replayed in sequence on Example 2's chain (the full-chase
       strategy's home turf) — the engine's persistent
@@ -262,6 +259,7 @@ def run_parallel_scenarios(
     """
     from repro.core.engine import WeakInstanceEngine
     from repro.core.partition import partition_scheme
+    from repro.oracle import batch_per_update
     from repro.state.consistency import maintain_by_chase
     from repro.state.database_state import DatabaseState
     from repro.workloads.adversarial import example2_chain_state
@@ -269,82 +267,76 @@ def run_parallel_scenarios(
 
     scenarios: dict[str, dict] = {}
 
-    if workers > 1:
-        tiles = 8
-        scheme = tiled_university(tiles)
-        state = DatabaseState(
-            scheme,
-            {
-                f"T{tile}R4": [
-                    {
-                        f"C{tile}": f"c{i}",
-                        f"S{tile}": f"s{i}",
-                        f"G{tile}": "A",
-                    }
-                    for i in range(40)
-                ]
-                for tile in range(tiles)
-            },
+    tiles = 8
+    scheme = tiled_university(tiles)
+    state = DatabaseState(
+        scheme,
+        {
+            f"T{tile}R4": [
+                {f"C{tile}": f"c{i}", f"S{tile}": f"s{i}", f"G{tile}": "A"}
+                for i in range(40)
+            ]
+            for tile in range(tiles)
+        },
+    )
+    updates: list = []
+    for tile in range(tiles):
+        updates.extend(
+            (
+                "insert",
+                f"T{tile}R4",
+                {f"C{tile}": f"nc{i}", f"S{tile}": f"ns{i}", f"G{tile}": "B"},
+            )
+            for i in range(16)
         )
-        rng = random.Random(BENCH_SEED)
-        updates: list = []
-        for tile in range(tiles):
-            for i in range(16):
-                updates.append(
-                    (
-                        "insert",
-                        f"T{tile}R4",
-                        {
-                            f"C{tile}": f"nc{i}",
-                            f"S{tile}": f"ns{i}",
-                            f"G{tile}": "B",
-                        },
-                    )
-                )
-            for i in range(8):
-                updates.append(
-                    (
-                        "insert",
-                        f"T{tile}R5",
-                        {
-                            f"H{tile}": f"h{i}",
-                            f"S{tile}": f"s{i}",
-                            f"R{tile}": f"r{i}",
-                        },
-                    )
-                )
-        rng.shuffle(updates)
-        serial = WeakInstanceEngine(scheme)
-        parallel = WeakInstanceEngine(scheme, workers=workers)
-        try:
-            record = _scenario(
-                "block-parallel batch",
-                state,
-                lambda: parallel.batch(state, updates),
-                lambda: serial.batch(state, updates),
-                repeats,
-                lambda fast, slow: bool(fast) == bool(slow)
-                and fast.applied == slow.applied
-                and all(
-                    fast.state[name].row_vectors
-                    == slow.state[name].row_vectors
-                    for name in scheme.names
-                ),
+        updates.extend(
+            (
+                "insert",
+                f"T{tile}R5",
+                {f"H{tile}": f"h{i}", f"S{tile}": f"s{i}", f"R{tile}": f"r{i}"},
             )
-            record.update(
-                {
-                    "updates": len(updates),
-                    "workers": workers,
-                    "blocks": len(partition_scheme(scheme).blocks),
-                    "seed": BENCH_SEED,
-                    "scheme_fingerprint": partition_scheme(
-                        scheme
-                    ).fingerprint,
-                }
+            for i in range(8)
+        )
+    random.Random(BENCH_SEED).shuffle(updates)
+    routed, per_update = WeakInstanceEngine(scheme), WeakInstanceEngine(scheme)
+    partition = partition_scheme(scheme)
+    sizes: dict[str, dict] = {}
+    for size in (1, 4, len(updates)):
+        batch = updates[:size]
+        fast = routed.batch(state, batch)
+        slow = batch_per_update(per_update, state, batch)
+        if not (
+            fast
+            and slow
+            and fast.applied == slow.applied
+            and all(
+                fast.state[name].row_vectors == slow.state[name].row_vectors
+                for name in scheme.names
             )
-            scenarios[f"scaling_block_parallel_batch_w{workers}"] = record
-        finally:
-            parallel.close()
+        ):
+            raise AssertionError(
+                f"block batch route: {size} updates disagree with the "
+                "per-update reference"
+            )
+        batch_seconds, per_update_seconds = _best_seconds(
+            lambda: routed.batch(state, batch),
+            lambda: batch_per_update(per_update, state, batch),
+            repeats,
+        )
+        sizes[str(size)] = {
+            "batch_seconds": round(batch_seconds, 6),
+            "per_update_seconds": round(per_update_seconds, 6),
+            "per_update_over_batch": round(
+                per_update_seconds / batch_seconds, 3
+            ),
+        }
+    scenarios["block_batch_route"] = {
+        "tiles": tiles,
+        "blocks": len(partition.blocks),
+        "tuples": state.total_tuples(),
+        "sizes": sizes,
+        "scheme_fingerprint": partition.fingerprint,
+    }
 
     # Delta replay: each timed run replays the same insert sequence
     # from the same base state; the engine re-seeds its basis on the
@@ -1157,35 +1149,17 @@ def host_metadata() -> dict:
     }
 
 
-def run_metadata(workers: int) -> dict:
-    """The run's provenance: the host facts plus the pool size.
-
-    ``effective_workers`` is what the host can actually run at once:
-    asking for more workers than CPUs records honest metadata
-    (``workers_capped=True``) instead of implying parallelism the
-    machine never delivered."""
-    metadata = host_metadata()
-    cpu_count = metadata["cpu_count"]
-    metadata.update(
-        workers=workers,
-        effective_workers=min(workers, cpu_count),
-        workers_capped=workers > cpu_count,
-    )
-    return metadata
-
-
 def write_report(
     scenarios: dict[str, dict],
     path: Path,
     spans: dict[str, dict] | None = None,
-    metadata: dict | None = None,
 ) -> dict:
     """Merge the scenario records into ``BENCH_perf.json`` (preserving
     any per-test timings the benchmark suite recorded there).  ``spans``
     — the traced run's per-stage latency summaries
     (count/sum/min/max/p50/p95/p99 per span name) — lands under the
-    ``"spans"`` key.  Every record is stamped with ``metadata``
-    (default :func:`host_metadata`; a record's own keys win), so each
+    ``"spans"`` key.  Every record is stamped with
+    :func:`host_metadata` (a record's own keys win), so each
     scenario names the host it ran on even when several run families
     merge into one report."""
     report: dict = {}
@@ -1194,7 +1168,7 @@ def write_report(
             report = json.loads(path.read_text())
         except (OSError, ValueError):
             report = {}
-    stamp = host_metadata() if metadata is None else metadata
+    stamp = host_metadata()
     report.setdefault("scenarios", {}).update(
         {name: {**stamp, **record} for name, record in scenarios.items()}
     )
@@ -1219,6 +1193,16 @@ def _print_scenarios(scenarios: dict[str, dict]) -> None:
                 f"  cold open {record['cold_open_seconds']*1e3:8.3f} ms"
                 f"  speedup {record['speedup']:6.2f}x"
                 f"  ({record['records']} records)"
+            )
+        elif "sizes" in record:
+            print(
+                f"{name:{width}}  "
+                + "  ".join(
+                    f"{size} updates: batch {side['batch_seconds']*1e3:.3f} ms"
+                    f" / per-update {side['per_update_seconds']*1e3:.3f} ms"
+                    f" = {side['per_update_over_batch']:.2f}x"
+                    for size, side in record["sizes"].items()
+                )
             )
         elif "speedup" in record:
             print(
@@ -1309,14 +1293,6 @@ def main(argv: list[str] | None = None) -> int:
         help="operations in the read-heavy mix (default 400, 95%% "
         "queries)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="block-executor width for the parallel scenarios "
-        "(default 1: the block-parallel scenario is skipped and every "
-        "measured path stays single-threaded)",
-    )
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
 
     root = _repo_root()
@@ -1331,11 +1307,7 @@ def main(argv: list[str] | None = None) -> int:
     with tracing(tracer):
         if args.all or not only_families:
             scenarios.update(run_scenarios(repeats=args.repeats))
-            scenarios.update(
-                run_parallel_scenarios(
-                    repeats=args.repeats, workers=args.workers
-                )
-            )
+            scenarios.update(run_parallel_scenarios(repeats=args.repeats))
         if args.all or args.serving:
             scenarios.update(run_serving_scenarios(ops=args.serving_ops))
         if args.all or args.replica:
@@ -1344,16 +1316,7 @@ def main(argv: list[str] | None = None) -> int:
             scenarios.update(run_read_scenarios(ops=args.read_ops))
     spans = tracer.span_summaries()
     path = root / BENCH_PATH_NAME
-    metadata = run_metadata(args.workers)
-    if metadata["workers_capped"]:
-        print(
-            f"warning: --workers {metadata['workers']} exceeds the "
-            f"{metadata['cpu_count']} available CPU(s); effective "
-            f"parallelism is {metadata['effective_workers']} "
-            "(recorded as workers_capped in every scenario record)",
-            file=sys.stderr,
-        )
-    write_report(scenarios, path, spans=spans, metadata=metadata)
+    write_report(scenarios, path, spans=spans)
     _print_scenarios(scenarios)
     if spans:
         print(

@@ -11,7 +11,6 @@ from repro.core.ctm import (
     split_blocks,
 )
 from repro.core.engine import BatchOutcome, Update, WeakInstanceEngine
-from repro.core.parallel import ParallelExecutor
 from repro.core.partition import (
     SchemePartition,
     partition_scheme,
@@ -70,7 +69,6 @@ __all__ = [
     "InsertTraceStep",
     "KERepInstance",
     "MaintainerReport",
-    "ParallelExecutor",
     "QueryPlan",
     "RecognitionResult",
     "SchemePartition",

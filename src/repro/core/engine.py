@@ -18,13 +18,11 @@ downstream application needs:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from repro.compile import KernelSpace
 from repro.core.ctm import BlockOutcome, InsertMaintainer
-from repro.core.parallel import ParallelExecutor
 from repro.core.partition import (
     RoutedUpdate,
     SchemePartition,
@@ -108,7 +106,6 @@ class WeakInstanceEngine:
         scheme: DatabaseScheme,
         plan_cache_size: int = 256,
         chase_cache_size: int = 64,
-        workers: int = 1,
         read_cache_size: int = 1024,
     ) -> None:
         self.scheme = scheme
@@ -119,30 +116,14 @@ class WeakInstanceEngine:
             scheme, partition=self.partition, kernels=self.kernels
         )
         self.recognition = self.maintainer.recognition
-        self.workers = max(1, int(workers))
-        self._executor_lock = threading.Lock()
-        self._executor: Optional[ParallelExecutor] = None  # guarded-by: _executor_lock
         self._plans: LRUCache = LRUCache(plan_cache_size)
         self._chase: LRUCache = LRUCache(chase_cache_size)
         self.read_cache = ReadCache(self.partition, maxsize=read_cache_size)
 
-    @property
-    def executor(self) -> Optional[ParallelExecutor]:
-        """The block-task executor — ``None`` at ``workers=1`` (the
-        default), where every path stays strictly single-threaded."""
-        if self.workers <= 1:
-            return None
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ParallelExecutor(self.workers)
-            return self._executor
-
     def close(self) -> None:
-        """Shut down the worker pool, if one was ever started."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.close()
+        """Nothing to release: the engine holds no threads or handles.
+        Kept because the front-door benchmark (``perfbench/``) closes
+        the engines it builds."""
 
     # -- classification -------------------------------------------------------
     @property
@@ -260,55 +241,45 @@ class WeakInstanceEngine:
         """Apply updates atomically: on the first rejected insert the
         original state is kept and the failure reported.
 
-        With ``workers > 1`` on a decomposable scheme the batch is
-        routed per block and the blocks run on the executor; blocks are
-        share-nothing, so the outcome — including the identity of the
-        first failure and its diagnostics — equals the serial result.
-        Batches that cannot be routed (an unknown operation or relation)
-        take the serial path so errors surface with their original
-        ordering semantics."""
-        with span("engine.batch") as sp:
-            if sp:
-                sp.add("updates", len(updates))
-            operations = [
+        The whole batch is one :meth:`apply_slice` whose indexes are the
+        updates' positions, so it takes the same route as a shard's
+        slice.  The outcome — the first failure's index and diagnostics
+        included — is what the per-update loop
+        (:func:`repro.oracle.batch_per_update`) decides, and an error is
+        raised only when that loop would reach it."""
+        outcome = self.apply_slice(
+            state,
+            [
                 (index, operation, relation_name, values)
                 for index, (operation, relation_name, values) in enumerate(
                     updates
                 )
-            ]
-            routed = None
-            if self.executor is not None and self.partition.parallelizable:
-                routed = self.partition.route_updates(operations)
-            if routed is None:
-                outcome = self._apply_serial(state, operations)
-            else:
-                outcome = self._apply_blocks(state, routed)
-            if outcome.error is not None:
-                # The serial loop raises here: every earlier update
-                # (across all blocks) succeeded.
-                raise outcome.error
-            if outcome.failure is not None:
-                return BatchOutcome(
-                    state=None,
-                    applied=outcome.failed_index,
-                    failed_index=outcome.failed_index,
-                    failure=outcome.failure,
-                )
-            return BatchOutcome(state=outcome.substate, applied=len(updates))
+            ],
+        )
+        if outcome.error is not None:
+            raise outcome.error
+        if outcome.failure is not None:
+            return BatchOutcome(
+                state=None,
+                applied=outcome.failed_index,
+                failed_index=outcome.failed_index,
+                failure=outcome.failure,
+            )
+        return BatchOutcome(state=outcome.substate, applied=len(updates))
 
     def apply_slice(
         self, state: DatabaseState, operations: Sequence[RoutedUpdate]
     ) -> BlockOutcome:
-        """Apply one slice of a larger batch — a shard's share of a
-        router batch — whose operations carry their global batch
-        indices.
+        """Apply one slice of a batch — a shard's share of a router
+        batch, or a whole batch from :meth:`batch` — whose operations
+        carry their global batch indices.
 
         Returns the slice's next state as ``substate``, or its earliest
         event at its global index: a rejection, or an error captured
-        rather than raised.  That event is what the serial batch decides
-        at that position (Section 4.2: an insertion is globally safe iff
-        its block's updated substate is consistent), so the caller can
-        take the minimum across slices.  Any accepted scheme runs per
+        rather than raised.  That event is what the per-update loop
+        decides at that position (Section 4.2: an insertion is globally
+        safe iff its block's updated substate is consistent), so the
+        caller can take the minimum across slices.  Any accepted scheme runs per
         block; the rest, and slices that cannot be routed, run the
         per-update loop."""
         with span("engine.batch") as sp:
@@ -364,14 +335,19 @@ class WeakInstanceEngine:
             ops=len(operations),
         )
 
-    def _run_block_task(self, task) -> BlockOutcome:
-        """One block's slice of a batch: runs under the dispatching
-        context (the executor copies contextvars), so the block span and
-        every nested chase/join span land in the caller's tracer."""
-        block_index, substate, operations = task
+    def _apply_block(
+        self,
+        state: DatabaseState,
+        block_index: int,
+        operations: Sequence[RoutedUpdate],
+    ) -> BlockOutcome:
+        """One block's operations through ``block_batch``, on the
+        block's substate."""
         with span("engine.block") as sp:
             outcome = self.maintainer.block_batch(
-                substate, block_index, operations
+                self.partition.substate(state, block_index),
+                block_index,
+                operations,
             )
             if sp:
                 sp.add("ops", outcome.ops)
@@ -382,35 +358,27 @@ class WeakInstanceEngine:
     def _apply_blocks(
         self, state: DatabaseState, routed: Mapping[int, list[RoutedUpdate]]
     ) -> BlockOutcome:
-        """Run each block's operations through ``block_batch`` — on the
-        executor when there is one, inline otherwise — and return the
-        earliest event across blocks, or the merged next state."""
-        tasks = [
-            (block_index, self.partition.substate(state, block_index), operations)
+        """Run each block's operations through ``block_batch`` and
+        return the earliest event across blocks, or the merged next
+        state."""
+        outcomes = [
+            self._apply_block(state, block_index, operations)
             for block_index, operations in sorted(routed.items())
         ]
-        executor = self.executor
-        if executor is None:
-            outcomes = [self._run_block_task(task) for task in tasks]
-        else:
-            outcomes = executor.map(self._run_block_task, tasks)
         events = [
             outcome for outcome in outcomes if outcome.event_index is not None
         ]
         if events:
             return min(events, key=lambda outcome: outcome.event_index)
-        merged: dict[str, object] = {}
+        merged = state
         for outcome in outcomes:
             assert outcome.substate is not None
-            for name in self.partition.block_names[outcome.block_index]:
-                merged[name] = outcome.substate[name]
-        relations = {
-            name: merged.get(name, state[name]) for name in self.scheme.names
-        }
-        merged_state = DatabaseState(self.scheme, relations)
+            for name, relation in outcome.substate:
+                if relation is not state[name]:
+                    merged = merged.with_relation(name, relation)
         ops = sum(len(operations) for operations in routed.values())
         return BlockOutcome(
-            block_index=-1, substate=merged_state, applied=ops, ops=ops
+            block_index=-1, substate=merged, applied=ops, ops=ops
         )
 
     # -- queries ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Scheme partitioning for block-parallel evaluation.
+"""Scheme partitioning for block-local evaluation.
 
 An accepted recognition (Algorithm 6) certifies more than membership:
 the uniqueness condition forces every key of a block to stay outside the

@@ -39,6 +39,9 @@ importer inside the package.
   representative-instance lookups; check
   :class:`repro.compile.lookup.CompiledRILookup` and each other
   (``tests/compile``, ``tests/core/test_maintenance.py``).
+* :func:`batch_per_update` — a batch as one engine call per update;
+  checks :meth:`repro.core.engine.WeakInstanceEngine.batch` and
+  ``apply_slice`` (``tests/core/test_parallel_batch.py``).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from repro.algebra.expressions import (
     join_all,
     union_all_exprs,
 )
+from repro.core.engine import BatchOutcome, Update, WeakInstanceEngine
 from repro.core.independence import is_independent
 from repro.core.key_equivalent import (
     KERepInstance,
@@ -82,6 +86,7 @@ from repro.foundations.errors import (
     InconsistentStateError,
     NotApplicableError,
     SchemaError,
+    StateError,
 )
 from repro.schema.database_scheme import DatabaseScheme
 from repro.schema.relation_scheme import RelationScheme
@@ -777,3 +782,36 @@ class GreatestExpressionRILookup:
                     )
                 merged = joined
         return merged
+
+
+# -- batches ------------------------------------------------------------------
+
+
+def batch_per_update(
+    engine: WeakInstanceEngine,
+    state: DatabaseState,
+    updates: Sequence[Update],
+) -> BatchOutcome:
+    """A batch folded one update at a time through ``engine.insert`` and
+    ``engine.delete``: it stops at the first rejected insert and lets an
+    error raise where it happens.  The engine's own ``batch`` must
+    decide exactly this — first failure, diagnostics, final state and
+    raised error — from one routed pass over the blocks."""
+    current = state
+    for index, (operation, relation_name, values) in enumerate(updates):
+        if operation == "insert":
+            outcome = engine.insert(current, relation_name, values)
+            if not outcome.consistent:
+                return BatchOutcome(
+                    state=None,
+                    applied=index,
+                    failed_index=index,
+                    failure=outcome,
+                )
+            assert outcome.state is not None
+            current = outcome.state
+        elif operation == "delete":
+            current = engine.delete(current, relation_name, values)
+        else:
+            raise StateError(f"unknown batch operation {operation!r}")
+    return BatchOutcome(state=current, applied=len(updates))

@@ -152,8 +152,6 @@ class FollowerStore:
         for stale in sorted(wal_dir.iterdir()):
             if segment_index(stale) is not None:
                 stale.unlink()
-        if self._engine is not None:
-            self._engine.close()
         self._engine = engine
         self._state = state
         self._snapshot_seq = seq
@@ -301,9 +299,7 @@ class FollowerStore:
             self._engine = None
             return
         self._close_segment()
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._engine = None
 
     def __enter__(self) -> "FollowerStore":
         return self

@@ -314,8 +314,8 @@ class MemoryStore:
             return self.engine.query(self._state, attributes)
 
     def close(self) -> None:
-        """Release the engine's executor."""
-        self.engine.close()
+        """Nothing to release in memory; :class:`DurableStore` closes
+        its WAL."""
 
     def __enter__(self: _Store) -> _Store:
         return self
@@ -622,14 +622,8 @@ class DurableStore(MemoryStore):
         return True
 
     def close(self) -> None:
-        """Flush the WAL and release the engine's executor.
-
-        The engine close sits in a ``finally``: a WAL close that fails
-        (its final fsync, say) must not leak the executor threads."""
-        try:
-            self._wal.close()
-        finally:
-            super().close()
+        """Flush and close the WAL."""
+        self._wal.close()
 
 
 def _migrate_legacy_wal(directory: Path) -> None:

@@ -1258,7 +1258,6 @@ class ShardRouter:
             if process.is_alive():  # pragma: no cover - stuck worker
                 process.terminate()
                 process.join(timeout=5.0)
-        self._engine.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

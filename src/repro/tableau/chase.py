@@ -436,8 +436,7 @@ class DeltaChase:
     the differential suite asserts this against
     :func:`repro.oracle.chase_naive`.
 
-    Not thread-safe: callers serialize extensions (block-parallel
-    batches use one basis per block, which are share-nothing).
+    Not thread-safe: callers serialize extensions.
     """
 
     def __init__(self, universe: AttrsLike, fds: FDsLike) -> None:

@@ -1,34 +1,10 @@
 """Benchmark metadata honesty.
 
-``BENCH_perf.json`` must never imply parallelism the host cannot
-deliver: requesting more workers than CPUs records the cap explicitly
-(``effective_workers``, ``workers_capped``) and warns on stderr.
+Every ``BENCH_perf.json`` record names the host it ran on, so no ratio
+is read against a machine of another shape.
 """
 
 import repro.bench as bench
-
-
-class TestWorkersCapped:
-    def test_request_within_cpu_budget(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 8)
-        metadata = bench.run_metadata(4)
-        assert metadata["workers"] == 4
-        assert metadata["cpu_count"] == 8
-        assert metadata["effective_workers"] == 4
-        assert metadata["workers_capped"] is False
-
-    def test_request_beyond_cpu_budget_is_capped(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 2)
-        metadata = bench.run_metadata(16)
-        assert metadata["effective_workers"] == 2
-        assert metadata["workers_capped"] is True
-
-    def test_unknown_cpu_count_treated_as_one(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
-        metadata = bench.run_metadata(4)
-        assert metadata["cpu_count"] == 1
-        assert metadata["effective_workers"] == 1
-        assert metadata["workers_capped"] is True
 
 
 class TestPerRecordHostFacts:
@@ -41,14 +17,11 @@ class TestPerRecordHostFacts:
         bench.write_report({"first": {"seconds": 1.0}}, path)
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
         report = bench.write_report(
-            {"second": {"seconds": 2.0, "seed": 7}},
-            path,
-            metadata=bench.run_metadata(2),
+            {"second": {"seconds": 2.0, "seed": 7}}, path
         )
         first, second = (report["scenarios"][n] for n in ("first", "second"))
         assert first["cpu_count"] == 1
         assert second["cpu_count"] == 4
-        assert second["workers"] == 2
         for record in (first, second):
             assert record["git_rev"] == "abc123"
             assert record["python"]

@@ -1,11 +1,14 @@
-"""Differential tests for block-parallel batch evaluation.
+"""Differential tests for the block route of a batch.
 
 The independence decomposition says block tasks are share-nothing, so a
-batch routed per block and run on an executor must be observationally
-identical to the serial loop: same final relations, same first-failure
-index and diagnostics, same raised errors.  These tests pin that
-equivalence over random and adversarial workloads, plus the executor's
-own contract and the per-block representative-instance cache.
+batch routed per block must be observationally identical to folding
+the updates one at a time (:func:`repro.oracle.batch_per_update`): same
+final relations, same first-failure index and diagnostics, same raised
+errors.  ``engine.batch`` and ``engine.apply_slice`` share one routing
+rule — every accepted scheme runs per block, single-block ones
+included — so these tests pin that equivalence over random and
+adversarial workloads on both entry points, plus the per-block
+representative-instance cache.
 """
 
 import random
@@ -13,10 +16,17 @@ import random
 import pytest
 
 from repro.core.engine import WeakInstanceEngine
-from repro.core.parallel import ParallelExecutor
 from repro.foundations.errors import StateError
+from repro.obs.spans import Tracer, tracing
+from repro.oracle import batch_per_update
 from repro.state.database_state import DatabaseState
-from repro.workloads.paper import example2_not_algebraic
+from repro.workloads.paper import (
+    example1_university,
+    example2_not_algebraic,
+    example3_triangle,
+    example4_split_scheme,
+    example8_split,
+)
 from repro.workloads.scaling import tiled_university
 from repro.workloads.states import (
     conflicting_insert_candidate,
@@ -26,146 +36,160 @@ from repro.workloads.states import (
 
 N_RANDOM_BATCHES = 25
 
+#: Accepted schemes whose partition is one block: their batches take
+#: the block route too, through a single ``block_batch`` call.
+SINGLE_BLOCK_SCHEMES = {
+    "example3_triangle": example3_triangle,
+    "example4_split_scheme": example4_split_scheme,
+    "example8_split": example8_split,
+}
 
-class TestParallelExecutor:
-    def test_single_worker_runs_inline(self):
-        executor = ParallelExecutor(1)
-        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        assert executor._pool is None  # never built a pool
-
-    def test_results_preserve_item_order(self):
-        with ParallelExecutor(4) as executor:
-            items = list(range(32))
-            assert executor.map(lambda x: x * x, items) == [
-                x * x for x in items
-            ]
-
-    def test_task_exceptions_propagate(self):
-        def boom(x):
-            if x == 3:
-                raise ValueError("task 3")
-            return x
-
-        with ParallelExecutor(4) as executor:
-            with pytest.raises(ValueError, match="task 3"):
-                executor.map(boom, list(range(8)))
-
-    def test_close_is_idempotent(self):
-        executor = ParallelExecutor(2)
-        executor.map(lambda x: x, [1, 2])
-        executor.close()
-        executor.close()
-        # And usable again: a fresh pool is built lazily.
-        assert executor.map(lambda x: x + 1, [1, 2]) == [2, 3]
-        executor.close()
+#: Accepted schemes of several blocks, then the single-block ones.
+ACCEPTED_SCHEMES = {
+    "tiled_university": lambda: tiled_university(2),
+    "example1_university": example1_university,
+    **SINGLE_BLOCK_SCHEMES,
+}
 
 
-def _equal_outcomes(scheme, serial, parallel) -> None:
+def _equal_outcomes(scheme, reference, outcome) -> None:
     """Batch outcomes must agree on verdict, diagnostics and state."""
-    assert bool(serial) == bool(parallel)
-    assert serial.applied == parallel.applied
-    assert serial.failed_index == parallel.failed_index
-    if serial.failure is None:
-        assert parallel.failure is None
+    assert bool(reference) == bool(outcome)
+    assert reference.applied == outcome.applied
+    assert reference.failed_index == outcome.failed_index
+    if reference.failure is None:
+        assert outcome.failure is None
         for name in scheme.names:
             assert (
-                serial.state[name].row_vectors
-                == parallel.state[name].row_vectors
+                reference.state[name].row_vectors
+                == outcome.state[name].row_vectors
             )
     else:
-        assert parallel.failure is not None
-        assert serial.failure.consistent == parallel.failure.consistent
-        assert (
-            serial.failure.tuples_examined
-            == parallel.failure.tuples_examined
-        )
-        assert serial.failure.chase_steps == parallel.failure.chase_steps
-        assert serial.failure.witness == parallel.failure.witness
+        assert outcome.failure is not None
+        assert reference.failure.to_dict() == outcome.failure.to_dict()
 
 
-def _engines(scheme, workers=4):
-    serial = WeakInstanceEngine(scheme)
-    parallel = WeakInstanceEngine(scheme, workers=workers)
-    return serial, parallel
+def _run(function, *args):
+    """``(result, None)``, or ``(None, error)`` when ``function``
+    raised."""
+    try:
+        return function(*args), None
+    except Exception as error:  # noqa: BLE001 — compared, not handled
+        return None, error
+
+
+def _matches_per_update(scheme, state, updates):
+    """Run ``updates`` through ``engine.batch`` and through the
+    per-update reference, each on its own engine, and check they agree
+    — on the outcome, or on the raised error's type and message.
+    Returns the reference's outcome (``None`` when it raised)."""
+    expected, expected_error = _run(
+        batch_per_update, WeakInstanceEngine(scheme), state, updates
+    )
+    got, got_error = _run(WeakInstanceEngine(scheme).batch, state, updates)
+    if expected_error is not None:
+        assert got_error is not None, "the batch did not raise"
+        assert type(got_error) is type(expected_error)
+        assert str(got_error) == str(expected_error)
+        return None
+    assert got_error is None, f"the batch raised {got_error!r}"
+    _equal_outcomes(scheme, expected, got)
+    return expected
+
+
+def _random_batch(scheme, rng, state, n_entities):
+    """Consistent inserts, key conflicts, duplicates and deletes, in a
+    shuffled order."""
+    updates = []
+    for _ in range(rng.randint(4, 12)):
+        roll = rng.random()
+        if roll < 0.5:
+            name, values = consistent_insert_candidate(scheme, rng, n_entities)
+            updates.append(("insert", name, values))
+        elif roll < 0.75:
+            name, values = conflicting_insert_candidate(
+                scheme, rng, n_entities
+            )
+            updates.append(("insert", name, values))
+        else:
+            name = rng.choice(scheme.names)
+            stored = list(state[name])
+            if stored:
+                updates.append(("delete", name, rng.choice(stored)))
+    rng.shuffle(updates)
+    return updates
 
 
 class TestRandomWorkloads:
     def test_random_batches_match_serial(self):
-        """Random mixed batches — consistent inserts, key conflicts,
-        duplicates, deletes — on the tiled scheme: the parallel outcome
-        (including every rejection's diagnostics) equals the serial
+        """Random mixed batches on the tiled scheme: the routed outcome
+        (including every rejection's diagnostics) equals the per-update
         one."""
         rng = random.Random(20260806)
         scheme = tiled_university(3)
-        serial, parallel = _engines(scheme)
-        try:
-            for _ in range(N_RANDOM_BATCHES):
-                n_entities = rng.randint(2, 4)
-                state = random_consistent_state(scheme, rng, n_entities)
-                updates = []
-                for _ in range(rng.randint(4, 12)):
-                    roll = rng.random()
-                    if roll < 0.5:
-                        name, values = consistent_insert_candidate(
-                            scheme, rng, n_entities
-                        )
-                        updates.append(("insert", name, values))
-                    elif roll < 0.75:
-                        name, values = conflicting_insert_candidate(
-                            scheme, rng, n_entities
-                        )
-                        updates.append(("insert", name, values))
-                    else:
-                        name = rng.choice(scheme.names)
-                        stored = list(state[name])
-                        if stored:
-                            updates.append(
-                                ("delete", name, rng.choice(stored))
-                            )
-                rng.shuffle(updates)
-                _equal_outcomes(
-                    scheme,
-                    serial.batch(state, updates),
-                    parallel.batch(state, updates),
-                )
-        finally:
-            parallel.close()
+        for _ in range(N_RANDOM_BATCHES):
+            n_entities = rng.randint(2, 4)
+            state = random_consistent_state(scheme, rng, n_entities)
+            _matches_per_update(
+                scheme, state, _random_batch(scheme, rng, state, n_entities)
+            )
 
-    def test_workers_one_takes_the_serial_path(self):
-        engine = WeakInstanceEngine(tiled_university(2), workers=1)
-        assert engine.executor is None
+    @pytest.mark.parametrize("label", sorted(SINGLE_BLOCK_SCHEMES))
+    def test_single_block_schemes_match_per_update(self, label):
+        scheme = SINGLE_BLOCK_SCHEMES[label]()
+        partition = WeakInstanceEngine(scheme).partition
+        assert partition.accepted and len(partition.blocks) == 1
+        rng = random.Random(f"{label}-20261019")
+        rejected = 0
+        for _ in range(N_RANDOM_BATCHES):
+            n_entities = rng.randint(2, 4)
+            state = random_consistent_state(scheme, rng, n_entities)
+            expected = _matches_per_update(
+                scheme, state, _random_batch(scheme, rng, state, n_entities)
+            )
+            rejected += expected is not None and not expected
+        assert rejected  # the rejection diagnostics were compared too
+
+    @pytest.mark.parametrize("label", list(ACCEPTED_SCHEMES))
+    def test_accepted_schemes_take_the_block_route(self, label):
+        """One ``engine.block`` span per block a batch writes, and no
+        per-update ``engine.insert`` span."""
+        scheme = ACCEPTED_SCHEMES[label]()
+        engine = WeakInstanceEngine(scheme)
+        rng = random.Random(label)
+        updates = [
+            ("insert", *consistent_insert_candidate(scheme, rng, 3, name))
+            for name in scheme.names
+        ]
+        tracer = Tracer()
+        with tracing(tracer):
+            assert engine.batch(engine.empty_state(), updates)
+        spans = tracer.span_summaries()
+        assert spans["engine.batch"]["count"] == 1
+        assert spans["engine.block"]["count"] == len(engine.partition.blocks)
+        assert "engine.insert" not in spans
 
 
 class TestFailureOrdering:
-    def _conflicting_batch(self, scheme, state):
-        """A batch whose earliest rejection sits in one block while a
-        later rejection sits in another: index 1 must win."""
-        return [
-            ("insert", "T1R4", {"C1": "cx", "S1": "sx", "G1": "A"}),
-            ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
-            ("insert", "T1R4", {"C1": "cx", "S1": "sx", "G1": "B"}),
-        ]
-
     def test_earliest_rejection_across_blocks_wins(self):
+        """The earliest rejection sits in one block while a later
+        rejection sits in another: index 1 must win."""
         scheme = tiled_university(2)
         state = DatabaseState(
             scheme,
             {"T0R4": [{"C0": "c0", "S0": "s0", "G0": "A"}]},
         )
-        updates = self._conflicting_batch(scheme, state)
-        serial, parallel = _engines(scheme)
-        try:
-            serial_outcome = serial.batch(state, updates)
-            parallel_outcome = parallel.batch(state, updates)
-            assert serial_outcome.failed_index == 1
-            _equal_outcomes(scheme, serial_outcome, parallel_outcome)
-        finally:
-            parallel.close()
+        updates = [
+            ("insert", "T1R4", {"C1": "cx", "S1": "sx", "G1": "A"}),
+            ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
+            ("insert", "T1R4", {"C1": "cx", "S1": "sx", "G1": "B"}),
+        ]
+        assert _matches_per_update(scheme, state, updates).failed_index == 1
 
     def test_error_after_earlier_rejection_is_not_raised(self):
         """Index 1 rejects in block A; index 2 would raise (malformed
-        tuple) in block B.  The serial loop never reaches index 2, so
-        the parallel batch must report the rejection, not the error."""
+        tuple) in block B.  The per-update loop never reaches index 2,
+        so the batch must report the rejection, not the error."""
         scheme = tiled_university(2)
         state = DatabaseState(
             scheme,
@@ -176,39 +200,26 @@ class TestFailureOrdering:
             ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
             ("insert", "T1R4", {"WRONG": "attrs"}),
         ]
-        serial, parallel = _engines(scheme)
-        try:
-            with pytest.raises(StateError):
-                # Sanity: the malformed tuple does raise when reached.
-                serial.batch(state, updates[2:])
-            serial_outcome = serial.batch(state, updates)
-            parallel_outcome = parallel.batch(state, updates)
-            assert serial_outcome.failed_index == 1
-            _equal_outcomes(scheme, serial_outcome, parallel_outcome)
-        finally:
-            parallel.close()
+        with pytest.raises(StateError):
+            # Sanity: the malformed tuple does raise when reached.
+            WeakInstanceEngine(scheme).batch(state, updates[2:])
+        assert _matches_per_update(scheme, state, updates).failed_index == 1
 
     def test_earliest_error_is_raised(self):
         """When the malformed tuple precedes every rejection, both
-        paths raise it."""
+        routes raise it."""
         scheme = tiled_university(2)
-        state = DatabaseState(scheme)
         updates = [
             ("insert", "T1R4", {"WRONG": "attrs"}),
             ("insert", "T0R4", {"C0": "c", "S0": "s", "G0": "A"}),
         ]
-        serial, parallel = _engines(scheme)
-        try:
-            with pytest.raises(StateError):
-                serial.batch(state, updates)
-            with pytest.raises(StateError):
-                parallel.batch(state, updates)
-        finally:
-            parallel.close()
+        with pytest.raises(StateError):
+            WeakInstanceEngine(scheme).batch(DatabaseState(scheme), updates)
+        assert _matches_per_update(scheme, DatabaseState(scheme), updates) is None
 
     def test_unknown_operation_falls_back_to_serial_semantics(self):
-        """An unroutable batch (unknown op) takes the serial path, so
-        an earlier rejection still wins over the later bad op."""
+        """An unroutable batch (unknown op) takes the per-update loop,
+        so an earlier rejection still wins over the later bad op."""
         scheme = tiled_university(2)
         state = DatabaseState(
             scheme,
@@ -218,25 +229,13 @@ class TestFailureOrdering:
             ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
             ("upsert", "T1R4", {"C1": "c", "S1": "s", "G1": "A"}),
         ]
-        serial, parallel = _engines(scheme)
-        try:
-            serial_outcome = serial.batch(state, updates)
-            parallel_outcome = parallel.batch(state, updates)
-            assert serial_outcome.failed_index == 0
-            _equal_outcomes(scheme, serial_outcome, parallel_outcome)
-        finally:
-            parallel.close()
+        assert _matches_per_update(scheme, state, updates).failed_index == 0
 
 
-#: The global batch indices a slice's operations carry: a shard's share
-#: of a larger batch is never contiguous.
-SLICE_INDEXES = (2, 5, 6, 11)
-
-
-def _slice_case(label):
+def _case(label):
     """``(scheme, state, ok0, ok1, reject, error)`` for a scheme: two
     updates that apply (the second a delete), one insert the state
-    rejects and one malformed insert that raises."""
+    rejects once ``ok0`` is in, and one malformed insert that raises."""
     if label == "tiled_university":
         scheme = tiled_university(2)
         stored = {"C0": "c1", "S0": "s1", "G0": "B"}
@@ -251,70 +250,155 @@ def _slice_case(label):
             ("insert", "T0R4", {"C0": "c0", "S0": "s0", "G0": "CLASH"}),
             ("insert", "T1R4", {"WRONG": "attrs"}),
         )
-    scheme = example2_not_algebraic()
+    if label == "example2":
+        scheme = example2_not_algebraic()
+        state = DatabaseState(
+            scheme, {"R1": [{"A": 1, "B": 2}], "R2": [{"B": 2, "C": 3}]}
+        )
+        return (
+            scheme,
+            state,
+            ("insert", "R1", {"A": 5, "B": 6}),
+            ("delete", "R1", {"A": 5, "B": 6}),
+            ("insert", "R3", {"A": 1, "C": 4}),
+            ("insert", "R1", {"WRONG": "attrs"}),
+        )
+    if label == "example3_triangle":
+        # Every attribute is a key: a second C for a1 contradicts the
+        # one the stored B reaches.
+        scheme = example3_triangle()
+        state = DatabaseState(
+            scheme,
+            {"R1": [{"A": "a1", "B": "b1"}], "R2": [{"B": "b1", "C": "c1"}]},
+        )
+        return (
+            scheme,
+            state,
+            ("insert", "R3", {"A": "a1", "C": "c1"}),
+            ("delete", "R2", {"B": "b1", "C": "c1"}),
+            ("insert", "R3", {"A": "a1", "C": "c9"}),
+            ("insert", "R2", {"WRONG": "attrs"}),
+        )
+    if label == "example4_split_scheme":
+        # The Example 5 state; the key A of R1 already maps a to b.
+        scheme = example4_split_scheme()
+        stored = {"E": "e2", "B": "b"}
+        state = DatabaseState(
+            scheme,
+            {
+                "R1": [{"A": "a", "B": "b"}],
+                "R2": [{"A": "a", "C": "c"}],
+                "R4": [{"E": "e1", "B": "b"}, stored],
+                "R5": [{"E": "e1", "C": "c"}],
+            },
+        )
+        return (
+            scheme,
+            state,
+            ("insert", "R3", {"A": "a2", "E": "e3"}),
+            ("delete", "R4", stored),
+            ("insert", "R1", {"A": "a", "B": "b9"}),
+            ("insert", "R6", {"WRONG": "attrs"}),
+        )
+    assert label == "example8_split"
+    # After ok0, a1 reaches D = d1 through A → BC → D, so d9 clashes.
+    scheme = example8_split()
     state = DatabaseState(
-        scheme, {"R1": [{"A": 1, "B": 2}], "R2": [{"B": 2, "C": 3}]}
+        scheme,
+        {"R1": [{"A": "a1", "C": "c1"}], "R2": [{"A": "a1", "B": "b1"}]},
     )
     return (
         scheme,
         state,
-        ("insert", "R1", {"A": 5, "B": 6}),
-        ("delete", "R1", {"A": 5, "B": 6}),
-        ("insert", "R3", {"A": 1, "C": 4}),
-        ("insert", "R1", {"WRONG": "attrs"}),
+        ("insert", "R4", {"B": "b1", "C": "c1", "D": "d1"}),
+        ("delete", "R1", {"A": "a1", "C": "c1"}),
+        ("insert", "R5", {"A": "a1", "D": "d9"}),
+        ("insert", "R5", {"WRONG": "attrs"}),
     )
+
+
+CASE_LABELS = [
+    "tiled_university",
+    "example2",
+    *sorted(SINGLE_BLOCK_SCHEMES),
+]
+
+ORDERINGS = {
+    "clean": (lambda ok0, ok1, reject, error: [ok0, ok1], None),
+    "reject_then_error": (
+        lambda ok0, ok1, reject, error: [ok0, reject, ok1, error],
+        1,
+    ),
+    "error_then_reject": (
+        lambda ok0, ok1, reject, error: [ok0, error, ok1, reject],
+        1,
+    ),
+}
+
+
+class TestBatchMatchesPerUpdate:
+    """``engine.batch`` against the per-update reference on every case:
+    a clean batch, a rejection before an error, and an error before a
+    rejection."""
+
+    @pytest.mark.parametrize("label", CASE_LABELS)
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_batch_matches_per_update(self, ordering, label):
+        scheme, state, *updates = _case(label)
+        build, event_at = ORDERINGS[ordering]
+        expected = _matches_per_update(scheme, state, build(*updates))
+        if ordering == "error_then_reject":
+            assert expected is None
+        elif ordering == "clean":
+            assert expected
+        else:
+            assert expected.failed_index == event_at
 
 
 class TestApplySlice:
     """``WeakInstanceEngine.apply_slice`` — the shard workers' route —
-    decides exactly what ``batch`` decides, at the slice's global
-    indices."""
+    decides exactly what the per-update reference decides, at the
+    slice's global indices."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("label", ["tiled_university", "example2"])
-    @pytest.mark.parametrize(
-        "ordering", ["clean", "reject_then_error", "error_then_reject"]
-    )
-    def test_slice_matches_batch(self, workers, label, ordering):
-        scheme, state, ok0, ok1, reject, error = _slice_case(label)
-        updates, event_at = {
-            "clean": ([ok0, ok1], None),
-            "reject_then_error": ([ok0, reject, ok1, error], 1),
-            "error_then_reject": ([ok0, error, ok1, reject], 1),
-        }[ordering]
+    @pytest.mark.parametrize("stride", [1, 4])
+    @pytest.mark.parametrize("label", CASE_LABELS)
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_slice_matches_batch(self, ordering, label, stride):
+        """``stride`` spaces the slice's global indices: 1 gives the
+        positions ``batch`` passes, 4 a shard's share of a batch
+        interleaved with three other shards' updates."""
+        scheme, state, *updates = _case(label)
+        build, event_at = ORDERINGS[ordering]
+        updates = build(*updates)
+        indexes = [stride * (position + 1) - 1 for position in range(4)]
         operations = [
-            (index, *update) for index, update in zip(SLICE_INDEXES, updates)
+            (index, *update) for index, update in zip(indexes, updates)
         ]
-        batch_engine = WeakInstanceEngine(scheme, workers=workers)
-        slice_engine = WeakInstanceEngine(scheme, workers=workers)
-        try:
-            outcome = slice_engine.apply_slice(state, operations)
-            if ordering == "error_then_reject":
-                with pytest.raises(StateError) as raised:
-                    batch_engine.batch(state, updates)
-                assert type(outcome.error) is raised.type
-                assert str(outcome.error) == str(raised.value)
-                assert outcome.error_index == SLICE_INDEXES[event_at]
-                assert outcome.failure is None
-                assert outcome.substate is None
-                return
-            expected = batch_engine.batch(state, updates)
-            assert outcome.error is None
-            if ordering == "clean":
-                assert expected and outcome.failed_index is None
-                for name in scheme.names:
-                    assert (
-                        outcome.substate[name].row_vectors
-                        == expected.state[name].row_vectors
-                    )
-                return
-            assert expected.failed_index == event_at
-            assert outcome.failed_index == SLICE_INDEXES[event_at]
+        outcome = WeakInstanceEngine(scheme).apply_slice(state, operations)
+        reference = WeakInstanceEngine(scheme)
+        if ordering == "error_then_reject":
+            with pytest.raises(StateError) as raised:
+                batch_per_update(reference, state, updates)
+            assert type(outcome.error) is raised.type
+            assert str(outcome.error) == str(raised.value)
+            assert outcome.error_index == indexes[event_at]
+            assert outcome.failure is None
             assert outcome.substate is None
-            assert outcome.failure.to_dict() == expected.failure.to_dict()
-        finally:
-            batch_engine.close()
-            slice_engine.close()
+            return
+        expected = batch_per_update(reference, state, updates)
+        assert outcome.error is None
+        if ordering == "clean":
+            assert expected and outcome.failed_index is None
+            for name in scheme.names:
+                assert (
+                    outcome.substate[name].row_vectors
+                    == expected.state[name].row_vectors
+                )
+            return
+        assert expected.failed_index == event_at
+        assert outcome.failed_index == indexes[event_at]
+        assert outcome.substate is None
+        assert outcome.failure.to_dict() == expected.failure.to_dict()
 
 
 class TestBlockChaseCache:

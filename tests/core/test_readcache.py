@@ -163,15 +163,13 @@ class TestInvalidation:
     )
     def test_writes_miss_their_blocks_and_spare_the_rest(self, route):
         """After a long run of writes to two blocks — through insert,
-        delete, the serial batch loop (workers=1) or the per-block
-        batch kernel (workers=2) — a query whose plan touches a written
-        block misses and a query over the untouched block still hits,
-        however many writes went by (more than the block-version memo
-        holds)."""
+        delete, the per-update loop a batch falls back to when it cannot
+        be routed, or the per-block batch route — a query whose plan
+        touches a written block misses and a query over the untouched
+        block still hits, however many writes went by (more than the
+        block-version memo holds)."""
         scheme = example1_university()
-        engine = WeakInstanceEngine(
-            scheme, workers=2 if route == "batch_blocks" else 1
-        )
+        engine = WeakInstanceEngine(scheme)
         partition = engine.partition
         members = {member.name: member for member in scheme.relations}
         written = [members["R4"], members["R5"]]
@@ -206,15 +204,21 @@ class TestInvalidation:
                     state = engine.delete(state, member.name, values)
         else:
             for start in range(0, rounds, 2):
-                result = engine.batch(
-                    state,
-                    [
-                        (operation, member.name, values)
-                        for member, values in rows[start : start + 2]
-                    ],
-                )
-                assert result
-                state = result.state
+                updates = [
+                    (operation, member.name, values)
+                    for member, values in rows[start : start + 2]
+                ]
+                if route == "batch_serial":
+                    outcome = engine._apply_serial(
+                        state,
+                        [(index, *update) for index, update in enumerate(updates)],
+                    )
+                    assert outcome.failure is None and outcome.error is None
+                    state = outcome.substate
+                else:
+                    result = engine.batch(state, updates)
+                    assert result
+                    state = result.state
 
         def probe(target):
             read = engine.cache_info()["read"]
@@ -229,7 +233,6 @@ class TestInvalidation:
         answer, hits, misses = probe(untouched.attributes)
         assert (hits, misses) == (1, 0)
         assert answer == before[untouched.attributes]
-        engine.close()
 
 
 class TestBlockVersions:

@@ -280,7 +280,6 @@ class TestCrashes:
             forked = engine.insert(
                 engine.empty_state(), "R4", r4_tuple(0, grade="F")
             ).state
-            engine.close()
             with FollowerStore(tmp_path / "follower") as follower:
                 follower.bootstrap(
                     scheme,

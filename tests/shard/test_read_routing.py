@@ -706,4 +706,3 @@ def test_gathers_fetch_only_relations_they_gather_cold(count):
         assert _fetched(router) == len(gathered)
     finally:
         router.close()
-        engine.close()

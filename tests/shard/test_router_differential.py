@@ -100,9 +100,6 @@ class EngineReference:
     def query(self, attributes):
         return self.engine.query(self.state, attributes)
 
-    def close(self):
-        self.engine.close()
-
 
 def build_workload(scheme):
     """A deterministic op list derived only from the relation schemes.
@@ -235,7 +232,6 @@ def assert_router_matches_engine(scheme, shards, targets, label, extra=()):
         assert state_to_dict(router.state) == state_to_dict(reference.state)
     finally:
         router.close()
-        reference.close()
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_SCHEMES))

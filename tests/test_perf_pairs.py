@@ -1,6 +1,7 @@
 """The paired-benchmark summary: quartiles per side, and the pairs the
 change won, with ties counting for neither side."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -119,3 +120,18 @@ def test_the_change_side_is_exported_as_the_tree_stands(
     # Exporting touched neither the working tree nor the index.
     assert (repo / "run.py").read_text() == "edited\n"
     assert perf_pairs.git(repo, "diff", "--cached", "--name-only") == "new.py"
+
+
+def test_each_set_of_pairs_gets_its_own_directory(perf_pairs, tmp_path):
+    """A second set with the same workload, seed, trace and revisions
+    does not overwrite the first set's records."""
+    args = argparse.Namespace(workload="read_hot", seed=3, trace=0)
+    base, new = "a" * 40, "b" * 40
+    first = perf_pairs.set_directory(tmp_path, args, base, new)
+    (first / "base-1.json").write_text("{}")
+    second = perf_pairs.set_directory(tmp_path, args, base, new)
+    assert first != second
+    assert first.name == f"read_hot-seed3-trace0-{'a' * 12}-{'b' * 12}-set1"
+    assert second.name.endswith("-set2")
+    assert (first / "base-1.json").read_text() == "{}"
+    assert list(second.iterdir()) == []
