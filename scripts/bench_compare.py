@@ -24,8 +24,9 @@ Each record carries its host's facts (``cpu_count``, ``python``,
 ``seed``, ``git_rev``; see ``repro.bench.write_report``).  Two speedup
 records of one scenario that both carry ``cpu_count`` and disagree on
 it are refused rather than compared; records without the field compare
-as before.  Exact-match invariants (``single_block_query_rpcs``) are
-checked whatever the CPU count.
+as before.  Exact-match invariants (``single_block_query_rpcs``: a warm
+single-block query costs no RPC, since the router answers it from its
+relation mirror) are checked whatever the CPU count.
 
 Usage::
 
@@ -82,7 +83,7 @@ def fresh_records(repeats: int) -> dict[str, dict]:
     # it also returns carries no speedup and is informational).
     scenarios.update(run_replica_scenarios())
     # The read path: cached-vs-uncached ratio plus the routing
-    # invariant (a warm single-block query costs exactly one RPC).
+    # invariant (a warm single-block query costs no RPC).
     scenarios.update(run_read_scenarios())
     host = host_metadata()
     return {name: {**host, **record} for name, record in scenarios.items()}

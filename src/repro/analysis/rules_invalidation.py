@@ -2,7 +2,7 @@
 relation mirror.
 
 The shard router keeps a mirror of relation copies fetched from the
-shards for cross-shard gathers.  A mirrored copy stays valid only
+shards for the gathers every query reads.  A mirrored copy stays valid only
 while the write generation of its relation is unchanged, so every
 router write RPC must bump the generations of the relations it names
 — through ``ShardRouter._invalidate``, before and after the write — or

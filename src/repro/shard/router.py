@@ -38,23 +38,20 @@ Serial equivalence is the contract:
   across shard WALs — the documented gap a future replication tier
   closes.  With one shard, two-phase commit would have one participant,
   so the batch goes to the worker whole as one engine batch.
-* **Queries** route to one shard when the full-scheme plan's base
-  relations all live there (block-local totals are exact); otherwise
-  the referenced relations are gathered and the plan is evaluated
-  router-side by a full-scheme engine, so cross-shard extension joins
+* **Queries** are answered router-side at every shard count: the
+  relations the full-scheme plan names are gathered and a full-scheme
+  engine evaluates the plan, so cross-shard extension joins
   (Theorem 4.1) return exactly the single-process answer; a target
-  the engine answers by the chase (its plan would read a block past
-  the exact lossless-subset enumeration's cap) gathers every relation.
+  the engine answers by the chase (outside the class, or a plan past
+  the exact lossless-subset enumeration's cap) gathers every relation,
+  and an uncoverable target only the relations overlapping it.
   Gathers read through a *relation mirror*: the router keeps a copy of
   each relation it gathered with the write generation the copy is
   exact at.  A write whose outcome the router knows (an accepted,
   rejected or aborted one) carries the copies of the relations it
   names forward; a gather fetches only relations it never gathered or
-  that a write of unknown outcome has named since.
-  A query with
-  no plan (a target no plan covers, or any target outside the class)
-  goes to shard 0 when there is one shard, which answers over its whole
-  state.
+  that a write of unknown outcome has named since.  Workers serve
+  writes and fetches, never queries.
 
 Sessions (:class:`Session`) are named handles multiplexed over the
 router — per-session accounting, not isolation.
@@ -463,8 +460,8 @@ class ShardRouter:
             member.name: Relation(member.attributes)
             for member in scheme.relations
         }
-        # A full-scheme engine for plan computation and the scatter-
-        # gather query path; it never validates writes (shards do).
+        # A full-scheme engine that plans and answers every query; it
+        # never validates writes (shards do).
         # Gathered states are built from the mirror's stable Relation
         # objects, so its block-versioned read cache and the compiled
         # column caches hit until a write changes a touched relation.
@@ -720,61 +717,36 @@ class ShardRouter:
         return self._gather(self.scheme.names, install=False)
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
-        """``[X]`` with plan-aware routing.
+        """``[X]``, answered router-side at every shard count.
 
-        The full-scheme plan decides: when its base relations all live
-        on one shard, that worker answers (block-local totals are
-        globally exact); otherwise the referenced relations are
-        gathered and the same engine code evaluates router-side, so
-        cross-shard extension joins match the single-process answer.
-        With no plan to consult, every shard is a target."""
+        The full-scheme plan names the relations ``[X]`` reads; they
+        are gathered through the relation mirror (no RPC while every
+        copy is exact) and the same engine code evaluates them, so the
+        answer is the single-process one, cross-shard extension joins
+        (Theorem 4.1) included.  A target the engine answers by the
+        chase (outside the class, or a plan past the exact
+        lossless-subset enumeration's cap) gathers every relation.  A
+        target no plan covers (``SchemaError``) has an empty answer on
+        every consistent state: only the relations overlapping it are
+        gathered, and the same evaluation confirms it."""
         target = attrs(attributes)
         with tracing(self.tracer):
             with span("shard.route") as sp:
                 self.metrics.increment("ops.query")
-                names: Optional[Sequence[str]] = None
                 try:
                     plan = self._engine.plan(target)
                     names = sorted(plan.expression.relation_names())
                 except SchemaError:
-                    names = None
+                    names = sorted(
+                        member.name
+                        for member in self.scheme.relations
+                        if member.attributes & target
+                    )
                 except ReproError:
-                    # The chase answers this target (see
-                    # ``WeakInstanceEngine.evaluate``): it may read any
-                    # relation.
                     names = self.scheme.names
-                if names:
-                    targets = {
-                        self.map.relation_shard[name] for name in names
-                    }
-                else:
-                    targets = set(range(self.map.shards))
                 if sp:
                     sp.add("queries", 1)
-                    sp.add("single_shard", 1 if len(targets) == 1 else 0)
-            if len(targets) == 1:
-                response = self._rpc(
-                    next(iter(targets)),
-                    {
-                        "op": "query",
-                        "target": sorted(target),
-                    },
-                )
-                return {tuple(row) for row in response["rows"]}
-            # Scatter-gather: gather what the plan touches (the whole
-            # state for a target the chase answers) and evaluate with
-            # full-scheme code.  ``names is None`` means an uncoverable
-            # target (``SchemaError``) whose answer is empty on every
-            # consistent state — gather only the relations whose
-            # attributes overlap the target instead of fanning out to
-            # every shard, and let the same evaluation confirm it.
             self.metrics.increment("router.gather_queries")
-            if names is None:
-                names = sorted(
-                    member.name
-                    for member in self.scheme.relations
-                    if member.attributes & target
-                )
             return self._engine.query(self._gather(names), target)
 
     def _gather(
@@ -1173,12 +1145,12 @@ class ShardRouter:
         return reports
 
     def _engine_cache_series(self) -> tuple[dict, dict]:
-        """The gather engine's read-cache series, unlabeled: why a
-        cross-shard gather was a dict probe or a re-evaluation."""
+        """The query engine's read-cache series, unlabeled: why a
+        query was a dict probe or a re-evaluation."""
         return cache_series({"read": self._engine.cache_info()["read"]})
 
     def metrics_snapshot(self) -> dict[str, Union[int, float]]:
-        """Router counters (its gather engine's read cache included)
+        """Router counters (its query engine's read cache included)
         plus every worker's, the latter labeled ``name{shard="K"}`` so
         shards never collide in one namespace."""
         merged = self.metrics.snapshot()

@@ -11,6 +11,11 @@ socketpair the router handed it (:func:`worker_main`); a one-shard
 router builds its one worker in its own process and calls
 :meth:`ShardWorker.handle` directly.
 
+A worker validates and applies writes and hands out copies of its
+relations (``fetch``); it evaluates no queries.  The router answers
+every ``[X]`` itself from the relations it fetched, so a worker's
+engine builds no query caches.
+
 Multi-shard batches are two-phase, and workers apply their slice
 through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
 single-process batch's own per-block kernel — so the events they report
@@ -34,7 +39,7 @@ from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import StoreError
-from repro.io import sorted_rows, state_to_dict
+from repro.io import state_to_dict
 from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import cache_series
@@ -135,9 +140,6 @@ class ShardWorker:
         if op == "delete":
             store.delete(request["relation"], request["values"])
             return {"ok": True}
-        if op == "query":
-            rows = store.query(request["target"])
-            return {"ok": True, "rows": sorted_rows(rows)}
         if op == "batch":
             outcome = store.apply_batch(request["updates"])
             return {"ok": True, "outcome": outcome.to_dict()}

@@ -206,7 +206,13 @@ class TestDurableServer:
         assert 'cache.plans.hits{shard="0"}' in snapshot
         assert 'cache.chase.misses{shard="0"}' in snapshot
         assert snapshot["ops.query"] == 1
-        assert snapshot['ops.query{shard="0"}'] == 1
+        # The router answered the query from its relation mirror: one
+        # fetch filled it, its own read cache missed once, and the
+        # shard evaluated no query.
+        assert snapshot["router.gather_queries"] == 1
+        assert snapshot["cache.read.misses"] == 1
+        assert 'ops.query{shard="0"}' not in snapshot
+        assert snapshot['cache.read.misses{shard="0"}'] == 0
 
 
 class TestObservability:
@@ -243,7 +249,10 @@ class TestObservability:
         assert series["repro_ops_query_total"] == 1.0
         assert series["repro_span_engine_query_seconds_count"] == 1.0
         assert 'repro_span_engine_query_seconds_bucket{le="+Inf"}' in series
-        assert series['repro_ops_query_total{shard="0"}'] == 1.0
+        # The router answers queries; the shard serves no query op.
+        assert series["repro_router_gather_queries_total"] == 1.0
+        assert series["repro_cache_read_misses_total"] == 1.0
+        assert 'repro_ops_query_total{shard="0"}' not in series
 
     def test_durable_server_traces_store_spans(self, tmp_path, scheme):
         server = durable(tmp_path, scheme)

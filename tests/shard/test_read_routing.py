@@ -1,14 +1,15 @@
 """Read-routing regression tests: queries must reach only the shards
 that own the relations their plan touches.
 
-The plan is the routing oracle.  A single-block target costs exactly
-one RPC; a cross-block target fans out to the owning shards and no
-further; a target outside the universe has no plan and — because a
+The plan is the routing oracle, and the router answers every query
+itself at every shard count.  A cold single-block target costs exactly
+one ``fetch`` RPC; a cross-block target fetches from the owning shards
+and no further; a target outside the universe has no plan and — because a
 multi-shard deployment implies an accepted scheme, where "no plan"
 means an uncoverable target whose answer is empty on every consistent
 state — is answered without contacting any shard at all.
 
-Cross-block gathers read through the router's relation mirror: a
+Gathers read through the router's relation mirror: a
 relation costs a gather no RPC once it was fetched, as long as every
 write that named it since reported its outcome (accepted, rejected or
 aborted), which the router applies to its copy; a write whose outcome
@@ -79,7 +80,7 @@ class TestSingleShardQueries:
         state = _oracle()
         try:
             # One target per block; each plan's relations live on a
-            # single shard, so each query must be a single RPC.
+            # single shard, so each cold query is a single fetch RPC.
             for target in (
                 frozenset("HRC"),
                 frozenset("CSG"),
@@ -92,15 +93,21 @@ class TestSingleShardQueries:
         finally:
             router.close()
 
-    def test_repeated_query_is_served_by_the_worker_read_cache(self):
+    def test_repeated_query_is_served_by_the_router_read_cache(self):
         router = _seeded_router()
         try:
             target = frozenset("CSG")
             first = router.query(target)
+            before = _rpcs(router)
             assert router.query(target) == first
+            assert _rpcs(router) == before
             snapshot = router.metrics_snapshot()
-            # R4's shard answered the repeat from its read cache.
-            assert snapshot[labeled("cache.read.hits", shard=1)] >= 1
+            # The router answered the repeat from its own read cache;
+            # R4's shard served one fetch and evaluated no query.
+            assert snapshot["cache.read.hits"] == 1
+            assert snapshot["cache.read.misses"] == 1
+            assert snapshot[labeled("cache.read.hits", shard=1)] == 0
+            assert snapshot[labeled("cache.read.misses", shard=1)] == 0
         finally:
             router.close()
 
