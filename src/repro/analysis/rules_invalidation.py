@@ -1,12 +1,12 @@
-"""Cache-invalidation lint: every router write path invalidates the
+"""Cache-invalidation lint: every router write path republishes the
 relation mirror.
 
 The shard router keeps a mirror of relation copies fetched from the
-shards for the gathers every query reads.  A mirrored copy stays valid only
-while the write generation of its relation is unchanged, so every
-router write RPC must bump the generations of the relations it names
-— through ``ShardRouter._invalidate``, before and after the write — or
-a gather could serve a copy torn by a concurrent write.  That is a
+shards for the gathers every query reads.  A mirrored copy stays exact
+only while every write that may change its relation publishes it again
+— followed across the write, or left out when the outcome is unknown —
+so every router write RPC must run inside ``ShardRouter._follow``, or
+a gather could serve a copy the write made stale.  That is a
 discipline, not a theorem, so it is linted.
 
 (The engine's read cache needs no such map: states are immutable, a
@@ -54,12 +54,12 @@ def default_invalidation_config() -> InvalidationConfig:
     "Invariant enforcement")."""
     return InvalidationConfig(
         required={
-            # Every write RPC bumps the write generation of the
-            # relations it names, so the router's relation mirror
-            # reuses a copy only if the write carried it across.
-            "shard/router.py::ShardRouter.insert": ("_invalidate",),
-            "shard/router.py::ShardRouter.delete": ("_invalidate",),
-            "shard/router.py::ShardRouter.apply_batch": ("_invalidate",),
+            # Every write RPC republishes the mirror copies of the
+            # relations it names: followed across the write, or left
+            # out when its outcome is unknown.
+            "shard/router.py::ShardRouter.insert": ("_follow",),
+            "shard/router.py::ShardRouter.delete": ("_follow",),
+            "shard/router.py::ShardRouter.apply_batch": ("_follow",),
         },
     )
 
@@ -130,8 +130,8 @@ def check_project(
                         f"mutation site {qualname} never invalidates "
                         f"the relation mirror: call {wanted} around "
                         "the write (a mirrored relation copy stays "
-                        "valid only while every write path bumps the "
-                        "write generation of the relations it names)"
+                        "exact only while every write path republishes "
+                        "the copies of the relations it names)"
                     ),
                 )
             )

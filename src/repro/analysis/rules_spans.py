@@ -102,7 +102,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             "shard/router.py::ShardRouter.delete": ("shard.route",),
             "shard/router.py::ShardRouter.query": ("shard.route",),
             # apply_batch activates the tracer; the shard.route span
-            # opens in _apply_batch_whole / _apply_batch_sharded.
+            # opens in _two_phase.
             "shard/router.py::ShardRouter.apply_batch": ("tracing",),
             "shard/router.py::ShardRouter._rpc": ("shard.rpc",),
             "shard/router.py::ShardRouter.snapshot": ("tracing",),

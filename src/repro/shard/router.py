@@ -2,7 +2,7 @@
 
 :class:`ShardRouter` derives a :class:`ShardMap` from the scheme's
 independence decomposition (:class:`~repro.core.partition
-.SchemePartition`), memoized by scheme fingerprint: block ``i`` lives on
+.SchemePartition`, memoized by scheme fingerprint): block ``i`` lives on
 shard ``i % shards`` (round-robin packing, so schemes with more blocks
 than shards spread evenly).  Each shard is a
 :class:`~repro.shard.worker.ShardWorker` running one store over its
@@ -26,18 +26,16 @@ Serial equivalence is the contract:
 * **Inserts/deletes** route to the single shard owning the target
   relation — the paper's Section 4.2 guarantee that block-local
   validation lifts to global consistency.
-* **Batches** over several shards reuse the min-global-event-index
-  rule of
-  :meth:`~repro.core.engine.WeakInstanceEngine.batch`: the router
-  assigns global indices before fan-out, workers apply their slice
-  through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice`
-  (the batch's own block kernel), and the earliest failure across
-  shards is reported byte-identically to the single-process path.
-  Cross-shard atomicity is two-phase (prepare everywhere, then commit
-  everywhere); a crash between the phases can leave a partial batch
-  across shard WALs — the documented gap a future replication tier
-  closes.  With one shard, two-phase commit would have one participant,
-  so the batch goes to the worker whole as one engine batch.
+* **Batches** reuse the min-global-event-index rule of
+  :meth:`~repro.core.engine.WeakInstanceEngine.batch` at every shard
+  count: the router assigns global indices before fan-out, workers
+  apply their slice through
+  :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` (the
+  batch's own block kernel), and the earliest failure across shards is
+  reported byte-identically to the single-process path.  Atomicity is
+  two-phase (prepare everywhere, then commit everywhere); a crash
+  between the phases can leave a partial batch across shard WALs — the
+  documented gap a future replication tier closes.
 * **Queries** are answered router-side at every shard count: the
   relations the full-scheme plan names are gathered and a full-scheme
   engine evaluates the plan, so cross-shard extension joins
@@ -45,13 +43,17 @@ Serial equivalence is the contract:
   the engine answers by the chase (outside the class, or a plan past
   the exact lossless-subset enumeration's cap) gathers every relation,
   and an uncoverable target only the relations overlapping it.
-  Gathers read through a *relation mirror*: the router keeps a copy of
-  each relation it gathered with the write generation the copy is
-  exact at.  A write whose outcome the router knows (an accepted,
-  rejected or aborted one) carries the copies of the relations it
-  names forward; a gather fetches only relations it never gathered or
-  that a write of unknown outcome has named since.  Workers serve
-  writes and fetches, never queries.
+  Gathers read through a *relation mirror*: one published
+  ``name → Relation`` snapshot of the relations gathered so far, never
+  mutated, replaced under the write lock.  Every worker write runs
+  under that lock, and a write changes only the relations it names
+  (Section 4.2), so a write whose outcome the router knows (an
+  accepted, rejected or aborted one) publishes its row changes applied
+  to those copies, and one of unknown outcome publishes the mirror
+  without them.  A gather whose relations are all in the snapshot
+  takes no lock and sends no RPC; the rest are fetched under the write
+  lock, when no write can run.  Workers serve writes and fetches,
+  never queries.
 
 Sessions (:class:`Session`) are named handles multiplexed over the
 router — per-session accounting, not isolation.
@@ -82,7 +84,6 @@ from repro.core.partition import (
     scheme_fingerprint,
 )
 from repro.foundations.attrs import AttrsLike, attrs
-from repro.foundations.cache import MISSING, LRUCache
 from repro.foundations.errors import (
     NotApplicableError,
     ReproError,
@@ -175,20 +176,10 @@ class ShardMap:
         }
 
 
-#: (fingerprint, requested shards) → ShardMap; maps are pure functions
-#: of scheme content, so every router over an equal scheme shares one.
-_SHARD_MAPS: LRUCache = LRUCache(64)
-
-
 def shard_map_for(scheme: DatabaseScheme, shards: int) -> ShardMap:
-    """The memoized :class:`ShardMap` for a scheme and shard count."""
-    partition = partition_scheme(scheme)
-    key = (partition.fingerprint, max(1, int(shards)))
-    cached = _SHARD_MAPS.get(key, MISSING)
-    if cached is MISSING:
-        cached = ShardMap.derive(partition, shards)
-        _SHARD_MAPS.put(key, cached)
-    return cached
+    """The :class:`ShardMap` for a scheme and shard count, derived from
+    its memoized partition."""
+    return ShardMap.derive(partition_scheme(scheme), shards)
 
 
 def _rebuild_error(info: Mapping[str, Any]) -> Exception:
@@ -358,7 +349,7 @@ class _InlineChannel:
 
 class _Write:
     """One write's report to the relation mirror (see
-    :meth:`ShardRouter._invalidate`): ``changes`` stays ``None`` until
+    :meth:`ShardRouter._follow`): ``changes`` stays ``None`` until
     the write reports its outcome as the row changes it made, in update
     order (none for a rejected insert or an aborted batch)."""
 
@@ -441,20 +432,14 @@ class ShardRouter:
         self._channels: list[Union[_PipeChannel, _InlineChannel]] = []
         self._locks: list[threading.Lock] = []
         self._procs: list[multiprocessing.process.BaseProcess] = []
-        # The relation mirror: name -> (write generation, Relation) of
-        # a copy exact while the relation's generation equals it.  The
-        # rule is exact because every worker write goes through this
-        # router under _write_lock, an update changes only the relation
-        # it names (so bumping that relation's generation around the
-        # write RPC invalidates exactly the copies the write can have
-        # changed, and applying the write's own rows to them carries
-        # them forward), and a restarted router starts with an empty
-        # mirror.  An odd generation marks a write in flight (see
-        # _invalidate).
-        self._mirror_lock = threading.Lock()
-        self._generations: dict[str, int] = {}  # guarded-by: _mirror_lock
-        #: name -> (generation, Relation)
-        self._mirror: dict = {}  # guarded-by: _mirror_lock
+        # The relation mirror: name -> an exact copy of that relation.
+        # The dict is never mutated once published; every change
+        # publishes a new one under _write_lock.  Every worker write
+        # goes through this router under that lock and changes only the
+        # relations it names, so each published snapshot is one serial
+        # state of the relations it holds (see _follow and _gather), and
+        # a restarted router starts with an empty mirror.
+        self._mirror: dict[str, Relation] = {}  # guarded-by: _write_lock (writes)
         # Stable empty stand-ins for the relations a gather skips.
         self._placeholders = {
             member.name: Relation(member.attributes)
@@ -710,18 +695,19 @@ class ShardRouter:
 
     @property
     def state(self) -> DatabaseState:
-        """The full committed state, assembled from every shard: a
-        gather of every relation through the mirror — meant for
-        inspection and the line protocol's ``state`` command, not for
-        hot paths."""
-        return self._gather(self.scheme.names, install=False)
+        """The full committed state, fetched fresh from every shard
+        under the write lock (so no write is half-applied in it) —
+        meant for inspection and the line protocol's ``state`` command,
+        not for hot paths.  It neither reads nor fills the mirror."""
+        with self._write_lock:
+            return _from_relations(self.scheme, self._fetch(self.scheme.names))
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
         """``[X]``, answered router-side at every shard count.
 
         The full-scheme plan names the relations ``[X]`` reads; they
         are gathered through the relation mirror (no RPC while every
-        copy is exact) and the same engine code evaluates them, so the
+        one is mirrored) and the same engine code evaluates them, so the
         answer is the single-process one, cross-shard extension joins
         (Theorem 4.1) included.  A target the engine answers by the
         chase (outside the class, or a plan past the exact
@@ -749,78 +735,47 @@ class ShardRouter:
             self.metrics.increment("router.gather_queries")
             return self._engine.query(self._gather(names), target)
 
-    def _gather(
-        self, names: Iterable[str], install: bool = True
-    ) -> DatabaseState:
+    def _gather(self, names: Sequence[str]) -> DatabaseState:
         """A full-scheme state holding the current contents of
         ``names`` (every other relation an empty placeholder).
 
-        Mirror copies whose generation still matches cost no RPC (a
-        write of known outcome carries its copies forward); the rest
-        are fetched from their owning shards in one fan-out.  Each
-        block of the result is one real state of its shard: a fetch RPC
-        is one snapshot of its shard, and a matching copy is exact at
-        every instant from the generation snapshot until its generation
-        next moves (see :meth:`_invalidate`).  So when a write began on
-        a reused relation before the fetch, every named relation of
-        that shard is re-fetched in one RPC.  With ``install`` a fetched
-        copy enters the mirror under the generation read before its
-        fetch, and only if that generation is even and has not moved,
-        so a gather racing a write never installs a stale copy; the
-        gather counters count only installing gathers.  A closed router
-        raises ``ServiceError`` before it probes the mirror, so a
+        When one published mirror snapshot holds every name, the state
+        is built from it with no lock and no RPC: the snapshot is one
+        serial state of the relations it holds.  Otherwise the write
+        lock is taken, the snapshot read again, the names it still
+        lacks fetched in one fan-out and a snapshot with them
+        published; no write runs meanwhile, so the fetched copies are
+        exact at the same instant as every mirrored one.  A closed
+        router raises ``ServiceError`` before it reads the mirror, so a
         gather it could answer without an RPC fails like every other
         op."""
         if self._closed:
             raise ServiceError("router is closed")
-        names = list(names)
-        reused: dict[str, Relation] = {}
-        with self._mirror_lock:
-            seen = {name: self._generations.get(name, 0) for name in names}
-            for name in names:
-                entry = self._mirror.get(name)
-                if entry is not None and entry[0] == seen[name]:
-                    reused[name] = entry[1]
-        fetched = self._fetch([name for name in names if name not in reused])
-        if fetched and reused:
-            shard_of = self.map.relation_shard
-            fetched_shards = {shard_of[name] for name in fetched}
-            with self._mirror_lock:
-                moved = {
-                    shard_of[name]
-                    for name in reused
-                    if self._generations.get(name, 0) != seen[name]
-                } & fetched_shards
-            if moved:
-                again = [name for name in names if shard_of[name] in moved]
-                fetched.update(self._fetch(again))
-                for name in again:
-                    reused.pop(name, None)
-        if install:
-            self.metrics.increment(
-                "router.gather_relations_reused", len(reused)
-            )
-            self.metrics.increment(
-                "router.gather_relations_fetched", len(fetched)
-            )
-            with self._mirror_lock:
-                for name, relation in fetched.items():
-                    generation = seen[name]
-                    if generation % 2 == 0 and (
-                        self._generations.get(name, 0) == generation
-                    ):
-                        self._mirror[name] = (generation, relation)
+        mirror = self._mirror
+        missing = [name for name in names if name not in mirror]
+        if missing:
+            with self._write_lock:
+                mirror = self._mirror
+                missing = [name for name in names if name not in mirror]
+                if missing:
+                    mirror = {**mirror, **self._fetch(missing)}
+                    self._mirror = mirror
+        self.metrics.increment(
+            "router.gather_relations_reused", len(names) - len(missing)
+        )
+        self.metrics.increment(
+            "router.gather_relations_fetched", len(missing)
+        )
         # Every value is a Relation on its member's attributes (fetched
         # copies are built on them), so the state needs no re-check.
         return _from_relations(
-            self.scheme, {**self._placeholders, **reused, **fetched}
+            self.scheme,
+            {**self._placeholders, **{name: mirror[name] for name in names}},
         )
 
     def _fetch(self, names: Sequence[str]) -> dict[str, Relation]:
         """Fresh copies of ``names``: one ``fetch`` RPC per owning
         shard, all in one fan-out."""
-        if not names:
-            return {}
         grouped: dict[int, list[str]] = {}
         for name in names:
             grouped.setdefault(self.map.relation_shard[name], []).append(
@@ -848,56 +803,38 @@ class ShardRouter:
         return relations
 
     @contextmanager
-    def _invalidate(self, names: Iterable[str]) -> Iterator["_Write"]:
-        """Bracket one write that may change ``names``: their write
-        generations turn odd before it (a write is in flight, so no
-        gather reuses or installs a copy of them) and even again after
-        it, whatever its outcome, so every copy taken before the write
-        stops matching.
-
-        A write that reports its outcome on the yielded :class:`_Write`
-        carries the mirror forward instead: a copy that was exact just
-        before the write gets the write's row changes applied and the
-        generation after it, so the next gather reuses it.  A write
-        that raises or reports nothing leaves its copies stale, and the
-        next gather re-fetches them."""
-        written = {name for name in names if name in self.map.relation_shard}
+    def _follow(self, names: Iterable[str]) -> Iterator["_Write"]:
+        """Bracket one write that may change ``names``; the caller
+        holds the write lock.  After the write, publish the mirror with
+        its copies of ``names`` followed across it: the row changes the
+        write reports on the yielded :class:`_Write` applied to them.
+        A write that raises or reports nothing, or a change
+        :func:`_followed` cannot apply, leaves those copies out of the
+        published mirror, and the next gather fetches them."""
         write = _Write()
-        with self._mirror_lock:
-            before = {name: self._generations.get(name, 0) for name in written}
-            for name in written:
-                self._generations[name] = before[name] + 1
         try:
             yield write
         finally:
-            self._settle(before, write.changes)
-
-    def _settle(
-        self,
-        before: Mapping[str, int],
-        changes: Optional[Sequence[Update]],
-    ) -> None:
-        """Close a write's bracket: bump each written relation's
-        generation back to even, and with a reported outcome carry
-        every copy that was exact at ``before`` across the write."""
-        grouped: dict[str, list[tuple[str, Mapping[str, Any]]]] = {}
-        for operation, relation_name, values in changes or ():
-            grouped.setdefault(relation_name, []).append((operation, values))
-        with self._mirror_lock:
-            for name, generation in before.items():
-                after = self._generations[name] + 1
-                self._generations[name] = after
-                entry = self._mirror.get(name)
-                if (
-                    changes is None
-                    or entry is None
-                    or entry[0] != generation
-                    or after != generation + 2
-                ):
-                    continue
-                followed = _followed(entry[1], grouped.get(name, ()))
-                if followed is not None:
-                    self._mirror[name] = (after, followed)
+            mirror = self._mirror
+            written = mirror.keys() & names
+            if written:
+                grouped: dict[str, list[tuple[str, Mapping[str, Any]]]] = {}
+                for operation, relation_name, values in write.changes or ():
+                    grouped.setdefault(relation_name, []).append(
+                        (operation, values)
+                    )
+                published = dict(mirror)
+                for name in written:
+                    followed = None
+                    if write.changes is not None:
+                        followed = _followed(
+                            mirror[name], grouped.get(name, ())
+                        )
+                    if followed is None:
+                        del published[name]
+                    else:
+                        published[name] = followed
+                self._mirror = published
 
     # -- writes (serialized) --------------------------------------------------
     def insert(
@@ -914,7 +851,7 @@ class ShardRouter:
                         f"unknown relation {relation_name!r}"
                     )
             values = dict(values)
-            with self._invalidate((relation_name,)) as write:
+            with self._follow((relation_name,)) as write:
                 response = self._rpc(
                     shard,
                     {
@@ -952,7 +889,7 @@ class ShardRouter:
                         f"no relation named {relation_name!r}"
                     )
             values = dict(values)
-            with self._invalidate((relation_name,)) as write:
+            with self._follow((relation_name,)) as write:
                 self._rpc(
                     shard,
                     {
@@ -964,43 +901,24 @@ class ShardRouter:
                 write.report([("delete", relation_name, values)])
 
     def apply_batch(self, updates: Sequence[Update]) -> Any:
-        """Atomic cross-shard batch with serial-equivalent semantics.
+        """Atomic batch with serial-equivalent semantics, two-phase at
+        every shard count.
 
         Global event indices are assigned before fan-out; every shard
         prepares its slice; the earliest event across shards (plus any
         unroutable update, which the serial loop would have raised or
         rejected at its own index) decides the batch exactly as
         :meth:`WeakInstanceEngine.batch` would.  Rejections are logged
-        durably on the shard owning the refused tuple.  One shard
-        applies the whole batch as that engine batch."""
+        durably on the shard owning the refused tuple."""
         updates = list(updates)
         written = [update[1] for update in updates]
         with self._write_lock, tracing(self.tracer):
-            with self._invalidate(written) as write:
-                if self.map.shards == 1:
-                    outcome = self._apply_batch_whole(updates)
-                else:
-                    outcome = self._apply_batch_sharded(updates)
+            with self._follow(written) as write:
+                outcome = self._two_phase(updates)
                 write.report(updates if outcome else [])
                 return outcome
 
-    def _apply_batch_whole(self, updates: list[Update]) -> Any:
-        """The one-shard batch: a single ``batch`` op, which the worker
-        applies through its store's own batch."""
-        with span("shard.route") as sp:
-            self.metrics.increment("ops.batch")
-            if sp:
-                sp.add("updates", len(updates))
-                sp.add("shards", 1)
-        response = self._rpc(0, {"op": "batch", "updates": updates})
-        outcome = RouterBatchOutcome(**response["outcome"])
-        if outcome:
-            self.metrics.increment("ops.batch_updates", len(updates))
-        else:
-            self.metrics.increment("store.rejects")
-        return outcome
-
-    def _apply_batch_sharded(self, updates: list[Update]) -> Any:
+    def _two_phase(self, updates: list[Update]) -> Any:
         pre_events: list[tuple[int, Exception]] = []
         grouped: dict[int, list] = {}
         with span("shard.route") as sp:

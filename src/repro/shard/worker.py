@@ -16,18 +16,16 @@ relations (``fetch``); it evaluates no queries.  The router answers
 every ``[X]`` itself from the relations it fetched, so a worker's
 engine builds no query caches.
 
-Multi-shard batches are two-phase, and workers apply their slice
-through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` — the
-single-process batch's own per-block kernel — so the events they report
-carry the *global* batch indices the router's min-event merge needs:
-``prepare`` validates the slice against the current state and stashes
-the would-be next state; ``commit`` logs and publishes it
+Batches are two-phase at every shard count, and workers apply their
+slice through :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice`
+— the single-process batch's own per-block kernel — so the events they
+report carry the *global* batch indices the router's min-event merge
+needs: ``prepare`` validates the slice against the current state and
+stashes the would-be next state; ``commit`` logs and publishes it
 (:meth:`~repro.service.store.MemoryStore.commit_batch`); ``abort``
 discards it (optionally logging the batch's reject diagnostic on the
 shard that owns the refused tuple).  A worker holds at most one pending
-batch — the router serializes writes.  A one-shard router sends the
-whole batch as one ``batch`` op instead, applied by
-:meth:`~repro.service.store.MemoryStore.apply_batch`.
+batch — the router serializes writes.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Any, Mapping, Optional
 
 from repro.core.engine import WeakInstanceEngine
 from repro.foundations.errors import StoreError
-from repro.io import state_to_dict
 from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import cache_series
@@ -140,9 +137,6 @@ class ShardWorker:
         if op == "delete":
             store.delete(request["relation"], request["values"])
             return {"ok": True}
-        if op == "batch":
-            outcome = store.apply_batch(request["updates"])
-            return {"ok": True, "outcome": outcome.to_dict()}
         if op == "prepare":
             return self._prepare(request)
         if op == "commit":
@@ -151,8 +145,6 @@ class ShardWorker:
             return self._abort(request)
         if op == "fetch":
             return self._fetch(request)
-        if op == "state":
-            return {"ok": True, "state": state_to_dict(store.state)}
         if op == "metrics":
             kinds = store.metrics.snapshot_by_kind()
             counters = dict(kinds["counters"])

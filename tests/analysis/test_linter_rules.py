@@ -406,7 +406,7 @@ class TestCacheInvalidation:
         required = default_invalidation_config().required
         for name in ("insert", "delete", "apply_batch"):
             assert required[f"shard/router.py::ShardRouter.{name}"] == (
-                "_invalidate",
+                "_follow",
             )
 
     def test_real_map_is_clean_on_src(self):

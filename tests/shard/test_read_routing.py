@@ -21,6 +21,7 @@ import random
 import sys
 import threading
 import time
+import types
 from contextlib import contextmanager
 
 import pytest
@@ -214,6 +215,77 @@ def _lost_replies(router, lost=lambda payload: True):
         router._rpc = rpc
 
 
+class _HookedLock:
+    """A lock that runs ``hook`` once, on the first ``with`` entry,
+    before acquiring: the hook's own writes take the lock normally."""
+
+    def __init__(self, lock, hook):
+        self._lock = lock
+        self._hook = hook
+
+    def __enter__(self):
+        hook, self._hook = self._hook, None
+        if hook is not None:
+            hook()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class _Background:
+    """``function(*args)`` on its own thread; :meth:`result` waits for
+    it and returns its value or raises its error."""
+
+    def __init__(self, function, *args):
+        self.done = threading.Event()
+        self._outcome = None
+
+        def run():
+            try:
+                self._outcome = (True, function(*args))
+            except BaseException as error:  # noqa: BLE001 - re-raised below
+                self._outcome = (False, error)
+            finally:
+                self.done.set()
+
+        self._thread = threading.Thread(target=run)
+        self._thread.start()
+
+    def result(self):
+        assert self.done.wait(30)
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+
+@contextmanager
+def _held_fanout(router, op):
+    """Hold the first fan-out of ``op`` requests after its workers
+    answered it and before the router sees the replies: ``reached`` is
+    set once it is held, and it goes on when ``release`` is set."""
+    held = types.SimpleNamespace(
+        reached=threading.Event(), release=threading.Event()
+    )
+    fanout = router._fanout
+
+    def holding(payloads):
+        responses = fanout(payloads)
+        if {payload["op"] for payload in payloads.values()} == {op}:
+            router._fanout = fanout
+            held.reached.set()
+            assert held.release.wait(30)
+        return responses
+
+    router._fanout = holding
+    try:
+        yield held
+    finally:
+        held.release.set()
+        router._fanout = fanout
+
+
 class TestRelationMirror:
     def test_repeated_cross_block_query_costs_no_rpc(self):
         router = _seeded_router()
@@ -405,23 +477,21 @@ class TestRelationMirror:
         try:
             assert router.insert(*CONFLICT_R1).consistent
             router.query(CONFLICT_TARGET)  # R1, R2, R3, R5 now mirrored
-            # R3 goes stale (the router never learns the write's
-            # outcome); R1 stays fresh in the mirror.
+            # R3 leaves the mirror (the router never learns the write's
+            # outcome); R1 stays in it.
             with pytest.raises(ServiceError):
                 with _lost_replies(router):
                     router.insert("R3", {"H": "h9", "T": "t9", "C": "c9"})
-            fanout = router._fanout
 
-            def racing(payloads):
-                # Two writes land between the gather's generation
-                # snapshot and its fetch of R3: R1 loses its row, so
-                # the R3 row that conflicts with it is accepted.
-                router._fanout = fanout
+            def racing():
+                # Two writes land after the gather read the mirror
+                # without R3 and before it takes the write lock to
+                # fetch R3: R1 loses its row, so the R3 row that
+                # conflicts with it is accepted.
                 router.delete(*CONFLICT_R1)
                 assert router.insert(*CONFLICT_R3).consistent
-                return fanout(payloads)
 
-            router._fanout = racing
+            router._write_lock = _HookedLock(router._write_lock, racing)
             rows = router.query(CONFLICT_TARGET)
             after = _worker_state(router)
             assert rows == query_oracle(after, CONFLICT_TARGET)
@@ -434,19 +504,68 @@ class TestRelationMirror:
         try:
             assert router.insert(*CONFLICT_R1).consistent
             router.query(CONFLICT_TARGET)
-            assert router.insert(
-                "R3", {"H": "h9", "T": "t9", "C": "c9"}
-            ).consistent
-            # The batch has reached the worker but its write has not
-            # finished: R1's mirror copy predates it, R3's is stale.
-            with router._invalidate(("R1", "R3")):
-                assert router._apply_batch_sharded(
-                    [("delete", *CONFLICT_R1), ("insert", *CONFLICT_R3)]
-                ).committed
-                rows = router.query(CONFLICT_TARGET)
+            swap_to_r3 = [("delete", *CONFLICT_R1), ("insert", *CONFLICT_R3)]
+            swap_to_r1 = [("delete", *CONFLICT_R3), ("insert", *CONFLICT_R1)]
+            # Every relation mirrored: a gather while the batch has
+            # committed on its worker but not returned answers the state
+            # before it, without waiting for it.
+            before = _worker_state(router)
+            with _held_fanout(router, "commit") as held:
+                batch = _Background(router.apply_batch, swap_to_r3)
+                assert held.reached.wait(10)
+                assert router.query(CONFLICT_TARGET) == query_oracle(
+                    before, CONFLICT_TARGET
+                )
+                held.release.set()
+                assert batch.result().committed
+            assert router.query(CONFLICT_TARGET) == query_oracle(
+                _worker_state(router), CONFLICT_TARGET
+            )
+            # R3 out of the mirror: the gather must fetch it, so it
+            # waits for the batch and answers the state after it.
+            with pytest.raises(ServiceError):
+                with _lost_replies(router):
+                    router.delete("R3", {"H": "h9", "T": "t9", "C": "c9"})
+            with _held_fanout(router, "commit") as held:
+                batch = _Background(router.apply_batch, swap_to_r1)
+                assert held.reached.wait(10)
+                gather = _Background(router.query, CONFLICT_TARGET)
+                assert not gather.done.wait(0.05)
+                held.release.set()
+                assert batch.result().committed
+                rows = gather.result()
             after = _worker_state(router)
             assert rows == query_oracle(after, CONFLICT_TARGET)
-            assert router.query(CONFLICT_TARGET) == rows
+            assert rows == {("c1", "h", "s")}
+        finally:
+            router.close()
+
+    def test_write_waits_for_a_cold_fetch_in_flight(self):
+        router = _conflict_router()
+        try:
+            assert router.insert(*CONFLICT_R1).consistent
+            before = _worker_state(router)
+
+            def swap():
+                router.delete(*CONFLICT_R1)
+                assert router.insert(*CONFLICT_R3).consistent
+
+            # Nothing is mirrored yet, so the query fetches; while its
+            # fetch is in flight another thread writes.
+            with _held_fanout(router, "fetch") as held:
+                gather = _Background(router.query, CONFLICT_TARGET)
+                assert held.reached.wait(10)
+                write = _Background(swap)
+                assert not write.done.wait(0.05)
+                held.release.set()
+                rows = gather.result()
+                write.result()
+            assert rows == query_oracle(before, CONFLICT_TARGET)
+            assert rows == {("c1", "h", "s")}
+            after = _worker_state(router)
+            assert router.query(CONFLICT_TARGET) == query_oracle(
+                after, CONFLICT_TARGET
+            )
         finally:
             router.close()
 

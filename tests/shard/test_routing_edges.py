@@ -39,12 +39,6 @@ class TestShardMap:
         assert shard_map.shards == 1
         assert set(shard_map.assignment) == {0}
 
-    def test_memoized_by_fingerprint(self):
-        # Two structurally equal schemes share one map object.
-        first = shard_map_for(example1_university(), 2)
-        second = shard_map_for(example1_university(), 2)
-        assert first is second
-
     def test_derive_matches_memoized(self):
         from repro.core.partition import partition_scheme
 

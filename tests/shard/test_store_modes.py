@@ -5,8 +5,9 @@ from a :class:`~repro.service.store.MemoryStore`; one built with
 :meth:`ShardRouter.create` serves it from a
 :class:`~repro.service.store.DurableStore`, which adds only the WAL and
 compaction.  The same op stream must therefore get the same replies
-and the same per-shard op counters from both.  A closed router of
-either kind refuses every op with a typed error.
+and the same per-shard op counters from both.  A one-shard router's
+two-phase batch logs the records a plain store's own batch logs.  A
+closed router of either kind refuses every op with a typed error.
 """
 
 import json
@@ -14,6 +15,8 @@ import json
 import pytest
 
 from repro.foundations.errors import ServiceError
+from repro.service.store import WAL_DIR, DurableStore
+from repro.service.wal import segment_paths
 from repro.shard.frontend import dispatch
 from repro.shard.router import ShardRouter
 from repro.workloads.paper import example1_university
@@ -131,3 +134,42 @@ def test_closed_router_refuses_reads_its_mirror_could_answer():
         router.query("CS")
     with pytest.raises(ServiceError, match="router is closed"):
         router.state
+
+
+def _wal_bytes(directory):
+    return b"".join(
+        path.read_bytes() for path in segment_paths(directory / WAL_DIR)
+    )
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [
+            ("insert", "R5", {"H": "h2", "R": "r2", "S": "s2"}),
+            ("delete", "R4", {"C": "c1", "S": "s1", "G": "A"}),
+            ("insert", "R4", {"C": "c2", "S": "s2", "G": "A"}),
+        ],
+        [
+            ("insert", "R4", {"C": "c3", "S": "s3", "G": "A"}),
+            ("insert", "R4", {"C": "c1", "S": "s1", "G": "F"}),
+        ],
+    ],
+    ids=["committed", "rejected"],
+)
+def test_one_shard_batch_logs_the_store_batch_records(tmp_path, batch):
+    """Prepare and commit (or abort with the reject diagnostic) on one
+    durable shard write the WAL bytes ``DurableStore.apply_batch``
+    writes for the same batch."""
+    scheme = example1_university()
+    seed = ("R4", {"C": "c1", "S": "s1", "G": "A"})
+    with ShardRouter.create(tmp_path / "router", scheme, 1) as router:
+        assert router.insert(*seed).consistent
+        routed = router.apply_batch(batch)
+    with DurableStore.create(tmp_path / "store", scheme) as store:
+        assert store.insert(*seed).consistent
+        direct = store.apply_batch(batch)
+    assert routed.to_dict() == direct.to_dict()
+    logged = _wal_bytes(tmp_path / "store")
+    assert logged.count(b"\n") == (len(batch) + 1 if direct else 2)
+    assert _wal_bytes(tmp_path / "router" / "shard-0") == logged
