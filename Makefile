@@ -23,9 +23,9 @@ SHARD_ROUNDS ?= 4
 test:
 	$(PY) -m pytest -x -q
 
-# Invariant linter (lock/async/fork discipline, determinism, resource
-# safety, span hygiene, lock order, router relation-mirror
-# invalidation) over src/,
+# Invariant linter (lock/async discipline, determinism, resource
+# safety, span hygiene, lock order, router published-state
+# republication) over src/,
 # scripts/, benchmarks/ and examples/, gated on the committed
 # baseline; plus ruff when it is installed (CI always has it; a plain
 # checkout may not).

@@ -25,8 +25,8 @@ Each record carries its host's facts (``cpu_count``, ``python``,
 records of one scenario that both carry ``cpu_count`` and disagree on
 it are refused rather than compared; records without the field compare
 as before.  Exact-match invariants (``single_block_query_rpcs``: a warm
-single-block query costs no RPC, since the router answers it from its
-relation mirror) are checked whatever the CPU count.
+single-block query calls no shard, since the router answers it from
+its published state) are checked whatever the CPU count.
 
 Usage::
 

@@ -10,8 +10,8 @@ Two residents share this package:
   discipline over ``# guarded-by`` fields, determinism of chase/join
   outputs, span hygiene against the catalogue in
   ``docs/ARCHITECTURE.md``, resource/exception safety, and the
-  concurrency packs (async discipline, fork safety, cross-file
-  lock-order acyclicity, relation-mirror invalidation coverage).  See
+  concurrency packs (async discipline, cross-file lock-order
+  acyclicity, published-state republication coverage).  See
   ``docs/ANALYSIS.md``.
 """
 

@@ -32,7 +32,7 @@ GUARDED_BY = re.compile(
 
 #: ``# allow-<marker>: <reason>`` — the reviewed-and-accepted escape
 #: hatch of the concurrency rule packs.  Each pack documents its own
-#: marker (``allow-blocking``, ``allow-fork``, ``allow-lock-order``); a
+#: marker (``allow-blocking``, ``allow-lock-order``); a
 #: reason is expected, and exemptions live next to the code they excuse
 #: rather than in the baseline file.
 ALLOW = re.compile(r"#\s*allow-(?P<marker>[a-z][a-z-]*)(?:\s*:\s*(?P<reason>.*))?")
@@ -217,21 +217,6 @@ def with_lock_attrs(node: ast.With) -> list[str]:
 #: type inference.
 LOCKISH = ("lock", "mutex", "sem")
 
-#: Constructors of synchronization / worker-pool objects whose *module
-#: level* instances are dangerous to inherit across ``fork``.
-CONCURRENCY_CONSTRUCTORS = frozenset(
-    {
-        "Lock",
-        "RLock",
-        "Condition",
-        "Semaphore",
-        "BoundedSemaphore",
-        "ThreadPoolExecutor",
-        "ProcessPoolExecutor",
-    }
-)
-
-
 def is_lockish(name: Optional[str]) -> bool:
     """Does ``name`` look like a mutual-exclusion primitive?"""
     if not name:
@@ -252,43 +237,6 @@ def lock_attr_of(expr: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Subscript):
         node = node.value
     return self_attribute(node)
-
-
-def module_functions(
-    tree: ast.Module,
-) -> dict[str, Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
-    """``name → node`` for the module-level function definitions."""
-    return {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def module_concurrency_globals(tree: ast.Module) -> dict[str, str]:
-    """Module-level names bound to locks / pools: ``name → constructor``.
-
-    Only simple ``NAME = Lock()`` / ``POOL = ThreadPoolExecutor(...)``
-    bindings in the module body count — that is the only shape whose
-    fork-inheritance hazard is statically certain.
-    """
-    globals_: dict[str, str] = {}
-    for node in tree.body:
-        value: Optional[ast.expr] = None
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            value, targets = node.value, node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            value, targets = node.value, [node.target]
-        if not isinstance(value, ast.Call):
-            continue
-        constructor = call_name(value)
-        if constructor not in CONCURRENCY_CONSTRUCTORS:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                globals_[target.id] = constructor
-    return globals_
 
 
 def _lock_method_attrs(nodes: Iterator[ast.AST], method: str) -> set[str]:
@@ -357,20 +305,6 @@ def held_lock_attrs(
             break
         child = ancestor
     return held
-
-
-def direct_callees(
-    function: Union[ast.FunctionDef, ast.AsyncFunctionDef],
-) -> set[str]:
-    """Plain names ``function`` calls directly (``helper(x)``) — the
-    one-level call graph the fork-safety rule follows.  Attribute calls
-    (``module.helper``) are out of reach of a per-file analysis and are
-    deliberately ignored."""
-    names: set[str] = set()
-    for node in ast.walk(function):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            names.add(node.func.id)
-    return names
 
 
 #: Calls that statically return a set.

@@ -40,17 +40,13 @@ RULE_CODES: dict[str, str] = {
         "async bodies never block the event loop or await under a sync "
         "lock"
     ),
-    "fork-safety": (
-        "fork targets touch no inherited locks, pools or event loops; "
-        "forks precede threads"
-    ),
     "lock-order": (
         "the cross-file lock-acquisition graph is acyclic (no "
         "potential deadlock)"
     ),
     "cache-invalidation": (
-        "every router write path invalidates the relation mirror's "
-        "write generations"
+        "every router write path republishes the router's published "
+        "state"
     ),
 }
 

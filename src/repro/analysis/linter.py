@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from repro.analysis import (
     rules_asyncio,
     rules_determinism,
-    rules_fork,
     rules_invalidation,
     rules_locks,
     rules_resources,
@@ -46,7 +45,6 @@ FILE_RULES: dict[str, FileRule] = {
     rules_determinism.RULE_ID: rules_determinism.check,
     rules_resources.RULE_ID: rules_resources.check,
     rules_asyncio.RULE_ID: rules_asyncio.check,
-    rules_fork.RULE_ID: rules_fork.check,
 }
 
 #: The project-wide rules (cross-file by nature).

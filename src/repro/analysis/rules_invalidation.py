@@ -1,13 +1,13 @@
 """Cache-invalidation lint: every router write path republishes the
-relation mirror.
+router's published state.
 
-The shard router keeps a mirror of relation copies fetched from the
-shards for the gathers every query reads.  A mirrored copy stays exact
-only while every write that may change its relation publishes it again
-— followed across the write, or left out when the outcome is unknown —
-so every router write RPC must run inside ``ShardRouter._follow``, or
-a gather could serve a copy the write made stale.  That is a
-discipline, not a theorem, so it is linted.
+The shard router answers every query from one published state: the
+shard stores' relations assembled into one full-scheme state.  It stays
+exact only while every write that may change a store publishes it again
+afterwards, whatever the write's outcome, so every router write path
+must call ``ShardRouter._publish`` (in a ``finally``), or a query could
+read a state the write made stale.  That is a discipline, not a
+theorem, so it is linted.
 
 (The engine's read cache needs no such map: states are immutable, a
 write gives only the written block new relation objects, and block
@@ -54,12 +54,11 @@ def default_invalidation_config() -> InvalidationConfig:
     "Invariant enforcement")."""
     return InvalidationConfig(
         required={
-            # Every write RPC republishes the mirror copies of the
-            # relations it names: followed across the write, or left
-            # out when its outcome is unknown.
-            "shard/router.py::ShardRouter.insert": ("_follow",),
-            "shard/router.py::ShardRouter.delete": ("_follow",),
-            "shard/router.py::ShardRouter.apply_batch": ("_follow",),
+            # Every write republishes the state from the stores after
+            # it, whatever its outcome.
+            "shard/router.py::ShardRouter.insert": ("_publish",),
+            "shard/router.py::ShardRouter.delete": ("_publish",),
+            "shard/router.py::ShardRouter.apply_batch": ("_publish",),
         },
     )
 

@@ -104,7 +104,7 @@ def default_config(repo_root: Path) -> SpanConfig:
             # apply_batch activates the tracer; the shard.route span
             # opens in _two_phase.
             "shard/router.py::ShardRouter.apply_batch": ("tracing",),
-            "shard/router.py::ShardRouter._rpc": ("shard.rpc",),
+            "shard/router.py::ShardRouter._shard": ("shard.rpc",),
             "shard/router.py::ShardRouter.snapshot": ("tracing",),
             "shard/frontend.py::dispatch": ("front.request",),
             "tableau/chase.py::chase": ("chase.tableau",),

@@ -621,7 +621,7 @@ def _shard_mix_operations(tiles: int, rounds: int) -> list[tuple]:
             tile = rng.randrange(tiles)
             operations.append(("query", (f"C{tile}", f"S{tile}")))
         # One extension join across two blocks of tile 0 — exercises
-        # the router's scatter-gather path every round.
+        # the router's cross-shard query every round.
         operations.append(("query", ("C0", "S0", "H0")))
         operations.append(
             (
@@ -655,12 +655,11 @@ def run_shard_scenarios(
     The same deterministic operation sequence (seeded by
     ``BENCH_SEED``) runs through a durable :class:`~repro.shard.router
     .ShardRouter` at each requested shard count over ``tiles`` tiles of
-    the university scheme (3 blocks per tile).  One shard runs its
-    worker in the router's process over one ``DurableStore`` and sends
-    each batch whole to ``DurableStore.apply_batch`` — so
-    ``shard_scaling_s4_vs_s1`` measures per-shard WALs plus the
-    workers' amortized ``block_batch`` kernels against that
-    single-store path.
+    the university scheme (3 blocks per tile).  Every shard count runs
+    each batch as ``prepare`` → ``commit`` over its shards, all in the
+    router's process — one ``DurableStore`` at one shard, one per shard
+    otherwise — so ``shard_scaling_s4_vs_s1`` measures per-shard WALs
+    and per-shard ``block_batch`` kernels against one store.
     Accepted/rejected/row counts are asserted identical across shard
     counts before any number is reported.
     """
@@ -678,8 +677,7 @@ def run_shard_scenarios(
     try:
         for shards in shard_counts:
             # Best of ``repeats`` full cycles, each against a fresh
-            # store: one timed pass is at the mercy of scheduler noise
-            # (worker processes share the host with everything else),
+            # store: one timed pass is at the mercy of scheduler noise,
             # and the repo reports best-of-N everywhere else.
             elapsed = float("inf")
             queries = 0
@@ -697,7 +695,7 @@ def run_shard_scenarios(
                     assert pin.consistent
                     # Untimed seed: the mix must run against a populated
                     # store, where per-insert validation cost (what the
-                    # workers' amortized block kernels remove) is real.
+                    # shards' amortized block kernels remove) is real.
                     seed_updates = [
                         (
                             "insert",
@@ -885,8 +883,8 @@ def run_read_scenarios(
     95%-query / 5%-insert sequence (answers asserted identical first —
     the cache must be invisible except in time).  ``read_heavy_mix_s4``
     replays the mix through a sharded router, asserting the routing
-    invariant that a warm single-block query costs no RPC (the router
-    answers it from its relation mirror).
+    invariant that a warm single-block query calls no shard (the router
+    answers it from its published state).
     ``read_heavy_mix_frontend`` drives bursts of identical concurrent
     reads through the front door (:func:`read_burst`), recording how
     many joined an in-flight execution instead of reaching the
@@ -1004,12 +1002,12 @@ def run_read_scenarios(
     cached.close()
     uncached.close()
 
-    # -- sharded: block-aware routing + worker-side caches -------------------
+    # -- sharded: block-aware routing + the router's read cache --------------
     router = ShardRouter.in_memory(scheme, shards)
     try:
         assert router.apply_batch(seed_updates)
         # The routing invariant: the router answers a warm single-block
-        # query from its relation mirror, reaching no shard.
+        # query from its published state, reaching no shard.
         warm_target = ("C0", "S0", "G0")
         warm_rows = router.query(warm_target)
         rpcs_before = router.metrics.snapshot().get("shard.rpcs", 0)

@@ -390,7 +390,7 @@ def _serve_loop(router, lines, echo: bool = False) -> int:
 
 def _install_shutdown_handlers() -> dict:
     """Route SIGTERM/SIGINT into :class:`KeyboardInterrupt` so ``serve``
-    tears down stores (and shard worker processes) cleanly under a
+    tears down stores (every shard's WAL) cleanly under a
     supervisor, not just on a keyboard ^C.  Returns the previous
     handlers — restore them in a ``finally``, because the tests drive
     ``_cmd_serve`` in-process and must not leak handlers.  A no-op off
@@ -1018,8 +1018,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="spread the scheme's independent blocks over this many "
-        "worker processes (clamped to the block count; default 1 = "
-        "inline, no workers; an existing store keeps its own count)",
+        "shard stores, each with its own WAL, all in this process "
+        "(clamped to the block count; default 1; an existing store "
+        "keeps its own count)",
     )
     serve.add_argument(
         "--host",
@@ -1180,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="run the invariant linter (lock/async/fork discipline, "
+        help="run the invariant linter (lock/async discipline, "
         "determinism, resource safety, span hygiene, lock order, "
         "cache invalidation)",
     )

@@ -1,15 +1,15 @@
-"""Sharded multi-process serving (PR 7).
+"""Sharded serving.
 
 The independence decomposition is a *sharding* certificate: no chase
 rule fires across partition blocks, so each block group can own its own
-process, engine, WAL and snapshots.  This package provides the three
-tiers that exploit it:
+engine, WAL and snapshots.  This package provides the tiers that
+exploit it:
 
-* :mod:`repro.shard.protocol` — length-prefixed JSON framing shared by
-  the router↔worker pipes and the front door;
-* :mod:`repro.shard.worker` — the per-shard process: a full
-  :class:`~repro.service.store.DurableStore` (or in-memory engine)
-  over its block subset, driven by a blocking RPC loop;
+* :mod:`repro.shard.protocol` — length-prefixed JSON framing for the
+  front door;
+* :mod:`repro.shard.worker` — one shard: a full
+  :class:`~repro.service.store.DurableStore` (or in-memory store) over
+  its block subset, in the router's process;
 * :mod:`repro.shard.router` — :class:`ShardRouter`, the block→shard
   map plus serial-equivalent fan-out (min-global-event-index batches,
   plan-aware query routing);
@@ -30,7 +30,6 @@ from repro.shard.protocol import (
 )
 from repro.shard.router import (
     RouterBatchOutcome,
-    RouterInsertOutcome,
     Session,
     ShardMap,
     ShardRouter,
@@ -39,7 +38,6 @@ from repro.shard.router import (
 __all__ = [
     "FrontendClient",
     "RouterBatchOutcome",
-    "RouterInsertOutcome",
     "Session",
     "ShardFrontend",
     "ShardMap",

@@ -1,16 +1,16 @@
 """The front door: one thread per connection, one router.
 
-A listening socket speaks the same length-prefixed JSON frames as the
-router↔worker pipes (:mod:`repro.shard.protocol`), with the same
-blocking codec.  An acceptor thread takes connections; each connection
-gets its own thread that loops ``recv_frame`` → answer → ``send_frame``,
+A listening socket speaks length-prefixed JSON frames
+(:mod:`repro.shard.protocol`) with a blocking codec.  An acceptor
+thread takes connections; each connection gets its own thread that
+loops ``recv_frame`` → answer → ``send_frame``,
 so the thread that reads a request also computes and writes its reply —
 no hand-off between threads on the request path.  Every request — a
 frame here, a line of ``repro serve``'s line protocol in the CLI — is
 answered by one function, :func:`dispatch`, under
 ``span("front.request")`` inside the router's tracer.  Writes stay
-serial through the router's write lock — the fan-out tier, not the
-front door, owns ordering.
+serial through the router's write lock — the router, not the front
+door, owns ordering.
 
 Each idle connection parks one thread, and connections dispatch
 independently of one another: there is no pool capping how many
@@ -24,7 +24,7 @@ signal and never handles a request.
 Identical concurrent reads are *coalesced*: while one ``query`` for a
 target is executing, later arrivals for the same target wait on its
 in-flight future (``span("front.coalesce")``, counted as
-``front.coalesced_reads``) instead of issuing their own backend RPCs.
+``front.coalesced_reads``) instead of evaluating it again.
 The coalescing key includes a write epoch the frontend bumps on every
 completed write, so a read issued after a client's write can never
 join an execution whose snapshot might predate that write —
@@ -358,6 +358,24 @@ def dispatch(router: Any, request: Any) -> dict[str, Any]:
     return response
 
 
+def _rebuild_error(info: Mapping[str, Any]) -> Exception:
+    """An exception equivalent to the one the server reported."""
+    import builtins
+
+    from repro.foundations import errors as errors_mod
+
+    name = str(info.get("type") or "ServiceError")
+    message = str(info.get("message") or "")
+    candidate = getattr(errors_mod, name, None)
+    if not (
+        isinstance(candidate, type) and issubclass(candidate, Exception)
+    ):
+        candidate = getattr(builtins, name, None)
+    if isinstance(candidate, type) and issubclass(candidate, Exception):
+        return candidate(message)
+    return ServiceError(f"{name}: {message}")
+
+
 class FrontendClient:
     """A minimal async client for the frame protocol (tests, tools)."""
 
@@ -384,8 +402,6 @@ class FrontendClient:
         if response is None:
             raise ServiceError("frontend closed the connection")
         if not response.get("ok", False):
-            from repro.shard.router import _rebuild_error
-
             raise _rebuild_error(response.get("error") or {})
         return response
 

@@ -1,9 +1,9 @@
-"""Length-prefixed JSON framing for the sharding tier.
+"""Length-prefixed JSON framing for the front door.
 
 One frame = a 4-byte big-endian payload length followed by that many
 bytes of UTF-8 JSON.  The same wire format serves two transports:
 
-* the router↔worker socketpairs and the TCP front door (blocking
+* the TCP front door's connection threads (blocking
   :func:`send_frame` / :func:`recv_frame` over ``socket.socket``);
 * asyncio clients of the front door (:func:`write_frame` /
   :func:`read_frame` over stream reader/writer pairs).

@@ -1,22 +1,20 @@
-"""The block→shard map and the serial-equivalent fan-out tier.
+"""The block→shard map and the serial-equivalent router over it.
 
 :class:`ShardRouter` derives a :class:`ShardMap` from the scheme's
 independence decomposition (:class:`~repro.core.partition
 .SchemePartition`, memoized by scheme fingerprint): block ``i`` lives on
 shard ``i % shards`` (round-robin packing, so schemes with more blocks
 than shards spread evenly).  Each shard is a
-:class:`~repro.shard.worker.ShardWorker` running one store over its
+:class:`~repro.shard.worker.ShardWorker` holding one store over its
 block subset — a full :class:`~repro.service.store.DurableStore`, or in
 memory its write path alone (:class:`~repro.service.store.MemoryStore`)
-— reached through a *channel* with ``send``/``recv``.
-With several shards each worker is a forked process and its channel
-carries length-prefixed JSON frames over a socketpair
-(:mod:`repro.shard.protocol`).  One shard — a single-block scheme, a
-scheme outside the class (never decomposed), or ``shards=1`` — is just
-the degenerate assignment: its worker serves the full scheme in the
-router's process, records into the router's tracer, and its channel
-calls :meth:`~repro.shard.worker.ShardWorker.handle` directly.  Every
-operation takes the same route at every shard count; a plain
+— and every shard lives in the router's process, which calls it
+directly.  One shard — a single-block scheme, a scheme outside the
+class (never decomposed), or ``shards=1`` — is just the degenerate
+assignment: its store serves the full scheme and records into the
+router's tracer; with several, each shard records into a tracer of its
+own, reported under ``stats()["shards"]``.  Every operation takes the
+same route at every shard count; a plain
 :class:`~repro.service.store.DurableStore` directory (no
 ``shard.json``) is served in place as the one shard.  ``repro serve``
 always builds a router, so this module is the CLI's only serving stack.
@@ -28,32 +26,25 @@ Serial equivalence is the contract:
   validation lifts to global consistency.
 * **Batches** reuse the min-global-event-index rule of
   :meth:`~repro.core.engine.WeakInstanceEngine.batch` at every shard
-  count: the router assigns global indices before fan-out, workers
-  apply their slice through
+  count: the router assigns global indices before it calls the shards,
+  each shard applies its slice through
   :meth:`~repro.core.engine.WeakInstanceEngine.apply_slice` (the
   batch's own block kernel), and the earliest failure across shards is
   reported byte-identically to the single-process path.  Atomicity is
   two-phase (prepare everywhere, then commit everywhere); a crash
   between the phases can leave a partial batch across shard WALs — the
-  documented gap a future replication tier closes.
-* **Queries** are answered router-side at every shard count: the
-  relations the full-scheme plan names are gathered and a full-scheme
-  engine evaluates the plan, so cross-shard extension joins
-  (Theorem 4.1) return exactly the single-process answer; a target
-  the engine answers by the chase (outside the class, or a plan past
-  the exact lossless-subset enumeration's cap) gathers every relation,
-  and an uncoverable target only the relations overlapping it.
-  Gathers read through a *relation mirror*: one published
-  ``name → Relation`` snapshot of the relations gathered so far, never
-  mutated, replaced under the write lock.  Every worker write runs
-  under that lock, and a write changes only the relations it names
-  (Section 4.2), so a write whose outcome the router knows (an
-  accepted, rejected or aborted one) publishes its row changes applied
-  to those copies, and one of unknown outcome publishes the mirror
-  without them.  A gather whose relations are all in the snapshot
-  takes no lock and sends no RPC; the rest are fetched under the write
-  lock, when no write can run.  Workers serve writes and fetches,
-  never queries.
+  documented gap a future recovery rule closes.
+* **Queries** are answered by one full-scheme engine over one
+  *published state*: a full-scheme
+  :class:`~repro.state.database_state.DatabaseState` assembled from
+  the stores' own relations, republished under the write lock after
+  every write, whatever its outcome.  Every write runs under that
+  lock, so each published state is one serial state, and a query reads
+  it once, without a lock; cross-shard extension joins (Theorem 4.1),
+  the chase fallback and uncoverable targets all get the
+  single-process answer.  Unchanged relations keep their identity
+  across publications, so the engine's block-versioned read cache keeps
+  hitting until a write changes a touched block.
 
 Sessions (:class:`Session`) are named handles multiplexed over the
 router — per-session accounting, not isolation.
@@ -61,15 +52,12 @@ router — per-session accounting, not isolation.
 
 from __future__ import annotations
 
-import multiprocessing
-import socket
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     Any,
     Hashable,
-    Iterable,
     Iterator,
     Mapping,
     Optional,
@@ -86,8 +74,6 @@ from repro.core.partition import (
 from repro.foundations.attrs import AttrsLike, attrs
 from repro.foundations.errors import (
     NotApplicableError,
-    ReproError,
-    SchemaError,
     ServiceError,
     StateError,
     StoreError,
@@ -98,10 +84,10 @@ from repro.obs.spans import Tracer, span, tracing
 from repro.schema.database_scheme import DatabaseScheme
 from repro.service.metrics import MetricsRegistry, cache_series, labeled
 from repro.service.store import SCHEME_FILE, SHARD_FILE
-from repro.shard.protocol import recv_frame, send_frame
-from repro.shard.worker import ShardWorker, worker_main
+from repro.shard.worker import ShardWorker
+from repro.state.consistency import MaintenanceOutcome
 from repro.state.database_state import DatabaseState, _from_relations
-from repro.state.relation import Relation, _from_rows
+from repro.state.relation import Relation
 
 PathLike = Union[str, Path]
 
@@ -182,64 +168,10 @@ def shard_map_for(scheme: DatabaseScheme, shards: int) -> ShardMap:
     return ShardMap.derive(partition_scheme(scheme), shards)
 
 
-def _rebuild_error(info: Mapping[str, Any]) -> Exception:
-    """An exception equivalent to the one a worker serialized."""
-    import builtins
-
-    from repro.foundations import errors as errors_mod
-
-    name = str(info.get("type") or "ServiceError")
-    message = str(info.get("message") or "")
-    candidate = getattr(errors_mod, name, None)
-    if not (
-        isinstance(candidate, type) and issubclass(candidate, Exception)
-    ):
-        candidate = getattr(builtins, name, None)
-    if isinstance(candidate, type) and issubclass(candidate, Exception):
-        return candidate(message)
-    return ServiceError(f"{name}: {message}")
-
-
-class RouterInsertOutcome:
-    """A worker's insert verdict, rehydrated router-side.
-
-    Quacks like :class:`~repro.state.consistency.MaintenanceOutcome`
-    for every consumer that matters (CLI rendering, rejection
-    diagnostics): ``to_dict()`` is byte-identical JSON to the
-    single-process outcome.  The updated state stays on the shard."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, data: Mapping[str, Any]) -> None:
-        self._data = dict(data)
-
-    @property
-    def consistent(self) -> bool:
-        return bool(self._data.get("consistent"))
-
-    @property
-    def tuples_examined(self) -> int:
-        return int(self._data.get("tuples_examined", 0))
-
-    @property
-    def chase_steps(self) -> int:
-        return int(self._data.get("chase_steps", 0))
-
-    @property
-    def witness(self) -> Optional[Mapping[str, Any]]:
-        return self._data.get("witness")
-
-    def __bool__(self) -> bool:
-        return self.consistent
-
-    def to_dict(self) -> dict[str, Any]:
-        return dict(self._data)
-
-
 class RouterBatchOutcome:
     """The router's batch verdict, shaped exactly like
     :class:`~repro.core.engine.BatchOutcome` minus the merged state
-    (which lives sharded)."""
+    (read it from :attr:`ShardRouter.state`)."""
 
     __slots__ = ("committed", "applied", "failed_index", "failure")
 
@@ -280,7 +212,7 @@ class Session:
 
     def insert(
         self, relation_name: str, values: Mapping[str, Hashable]
-    ) -> RouterInsertOutcome:
+    ) -> MaintenanceOutcome:
         return self.router.insert(relation_name, values)
 
     def delete(
@@ -302,112 +234,8 @@ class Session:
         return f"Session({self.name!r})"
 
 
-class _PipeChannel:
-    """A forked worker, reached by frames over its socketpair."""
-
-    __slots__ = ("_sock",)
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-
-    def send(self, payload: Mapping[str, Any]) -> None:
-        send_frame(self._sock, payload)
-
-    def recv(self) -> Optional[dict[str, Any]]:
-        return recv_frame(self._sock)
-
-    def close(self) -> None:
-        try:
-            send_frame(self._sock, {"op": "shutdown"})
-            recv_frame(self._sock)
-        except (ServiceError, OSError):
-            pass
-        finally:
-            self._sock.close()
-
-
-class _InlineChannel:
-    """A worker in the router's own process: ``send`` runs the request
-    through :meth:`ShardWorker.handle`, ``recv`` returns its reply."""
-
-    __slots__ = ("_worker", "_reply")
-
-    def __init__(self, worker: ShardWorker) -> None:
-        self._worker = worker
-        self._reply: Optional[dict[str, Any]] = None
-
-    def send(self, payload: Mapping[str, Any]) -> None:
-        self._reply = self._worker.handle(payload)
-
-    def recv(self) -> Optional[dict[str, Any]]:
-        reply, self._reply = self._reply, None
-        return reply
-
-    def close(self) -> None:
-        self._worker.close()
-
-
-class _Write:
-    """One write's report to the relation mirror (see
-    :meth:`ShardRouter._follow`): ``changes`` stays ``None`` until
-    the write reports its outcome as the row changes it made, in update
-    order (none for a rejected insert or an aborted batch)."""
-
-    __slots__ = ("changes",)
-
-    def __init__(self) -> None:
-        self.changes: Optional[Sequence[Update]] = None
-
-    def report(self, changes: Sequence[Update]) -> None:
-        self.changes = changes
-
-
-#: The value types a worker stores exactly as the router sent them: a
-#: JSON frame gives a bool, a float or a ``str`` subclass back as
-#: another object, which a fetch would show.
-_STORED_AS_GIVEN = frozenset({str, int})
-
-
-def _followed(
-    relation: Relation, changes: Sequence[tuple[str, Mapping[str, Any]]]
-) -> Optional[Relation]:
-    """``relation`` after ``changes`` (``(operation, values)`` pairs in
-    update order), as the worker applies them: an insert adds its row
-    unless an equal one is stored, a delete drops the equal row.  The
-    same object when no change moves a row; ``None`` when a change's
-    values are not exactly what the worker stores, so only a fetch
-    shows its copy.  The stored rows are copied for the changes as a
-    whole, not once per change."""
-    attributes, order = relation.attributes, relation.columns
-    stored = relation.row_vectors
-    #: row -> whether it is stored after the changes so far, for the
-    #: rows a change moved.
-    moved: dict[tuple[Hashable, ...], bool] = {}
-    for operation, values in changes:
-        if operation not in ("insert", "delete") or len(values) != len(order):
-            return None
-        try:
-            row = tuple(map(values.__getitem__, order))
-        except KeyError:
-            return None
-        if not _STORED_AS_GIVEN.issuperset(map(type, row)):
-            return None
-        inserting = operation == "insert"
-        if moved.get(row, row in stored) != inserting:
-            moved[row] = inserting
-    if not moved:
-        return relation
-    # A kept row that is stored was deleted and inserted again: the
-    # worker then holds the inserted row, not an equal stored one of
-    # another type (1 for True), so it is dropped before it is added.
-    dropped = [row for row, kept in moved.items() if not kept or row in stored]
-    added = [row for row, kept in moved.items() if kept]
-    rows = stored.difference(dropped) if dropped else stored
-    return _from_rows(attributes, order, rows.union(added) if added else rows)
-
-
 class ShardRouter:
-    """Fan inserts, batches and queries out over per-block workers."""
+    """Route writes to per-block shards and answer queries over them."""
 
     def __init__(
         self,
@@ -428,30 +256,21 @@ class ShardRouter:
         self._write_lock = threading.Lock()
         self._sessions_lock = threading.Lock()
         self._sessions: dict[str, Session] = {}  # guarded-by: _sessions_lock
-        self._closed = False
-        self._channels: list[Union[_PipeChannel, _InlineChannel]] = []
-        self._locks: list[threading.Lock] = []
-        self._procs: list[multiprocessing.process.BaseProcess] = []
-        # The relation mirror: name -> an exact copy of that relation.
-        # The dict is never mutated once published; every change
-        # publishes a new one under _write_lock.  Every worker write
-        # goes through this router under that lock and changes only the
-        # relations it names, so each published snapshot is one serial
-        # state of the relations it holds (see _follow and _gather), and
-        # a restarted router starts with an empty mirror.
-        self._mirror: dict[str, Relation] = {}  # guarded-by: _write_lock (writes)
-        # Stable empty stand-ins for the relations a gather skips.
-        self._placeholders = {
-            member.name: Relation(member.attributes)
-            for member in scheme.relations
-        }
         # A full-scheme engine that plans and answers every query; it
         # never validates writes (shards do).
-        # Gathered states are built from the mirror's stable Relation
-        # objects, so its block-versioned read cache and the compiled
-        # column caches hit until a write changes a touched relation.
         self._engine = WeakInstanceEngine(scheme)
-        self._connect()
+        self._workers: list[ShardWorker] = []  # guarded-by: _write_lock (writes)
+        try:
+            for index in range(self.map.shards):
+                self._workers.append(self._open_shard(index))
+        except BaseException:
+            for worker in self._workers:
+                worker.close()
+            raise
+        # The published state: the stores' relations as one full-scheme
+        # state, never mutated; every write republishes it under
+        # _write_lock (see _publish).
+        self._state = self._assemble()  # guarded-by: _write_lock (writes)
 
     # -- construction ---------------------------------------------------------
     @classmethod
@@ -509,7 +328,7 @@ class ShardRouter:
         """Recover a store: every shard replays its own WAL.
 
         A plain :class:`~repro.service.store.DurableStore` directory
-        (no ``shard.json``) opens as one inline shard.  The block→shard
+        (no ``shard.json``) opens as the one shard.  The block→shard
         assignment is fixed at create time; a ``shards`` whose
         effective count differs is an error (re-sharding would need a
         data migration that does not exist)."""
@@ -556,117 +375,57 @@ class ShardRouter:
             members.extend(self.partition.blocks[block].relations)
         return DatabaseScheme(members)
 
-    def _connect(self) -> None:
-        """One channel per shard: the one shard of a one-shard router
-        runs in this process, over the full scheme and into the
-        router's tracer; with more shards each is a forked worker."""
+    def _open_shard(self, index: int) -> ShardWorker:
+        """Shard ``index``'s worker: the one shard of a one-shard router
+        serves the full scheme into the router's tracer; with more
+        shards each serves its blocks into a tracer of its own."""
         if self.map.shards == 1:
-            worker = ShardWorker.open(
-                0,
+            return ShardWorker.open(
                 self.scheme,
                 self._shard_dir(0),
                 self._fsync_every,
                 tracer=self.tracer,
             )
-            self._channels.append(_InlineChannel(worker))
-        else:
-            self._fork_workers()
-        self._locks = [threading.Lock() for _ in self._channels]
-        # One ping per shard: surfaces a worker that died during store
-        # recovery as an error here, not on the first write.
-        for index in range(self.map.shards):
-            self._rpc(index, {"op": "ping"})
+        return ShardWorker.open(
+            self._shard_scheme(index),
+            self._shard_dir(index),
+            self._fsync_every,
+        )
 
-    def _fork_workers(self) -> None:
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ServiceError(
-                "sharded serving needs the fork start method (POSIX); "
-                "use shards=1 on this platform"
-            )
-        context = multiprocessing.get_context("fork")
-        for index in range(self.map.shards):
-            parent_sock, child_sock = socket.socketpair()
-            config = {
-                "shard": index,
-                "scheme": self._shard_scheme(index),
-                "store_dir": self._shard_dir(index),
-                "fsync_every": self._fsync_every,
-            }
-            process = context.Process(
-                target=worker_main,
-                args=(child_sock, config),
-                name=f"repro-shard-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_sock.close()
-            self._channels.append(_PipeChannel(parent_sock))
-            self._procs.append(process)
-
-    # -- worker RPC -----------------------------------------------------------
-    def _channel(self, shard: int) -> Union[_PipeChannel, _InlineChannel]:
-        """Shard ``shard``'s channel; the caller holds its lock."""
-        channels = self._channels  # close() swaps in an empty list
-        if not channels:
-            raise ServiceError("router is closed")
-        return channels[shard]
-
-    def _rpc(self, shard: int, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """One request/response round trip with one worker."""
+    @contextmanager
+    def _shard(self, index: int) -> Iterator[ShardWorker]:
+        """One call into shard ``index``: its worker, under the worker's
+        tracer, inside a ``shard.rpc`` span and counted in
+        ``shard.rpcs``."""
+        worker = self._live_workers()[index]
+        self.metrics.increment("shard.rpcs")
+        self.metrics.increment(labeled("shard.rpcs", shard=index))
         with span("shard.rpc") as sp:
             if sp:
                 sp.add("rpcs", 1)
-            with self._locks[shard]:
-                channel = self._channel(shard)
-                channel.send(payload)
-                response = channel.recv()
-        self.metrics.increment("shard.rpcs")
-        self.metrics.increment(labeled("shard.rpcs", shard=shard))
-        if response is None:
-            raise ServiceError(
-                f"shard {shard} closed its pipe mid-request"
-            )
-        if not response.get("ok", False):
-            raise _rebuild_error(response.get("error") or {})
-        return response
+            with tracing(worker.tracer):
+                yield worker
 
-    def _fanout(
-        self, payloads: Mapping[int, Mapping[str, Any]]
-    ) -> dict[int, Optional[dict[str, Any]]]:
-        """Send to every target shard first, then collect responses —
-        workers overlap their work while the router drains in order.
-        Transport failures surface as ``None`` entries; application
-        errors stay in the response for the caller to merge by rank."""
-        shards = sorted(payloads)
-        responses: dict[int, Optional[dict[str, Any]]] = {}
-        acquired: list[int] = []
-        try:
-            with span("shard.rpc") as sp:
-                if sp:
-                    sp.add("rpcs", len(shards))
-                channels = {}
-                for index in shards:
-                    self._locks[index].acquire()
-                    acquired.append(index)
-                    channels[index] = self._channel(index)
-                    try:
-                        channels[index].send(payloads[index])
-                    except OSError:
-                        responses[index] = None
-                for index in shards:
-                    if index in responses:  # send already failed
-                        continue
-                    try:
-                        responses[index] = channels[index].recv()
-                    except (ServiceError, OSError):
-                        responses[index] = None
-        finally:
-            for index in acquired:
-                self._locks[index].release()
-        for index in shards:
-            self.metrics.increment("shard.rpcs")
-            self.metrics.increment(labeled("shard.rpcs", shard=index))
-        return responses
+    def _live_workers(self) -> list[ShardWorker]:
+        """Every shard's worker; ``ServiceError`` once the router is
+        closed."""
+        workers = self._workers  # close() swaps in an empty list
+        if not workers:
+            raise ServiceError("router is closed")
+        return workers
+
+    def _assemble(self) -> DatabaseState:
+        """The full-scheme state of the stores' current relations."""
+        relations: dict[str, Relation] = {}
+        for worker in self._workers:
+            relations.update(worker.store.state)
+        return _from_relations(self.scheme, relations)
+
+    def _publish(self) -> None:
+        """Republish the state after a write, whatever its outcome: the
+        stores hold the truth, so a raised or partial write needs no
+        other path.  The caller holds the write lock."""
+        self._state = self._assemble()
 
     # -- sessions -------------------------------------------------------------
     def session(self, name: str) -> Session:
@@ -695,152 +454,32 @@ class ShardRouter:
 
     @property
     def state(self) -> DatabaseState:
-        """The full committed state, fetched fresh from every shard
-        under the write lock (so no write is half-applied in it) —
-        meant for inspection and the line protocol's ``state`` command,
-        not for hot paths.  It neither reads nor fills the mirror."""
-        with self._write_lock:
-            return _from_relations(self.scheme, self._fetch(self.scheme.names))
+        """The full committed state: the published snapshot, one serial
+        state of every relation."""
+        self._live_workers()
+        return self._state
 
     def query(self, attributes: AttrsLike) -> set[tuple[Hashable, ...]]:
-        """``[X]``, answered router-side at every shard count.
-
-        The full-scheme plan names the relations ``[X]`` reads; they
-        are gathered through the relation mirror (no RPC while every
-        one is mirrored) and the same engine code evaluates them, so the
-        answer is the single-process one, cross-shard extension joins
-        (Theorem 4.1) included.  A target the engine answers by the
-        chase (outside the class, or a plan past the exact
-        lossless-subset enumeration's cap) gathers every relation.  A
-        target no plan covers (``SchemaError``) has an empty answer on
-        every consistent state: only the relations overlapping it are
-        gathered, and the same evaluation confirms it."""
+        """``[X]`` over the published state, answered by the
+        full-scheme engine at every shard count: the single-process
+        answer, cross-shard extension joins (Theorem 4.1) included.  It
+        calls no shard."""
         target = attrs(attributes)
+        state = self.state
         with tracing(self.tracer):
             with span("shard.route") as sp:
                 self.metrics.increment("ops.query")
-                try:
-                    plan = self._engine.plan(target)
-                    names = sorted(plan.expression.relation_names())
-                except SchemaError:
-                    names = sorted(
-                        member.name
-                        for member in self.scheme.relations
-                        if member.attributes & target
-                    )
-                except ReproError:
-                    names = self.scheme.names
                 if sp:
                     sp.add("queries", 1)
             self.metrics.increment("router.gather_queries")
-            return self._engine.query(self._gather(names), target)
-
-    def _gather(self, names: Sequence[str]) -> DatabaseState:
-        """A full-scheme state holding the current contents of
-        ``names`` (every other relation an empty placeholder).
-
-        When one published mirror snapshot holds every name, the state
-        is built from it with no lock and no RPC: the snapshot is one
-        serial state of the relations it holds.  Otherwise the write
-        lock is taken, the snapshot read again, the names it still
-        lacks fetched in one fan-out and a snapshot with them
-        published; no write runs meanwhile, so the fetched copies are
-        exact at the same instant as every mirrored one.  A closed
-        router raises ``ServiceError`` before it reads the mirror, so a
-        gather it could answer without an RPC fails like every other
-        op."""
-        if self._closed:
-            raise ServiceError("router is closed")
-        mirror = self._mirror
-        missing = [name for name in names if name not in mirror]
-        if missing:
-            with self._write_lock:
-                mirror = self._mirror
-                missing = [name for name in names if name not in mirror]
-                if missing:
-                    mirror = {**mirror, **self._fetch(missing)}
-                    self._mirror = mirror
-        self.metrics.increment(
-            "router.gather_relations_reused", len(names) - len(missing)
-        )
-        self.metrics.increment(
-            "router.gather_relations_fetched", len(missing)
-        )
-        # Every value is a Relation on its member's attributes (fetched
-        # copies are built on them), so the state needs no re-check.
-        return _from_relations(
-            self.scheme,
-            {**self._placeholders, **{name: mirror[name] for name in names}},
-        )
-
-    def _fetch(self, names: Sequence[str]) -> dict[str, Relation]:
-        """Fresh copies of ``names``: one ``fetch`` RPC per owning
-        shard, all in one fan-out."""
-        grouped: dict[int, list[str]] = {}
-        for name in names:
-            grouped.setdefault(self.map.relation_shard[name], []).append(
-                name
-            )
-        responses = self._fanout(
-            {
-                index: {"op": "fetch", "relations": sorted(rels)}
-                for index, rels in grouped.items()
-            }
-        )
-        relations: dict[str, Relation] = {}
-        for index in sorted(responses):
-            response = responses[index]
-            if response is None:
-                raise ServiceError(
-                    f"shard {index} closed its pipe mid-request"
-                )
-            if not response.get("ok", False):
-                raise _rebuild_error(response.get("error") or {})
-            for name, rows in response["relations"].items():
-                relations[name] = Relation(
-                    self._placeholders[name].attributes, rows
-                )
-        return relations
-
-    @contextmanager
-    def _follow(self, names: Iterable[str]) -> Iterator["_Write"]:
-        """Bracket one write that may change ``names``; the caller
-        holds the write lock.  After the write, publish the mirror with
-        its copies of ``names`` followed across it: the row changes the
-        write reports on the yielded :class:`_Write` applied to them.
-        A write that raises or reports nothing, or a change
-        :func:`_followed` cannot apply, leaves those copies out of the
-        published mirror, and the next gather fetches them."""
-        write = _Write()
-        try:
-            yield write
-        finally:
-            mirror = self._mirror
-            written = mirror.keys() & names
-            if written:
-                grouped: dict[str, list[tuple[str, Mapping[str, Any]]]] = {}
-                for operation, relation_name, values in write.changes or ():
-                    grouped.setdefault(relation_name, []).append(
-                        (operation, values)
-                    )
-                published = dict(mirror)
-                for name in written:
-                    followed = None
-                    if write.changes is not None:
-                        followed = _followed(
-                            mirror[name], grouped.get(name, ())
-                        )
-                    if followed is None:
-                        del published[name]
-                    else:
-                        published[name] = followed
-                self._mirror = published
+            return self._engine.query(state, target)
 
     # -- writes (serialized) --------------------------------------------------
     def insert(
         self, relation_name: str, values: Mapping[str, Hashable]
-    ) -> Any:
-        """Route one insert to the shard owning its block."""
+    ) -> MaintenanceOutcome:
+        """Route one insert to the shard owning its block; the shard
+        store's own outcome."""
         with self._write_lock, tracing(self.tracer):
             with span("shard.route"):
                 self.metrics.increment("ops.insert")
@@ -850,22 +489,11 @@ class ShardRouter:
                     raise NotApplicableError(
                         f"unknown relation {relation_name!r}"
                     )
-            values = dict(values)
-            with self._follow((relation_name,)) as write:
-                response = self._rpc(
-                    shard,
-                    {
-                        "op": "insert",
-                        "relation": relation_name,
-                        "values": values,
-                    },
-                )
-                outcome = RouterInsertOutcome(response["outcome"])
-                write.report(
-                    [("insert", relation_name, values)]
-                    if outcome.consistent
-                    else []
-                )
+            try:
+                with self._shard(shard) as worker:
+                    outcome = worker.store.insert(relation_name, values)
+            finally:
+                self._publish()
             if not outcome.consistent:
                 self.metrics.increment("store.rejects")
             return outcome
@@ -875,10 +503,8 @@ class ShardRouter:
     ) -> None:
         """Route one deletion (always consistency-preserving).
 
-        Unlike the single-process engine this returns nothing: the
-        updated state lives on the shard, and assembling the full state
-        per delete would defeat the fan-out.  Use :attr:`state` when
-        the merged snapshot is actually needed."""
+        Unlike the single-process engine this returns nothing; use
+        :attr:`state` when the merged snapshot is needed."""
         with self._write_lock, tracing(self.tracer):
             with span("shard.route"):
                 self.metrics.increment("ops.delete")
@@ -888,37 +514,30 @@ class ShardRouter:
                     raise StateError(
                         f"no relation named {relation_name!r}"
                     )
-            values = dict(values)
-            with self._follow((relation_name,)) as write:
-                self._rpc(
-                    shard,
-                    {
-                        "op": "delete",
-                        "relation": relation_name,
-                        "values": values,
-                    },
-                )
-                write.report([("delete", relation_name, values)])
+            try:
+                with self._shard(shard) as worker:
+                    worker.store.delete(relation_name, values)
+            finally:
+                self._publish()
 
-    def apply_batch(self, updates: Sequence[Update]) -> Any:
+    def apply_batch(self, updates: Sequence[Update]) -> RouterBatchOutcome:
         """Atomic batch with serial-equivalent semantics, two-phase at
         every shard count.
 
-        Global event indices are assigned before fan-out; every shard
-        prepares its slice; the earliest event across shards (plus any
-        unroutable update, which the serial loop would have raised or
-        rejected at its own index) decides the batch exactly as
-        :meth:`WeakInstanceEngine.batch` would.  Rejections are logged
-        durably on the shard owning the refused tuple."""
+        Global event indices are assigned before any shard is called;
+        every shard prepares its slice; the earliest event across shards
+        (plus any unroutable update, which the serial loop would have
+        raised or rejected at its own index) decides the batch exactly
+        as :meth:`WeakInstanceEngine.batch` would.  Rejections are
+        logged durably on the shard owning the refused tuple."""
         updates = list(updates)
-        written = [update[1] for update in updates]
         with self._write_lock, tracing(self.tracer):
-            with self._follow(written) as write:
-                outcome = self._two_phase(updates)
-                write.report(updates if outcome else [])
-                return outcome
+            try:
+                return self._two_phase(updates)
+            finally:
+                self._publish()
 
-    def _two_phase(self, updates: list[Update]) -> Any:
+    def _two_phase(self, updates: list[Update]) -> RouterBatchOutcome:
         pre_events: list[tuple[int, Exception]] = []
         grouped: dict[int, list] = {}
         with span("shard.route") as sp:
@@ -954,43 +573,21 @@ class ShardRouter:
             if sp:
                 sp.add("updates", len(updates))
                 sp.add("shards", len(grouped))
-        payloads = {
-            shard: {
-                "op": "prepare",
-                "operations": [
-                    [index, operation, relation_name, dict(values)]
-                    for index, operation, relation_name, values in ops
-                ],
-            }
-            for shard, ops in grouped.items()
-        }
-        responses = self._fanout(payloads)
         prepared: list[int] = []
         events: list[tuple[int, str, Any]] = [
             (index, "error", error) for index, error in pre_events
         ]
-        broken: Optional[Exception] = None
-        for shard in sorted(responses):
-            response = responses[shard]
-            if response is None:
-                broken = ServiceError(
-                    f"shard {shard} closed its pipe mid-request"
-                )
-                continue
-            if not response.get("ok", False):
-                broken = _rebuild_error(response.get("error") or {})
-                prepared.append(shard)  # safe: abort is a no-op there
-                continue
-            event = response.get("event")
-            if event is None:
-                prepared.append(shard)
-            elif event["kind"] == "reject":
-                events.append((event["index"], "reject", event["outcome"]))
-            else:
-                events.append((event["index"], "error", _rebuild_error(event)))
-        if broken is not None:
+        try:
+            for shard in sorted(grouped):
+                with self._shard(shard) as worker:
+                    event = worker.prepare(grouped[shard])
+                if event is None:
+                    prepared.append(shard)
+                else:
+                    events.append(event)
+        except BaseException:
             self._abort(prepared)
-            raise broken
+            raise
         if events:
             index, kind, data = min(events, key=lambda event: event[0])
             if kind == "error":
@@ -1015,16 +612,19 @@ class ShardRouter:
             )
             self.metrics.increment("store.rejects")
             return outcome
-        commit_responses = self._fanout(
-            {shard: {"op": "commit"} for shard in prepared}
-        )
-        for shard in sorted(commit_responses):
-            response = commit_responses[shard]
-            if response is None or not response.get("ok", False):
-                raise ServiceError(
-                    f"shard {shard} failed to commit a prepared batch; "
-                    "the sharded store may hold a partial batch"
-                )
+        failed: list[tuple[int, Exception]] = []
+        for shard in prepared:
+            try:
+                with self._shard(shard) as worker:
+                    worker.commit()
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                failed.append((shard, error))
+        if failed:
+            shard, error = failed[0]
+            raise ServiceError(
+                f"shard {shard} failed to commit a prepared batch; "
+                "the sharded store may hold a partial batch"
+            ) from error
         self.metrics.increment("ops.batch_updates", len(updates))
         return RouterBatchOutcome(committed=True, applied=len(updates))
 
@@ -1034,13 +634,9 @@ class ShardRouter:
         reject_shard: Optional[int] = None,
         reject: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        payloads: dict[int, dict[str, Any]] = {}
         for shard in sorted(set(shards)):
-            payload: dict[str, Any] = {"op": "abort"}
-            if reject is not None and shard == reject_shard:
-                payload["reject"] = dict(reject)
-            payloads[shard] = payload
-        self._fanout(payloads)
+            with self._shard(shard) as worker:
+                worker.abort(reject if shard == reject_shard else None)
 
     # -- maintenance ----------------------------------------------------------
     def snapshot(self) -> None:
@@ -1051,16 +647,16 @@ class ShardRouter:
             )
         with self._write_lock, tracing(self.tracer):
             for index in range(self.map.shards):
-                self._rpc(index, {"op": "snapshot"})
+                with self._shard(index) as worker:
+                    worker.snapshot()
 
     # -- reporting ------------------------------------------------------------
     def _shard_metric_kinds(self) -> list[tuple[int, dict[str, Any]]]:
-        """Each live worker's metric namespaces, by shard index."""
-        reports = []
-        for index in range(self.map.shards):
-            response = self._rpc(index, {"op": "metrics"})
-            reports.append((index, response))
-        return reports
+        """Each shard's metric namespaces, by shard index."""
+        return [
+            (index, worker.metrics())
+            for index, worker in enumerate(self._live_workers())
+        ]
 
     def _engine_cache_series(self) -> tuple[dict, dict]:
         """The query engine's read-cache series, unlabeled: why a
@@ -1069,7 +665,7 @@ class ShardRouter:
 
     def metrics_snapshot(self) -> dict[str, Union[int, float]]:
         """Router counters (its query engine's read cache included)
-        plus every worker's, the latter labeled ``name{shard="K"}`` so
+        plus every shard's, the latter labeled ``name{shard="K"}`` so
         shards never collide in one namespace."""
         merged = self.metrics.snapshot()
         counters, gauges = self._engine_cache_series()
@@ -1083,18 +679,14 @@ class ShardRouter:
 
     def stats(self) -> dict[str, object]:
         """The full observability report across the deployment: the
-        router's tracer, plus each forked worker's under ``shards``
-        (a one-shard router's worker records into the router's tracer,
-        so it has no report of its own)."""
+        router's tracer, plus each shard's own under ``shards`` (a
+        one-shard router's shard records into the router's tracer, so
+        it has no report of its own)."""
         shard_reports = {}
-        for index in range(self.map.shards):
-            response = self._rpc(index, {"op": "stats"})
-            if "spans" not in response:
-                continue
-            shard_reports[str(index)] = {
-                "spans": response["spans"],
-                "span_counters": response["span_counters"],
-            }
+        for index, worker in enumerate(self._live_workers()):
+            report = worker.stats()
+            if report is not None:
+                shard_reports[str(index)] = report
         return {
             "metrics": self.metrics_snapshot(),
             "spans": self.tracer.span_summaries(),
@@ -1129,25 +721,11 @@ class ShardRouter:
     # -- teardown -------------------------------------------------------------
     def close(self) -> None:
         """Shut the deployment down; safe to call more than once.
-        Afterwards every op that needs a shard raises
-        ``ServiceError("router is closed")``."""
+        Afterwards every op raises ``ServiceError("router is closed")``."""
         with self._write_lock:
-            if self._closed:
-                return
-            self._closed = True
-            channels, self._channels = self._channels, []
-            procs, self._procs = self._procs, []
-        # Under each shard's lock, so an in-flight read finishes before
-        # its worker is torn down.
-        for lock, channel in zip(self._locks, channels):
-            with lock:
-                channel.close()
-        for process in procs:
-            process.join(timeout=5.0)
-        for process in procs:
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5.0)
+            workers, self._workers = self._workers, []
+            for worker in workers:
+                worker.close()
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -151,7 +151,6 @@ class TestFixtureGate:
     def test_new_packs_gate_their_fixtures(self, capsys):
         expected = {
             "fixture_asyncio.py": ("async-discipline", 8),
-            "fixture_fork.py": ("fork-safety", 4),
             "fixture_lockorder.py": ("lock-order", 3),
         }
         for name, (rule, count) in expected.items():
@@ -172,7 +171,7 @@ class TestFixtureGate:
     def test_new_pack_baseline_round_trip(self, capsys, tmp_path):
         """Baselines written for the new packs suppress exactly their
         findings on the next run (fingerprint round-trip)."""
-        for name in ("fixture_asyncio.py", "fixture_fork.py"):
+        for name in ("fixture_asyncio.py", "fixture_lockorder.py"):
             target = tmp_path / name
             target.write_text(
                 (FIXTURES / name).read_text(encoding="utf-8"),
@@ -185,7 +184,7 @@ class TestFixtureGate:
             "--root",
             str(tmp_path),
             "--rules",
-            "async-discipline,fork-safety",
+            "async-discipline,lock-order",
         ]
         code = main(
             args + ["--write-baseline", "--baseline", str(baseline_path)]
@@ -196,7 +195,7 @@ class TestFixtureGate:
         code = main(args + ["--baseline", str(baseline_path)])
         output = capsys.readouterr().out
         assert code == 0
-        assert "12 baselined finding(s) suppressed" in output
+        assert "11 baselined finding(s) suppressed" in output
 
     def test_unknown_rule_rejected(self, capsys):
         code = main(

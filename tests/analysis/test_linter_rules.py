@@ -8,7 +8,6 @@ from repro.analysis.astcheck import SourceFile
 from repro.analysis import (
     rules_asyncio,
     rules_determinism,
-    rules_fork,
     rules_locks,
     rules_resources,
 )
@@ -269,31 +268,6 @@ class TestAsyncDiscipline:
         assert "sync_method" not in messages
 
 
-class TestForkSafety:
-    def test_expected_findings(self):
-        findings = rules_fork.check(load("fixture_fork.py"))
-        assert len(findings) == 4
-        assert all(f.rule == "fork-safety" for f in findings)
-        assert all(f.severity == "error" for f in findings)
-        messages = "\n".join(f.message for f in findings)
-        assert "module-level Lock `REGISTRY_LOCK`" in messages
-        assert "module-level ThreadPoolExecutor `POOL`" in messages
-        assert "reached from fork target chained_target" in messages
-        assert "get_event_loop()" in messages
-        assert "Process spawned after Thread(...)" in messages
-
-    def test_clean_targets_not_flagged(self):
-        source = load("fixture_fork.py")
-        flagged = {f.line for f in rules_fork.check(source)}
-        assert not flagged & clean_lines_of(source)
-
-    def test_fork_before_thread_is_clean(self):
-        messages = "\n".join(
-            f.message for f in rules_fork.check(load("fixture_fork.py"))
-        )
-        assert "fork_before_thread" not in messages
-
-
 class TestLockOrder:
     def test_single_file_cycles(self):
         findings = rules_locks.check_order([load("fixture_lockorder.py")])
@@ -406,7 +380,7 @@ class TestCacheInvalidation:
         required = default_invalidation_config().required
         for name in ("insert", "delete", "apply_batch"):
             assert required[f"shard/router.py::ShardRouter.{name}"] == (
-                "_follow",
+                "_publish",
             )
 
     def test_real_map_is_clean_on_src(self):
@@ -432,7 +406,6 @@ class TestFingerprintStability:
 
     CASES = (
         ("fixture_asyncio.py", lambda s: rules_asyncio.check(s)),
-        ("fixture_fork.py", lambda s: rules_fork.check(s)),
         (
             "fixture_lockorder.py",
             lambda s: rules_locks.check_order([s]),
@@ -469,7 +442,6 @@ class TestFingerprintStability:
         # its own fixture fails loudly here.
         counts = {
             "fixture_asyncio.py": 8,
-            "fixture_fork.py": 4,
             "fixture_lockorder.py": 3,
             "fixture_invalidation.py": 1,
         }

@@ -206,9 +206,8 @@ class TestDurableServer:
         assert 'cache.plans.hits{shard="0"}' in snapshot
         assert 'cache.chase.misses{shard="0"}' in snapshot
         assert snapshot["ops.query"] == 1
-        # The router answered the query from its relation mirror: one
-        # fetch filled it, its own read cache missed once, and the
-        # shard evaluated no query.
+        # The router answered the query from its published state: its
+        # own read cache missed once, and the shard evaluated no query.
         assert snapshot["router.gather_queries"] == 1
         assert snapshot["cache.read.misses"] == 1
         assert 'ops.query{shard="0"}' not in snapshot

@@ -366,10 +366,11 @@ class TestStatsSharded:
         from repro.obs.exposition import parse_exposition
 
         parsed = parse_exposition(out)  # strict: raises on malformed lines
-        # The router's own gather read cache is exposed unlabeled.
+        # The router's own read cache and query count are exposed
+        # unlabeled.
         assert "repro_cache_read_hits_total" in parsed
         assert "repro_cache_read_hit_rate" in parsed
-        assert "repro_router_gather_relations_fetched_total" in parsed
+        assert "repro_router_gather_queries_total" in parsed
 
     def test_json_and_table_show_router_gather_cache(
         self, tmp_path, scheme_path, capsys
@@ -388,21 +389,21 @@ class TestStatsSharded:
             ]
         )
         capsys.readouterr()
-        # [CS] gathers across both shards: the first gather fetches,
-        # the two repeats reuse the mirror and hit the read cache.
+        # [CS] reads both shards' relations from the published state:
+        # no query calls a shard, and the two repeats hit the read
+        # cache.
         arguments = ["stats", "--store", str(store), "--target", "CS"]
         assert main(arguments + ["--repeat", "3", "--json"]) == 0
         metrics = json.loads(capsys.readouterr().out)["metrics"]
         assert metrics["cache.read.hits"] == 2
         assert metrics["cache.read.misses"] == 1
         assert metrics["cache.read.hit_rate"] == pytest.approx(2 / 3)
-        assert metrics["router.gather_relations_reused"] == (
-            2 * metrics["router.gather_relations_fetched"]
-        )
+        assert metrics["router.gather_queries"] == 3
+        assert "shard.rpcs" not in metrics
         assert main(arguments) == 0
         table = capsys.readouterr().out
         assert "cache.read.hit_rate = " in table
-        assert "router.gather_relations_fetched = " in table
+        assert "router.gather_queries = " in table
 
 
 class TestShardBench:

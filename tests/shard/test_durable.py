@@ -2,6 +2,8 @@
 plain stores served in place as one shard."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +152,23 @@ def test_durable_store_refuses_a_sharded_directory(tmp_path, scheme):
         DurableStore.open(directory)
     assert not (directory / "snapshot.json").exists()
     assert not (directory / "wal").exists()
+
+
+def test_a_store_of_the_forked_worker_layout_reopens_unchanged(tmp_path):
+    """``fixtures/two_shard_store`` was written by the router that ran
+    each shard in a forked worker process: ``shard.json``, one
+    ``shard-K/`` store per shard, a snapshot and WAL records after it
+    (an accepted and a rejected insert, a delete, a rejected batch).
+    Shards in the router's process open it as it is."""
+    fixture = Path(__file__).parent / "fixtures" / "two_shard_store"
+    directory = tmp_path / "store"
+    shutil.copytree(fixture / "store", directory)
+    expected = json.loads((fixture / "expected_state.json").read_text())
+    with ShardRouter.open(directory) as router:
+        assert router.shards == 2
+        assert state_to_dict(router.state) == expected
+        assert router.query(("C", "S")) == {("c1", "s1")}
+        assert router.insert("R3", {"H": "h1", "T": "t1", "C": "c1"})
+        grown = state_to_dict(router.state)
+    with ShardRouter.open(directory) as reopened:
+        assert state_to_dict(reopened.state) == grown

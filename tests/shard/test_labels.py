@@ -85,11 +85,10 @@ class TestAggregation:
         shard_series = [name for name in parsed if "shard=" in name]
         assert any('shard="0"' in name for name in shard_series)
         assert any('shard="1"' in name for name in shard_series)
-        # Router-side counters stay unlabeled, the gather engine's
-        # read cache and the mirror's reuse counters included.
+        # Router-side counters stay unlabeled, the query engine's read
+        # cache and the query count included.
         assert "repro_shard_rpcs_total" in parsed
-        assert parsed["repro_router_gather_relations_fetched_total"] >= 1
-        assert "repro_router_gather_relations_reused_total" in parsed
+        assert parsed["repro_router_gather_queries_total"] == 1
         assert parsed["repro_cache_read_misses_total"] == 1
         assert parsed["repro_cache_read_hit_rate"] == 0.0
         assert 'repro_cache_read_hit_rate{shard="0"}' in parsed
@@ -115,27 +114,24 @@ class TestAggregation:
             assert "engine.batch" in spans
             assert "engine.block" in spans
 
-    def test_gather_records_worker_fetch_spans(self):
-        """A two-shard ``[C,S]`` gathers R1, R2, R3, R5 from shard 0
-        and R4 from shard 1; each shard's ``fetch`` reply is a
-        ``worker.fetch`` span counting what it shipped."""
+    def test_query_records_no_shard_spans(self):
+        """A two-shard ``[C,S]`` reads R1, R2, R3, R5 (shard 0) and R4
+        (shard 1) from the published state: it calls no shard, so it
+        adds no ``shard.rpc`` span and no span to either shard's
+        report."""
         router = ShardRouter.in_memory(example1_university(), 2)
         try:
             assert router.insert("R4", {"C": "c", "S": "s", "G": "A"})
             assert router.insert("R1", {"C": "c", "H": "h", "R": "r"})
+            before = router.stats()
             assert router.query(("C", "S")) == {("c", "s")}
-            stats = router.stats()
+            after = router.stats()
         finally:
             router.close()
-        shipped = {}
-        for shard, report in stats["shards"].items():
-            assert report["spans"]["worker.fetch"]["count"] == 1
-            counters = report["span_counters"]
-            shipped[shard] = (
-                counters["worker.fetch.relations"],
-                counters["worker.fetch.rows"],
-            )
-        assert shipped == {"0": (4, 1), "1": (1, 1)}
+        assert after["shards"] == before["shards"]
+        assert after["spans"]["shard.rpc"] == before["spans"]["shard.rpc"]
+        assert after["spans"]["engine.query"]["count"] == 1
+        assert after["metrics"]["shard.rpcs"] == before["metrics"]["shard.rpcs"]
 
     def test_stats_reports_per_shard_sections(self):
         router = ShardRouter.in_memory(example1_university(), 2)
@@ -151,4 +147,4 @@ class TestAggregation:
         metrics = stats["metrics"]
         assert metrics["cache.read.hits"] == 1
         assert metrics["cache.read.hit_rate"] == 0.5
-        assert metrics["router.gather_relations_reused"] >= 1
+        assert metrics["router.gather_queries"] == 2

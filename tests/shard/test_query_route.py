@@ -1,13 +1,12 @@
-"""One query route: the router answers every ``[X]`` from its relation
-mirror at every shard count, and workers serve no queries.
+"""One query route: the router answers every ``[X]`` from its
+published state at every shard count, and shards serve no queries.
 
-The count tests pin what a query costs, at one shard (the worker runs
-in the router's process) and at two (forked workers): a cold
-single-block query is one ``fetch`` RPC; a warm repeat is none and a
-router ``cache.read`` hit; after writes the router follows (accepted,
-rejected, deleted, aborted) still none; after a write it cannot follow
-(a value other than an exact ``str``/``int``, or an RPC that raised)
-one ``fetch`` again.  Every answer is checked against the in-process
+The count tests pin what a query costs, at one shard and at two: a
+cold single-block query calls no shard; a warm repeat calls none and is
+a router ``cache.read`` hit; after writes of every outcome (accepted,
+rejected, deleted, aborted), of any value type, or a write that raised
+after its store applied it, a query still calls none.  Every answer is
+checked against the in-process
 :class:`~repro.core.engine.WeakInstanceEngine`.
 
 The differential test runs mixed insert, delete, batch and query
@@ -15,8 +14,6 @@ streams on schemes from every generator, rejected inserts and aborted
 batches included, and compares every write outcome and every query
 answer with the in-process engine's.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -55,42 +52,23 @@ def _seeded(shards):
     return router, reference
 
 
-@contextmanager
-def _requests(router):
-    """The op of every request the router sends a worker while open."""
-    sent = []
-    rpc, fanout = router._rpc, router._fanout
-
-    def recording_rpc(shard, payload):
-        sent.append(payload["op"])
-        return rpc(shard, payload)
-
-    def recording_fanout(payloads):
-        sent.extend(payload["op"] for payload in payloads.values())
-        return fanout(payloads)
-
-    router._rpc, router._fanout = recording_rpc, recording_fanout
-    try:
-        yield sent
-    finally:
-        router._rpc, router._fanout = rpc, fanout
-
-
 def _query(router, reference, target=TARGET):
     """``[target]`` from the router, checked against the engine; the
-    ops it sent."""
-    with _requests(router) as sent:
-        rows = router.query(target)
+    number of calls it made into a shard."""
+    before = router.metrics.snapshot().get("shard.rpcs", 0)
+    rows = router.query(target)
     assert rows == reference.query(target)
-    return sent
+    return router.metrics.snapshot().get("shard.rpcs", 0) - before
 
 
 @pytest.mark.parametrize("shards", SHARDS)
 class TestQueryCosts:
     def test_cold_single_block_query_is_one_fetch(self, shards):
+        """A cold query reads the published state: no call into a
+        shard."""
         router, reference = _seeded(shards)
         try:
-            assert _query(router, reference) == ["fetch"]
+            assert _query(router, reference) == 0
             assert router.metrics.snapshot()["router.gather_queries"] == 1
         finally:
             router.close()
@@ -99,7 +77,7 @@ class TestQueryCosts:
         router, reference = _seeded(shards)
         try:
             _query(router, reference)
-            assert _query(router, reference) == []
+            assert _query(router, reference) == 0
             snapshot = router.metrics_snapshot()
             assert snapshot["cache.read.hits"] == 1
             assert snapshot["cache.read.misses"] == 1
@@ -134,7 +112,7 @@ class TestQueryCosts:
             _query(router, reference)
             for op in writes:
                 assert apply_op(router, op) == apply_op(reference, op)
-                assert _query(router, reference) == [], op
+                assert _query(router, reference) == 0, op
         finally:
             router.close()
 
@@ -149,13 +127,19 @@ class TestQueryCosts:
     def test_a_value_not_stored_as_given_makes_the_next_query_fetch(
         self, shards, values
     ):
+        """A ``bool`` or a ``float`` reaches the store as given, like
+        every value: the published relation is the store's, and the
+        queries after the write call no shard."""
         router, reference = _seeded(shards)
         try:
             _query(router, reference)
             op = ("insert", "T0R4", values)
             assert apply_op(router, op) == apply_op(reference, op)
-            assert _query(router, reference) == ["fetch"]
-            assert _query(router, reference) == []
+            assert router.state["T0R4"] == reference.state["T0R4"]
+            assert [type(row["G0"]) for row in router.state["T0R4"]
+                    if row["C0"] == "c2"] == [type(values["G0"])]
+            assert _query(router, reference) == 0
+            assert _query(router, reference) == 0
         finally:
             router.close()
 
@@ -168,21 +152,22 @@ class TestQueryCosts:
         ids=["insert", "delete"],
     )
     def test_a_raised_write_rpc_makes_the_next_query_fetch(self, shards, op):
+        """The store applies the write, then the call raises: the state
+        is republished all the same, so the next query answers the
+        store's state and calls no shard."""
         router, reference = _seeded(shards)
         try:
             _query(router, reference)
-            # The worker applies the write; its reply never arrives.
             with pytest.raises(ServiceError), _lost_replies(router):
                 getattr(router, op[0])(*op[1:])
             apply_op(reference, op)
-            assert _query(router, reference) == ["fetch"]
+            assert _query(router, reference) == 0
         finally:
             router.close()
 
 
-#: Few values, so keys collide and inserts get rejected: mostly exact
-#: ``str``/``int`` ones the mirror follows, and a ``bool`` and a
-#: ``float`` it does not.
+#: Few values, so keys collide and inserts get rejected, of several
+#: types (``True == 1``).
 VALUES = st.sampled_from(["a", "b", "a", "b", 0, 1, 0, 1, True, 2.5])
 
 
@@ -243,7 +228,7 @@ def test_every_answer_equals_the_engine(shards, scheme, data):
                 continue
             assert apply_op(router, op) == apply_op(reference, op), op
             # Read what the write named, so the next write to it meets
-            # a warm mirror copy.
+            # a warm read cache.
             updates = op[1] if op[0] == "batch" else [op]
             for name in {update[1] for update in updates} & names:
                 target = scheme[name].attributes

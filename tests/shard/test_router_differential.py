@@ -9,9 +9,9 @@ through a bare :class:`WeakInstanceEngine` and through a
 a divergence in a rejection diagnostic, a first-failure index or an
 error message text fails loudly.
 
-The router's relation mirror must match a fresh fetch byte for byte
-after every write, whatever values the write carries
-(:func:`test_mirror_copies_equal_fresh_fetches`).
+The router's published state must hold each store's own relations, and
+equal the engine's state, after every write, whatever values the write
+carries (:func:`test_mirror_copies_equal_fresh_fetches`).
 """
 
 import enum
@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.engine import WeakInstanceEngine
 from repro.io import state_to_dict
 from repro.shard.router import ShardRouter, shard_map_for
-from repro.state.database_state import DatabaseState
 from repro.workloads.paper import (
     example1_university,
     example2_not_algebraic,
@@ -291,11 +290,8 @@ class Grade(enum.IntEnum):
 
 
 #: Values of every JSON kind, with equal pairs across kinds (``1``,
-#: ``True``, ``1.0`` and ``Grade.A``), and two values a frame does not
-#: give back as they were sent: ``Grade.A`` arrives as the int ``1``,
-#: and each decoded NaN is a new object, so a worker stores two equal
-#: NaN rows as two rows.  Only exact ``str`` and ``int`` rows may be
-#: carried forward without a fetch.
+#: ``True``, ``1.0`` and ``Grade.A``), an ``IntEnum`` member and a NaN,
+#: which equals no other value, itself included.
 MIXED_VALUES = st.sampled_from(
     ["x", "y", "1", 0, 1, 2, True, False, 0.0, 1.0, 2.5, None]
     + [Grade.A, float("nan")]
@@ -305,7 +301,7 @@ MIXED_VALUES = st.sampled_from(
 @st.composite
 def mixed_writes(draw, scheme, stored):
     """One insert, delete or batch over ``scheme``; a delete often
-    names a ``stored`` row (as fetched, so with JSON's own types)."""
+    names a ``stored`` row."""
 
     def update():
         operation = draw(st.sampled_from(["insert", "insert", "delete"]))
@@ -325,24 +321,18 @@ def mixed_writes(draw, scheme, stored):
     return update()
 
 
-def fresh_relations(router):
-    """Every relation as a fetch RPC returns it, bypassing the mirror."""
-    relations = {}
-    for shard in range(router.shards):
-        relations.update(router._rpc(shard, {"op": "fetch"})["relations"])
-    return relations
-
-
-def assert_mirror_exact(router, fresh):
-    """Each copy in the published mirror, which a gather reuses, equals
-    ``fresh``'s rows value for value, types included (``repr`` tells
-    ``1`` from ``True``, ``1.0`` and ``Grade.A``)."""
-    current = router._mirror
-    mirrored = DatabaseState(router.scheme, current)
-    fetched = DatabaseState(
-        router.scheme, {name: fresh[name] for name in current}
+def assert_published_exact(router, reference):
+    """Each relation in the router's published state *is* its store's
+    relation, and the state equals the engine's value for value, types
+    included (``repr`` tells ``1`` from ``True``, ``1.0`` and
+    ``Grade.A``)."""
+    published = router.state
+    for worker in router._workers:
+        for name, relation in worker.store.state:
+            assert published[name] is relation
+    assert repr(state_to_dict(published)) == repr(
+        state_to_dict(reference.state)
     )
-    assert repr(state_to_dict(mirrored)) == repr(state_to_dict(fetched))
 
 
 @given(every_generator, st.data())
@@ -350,35 +340,36 @@ def assert_mirror_exact(router, fresh):
 def test_mirror_copies_equal_fresh_fetches(scheme, data):
     assume(shard_map_for(scheme, 2).shards > 1)
     router = ShardRouter.in_memory(scheme, 2)
-    names = scheme.names
+    reference = EngineReference(scheme)
     try:
-        router._gather(names)  # every relation mirrored
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-            stored = fresh_relations(router)
-            apply_op(router, data.draw(mixed_writes(scheme, stored)))
-            assert_mirror_exact(router, fresh_relations(router))
-            router._gather(names)  # re-fetch what the write left stale
+            stored = {
+                name: [dict(values) for values in relation]
+                for name, relation in router.state
+            }
+            op = data.draw(mixed_writes(scheme, stored))
+            assert apply_op(router, op) == apply_op(reference, op)
+            assert_published_exact(router, reference)
     finally:
         router.close()
 
 
 def test_a_reinserted_row_replaces_an_equal_row_of_another_type():
     """``True == 1``: a batch that deletes ``1`` and inserts it again
-    leaves the worker holding ``1`` where a fetched copy held ``True``,
-    and the followed copy must hold ``1`` too."""
+    leaves the store holding ``1`` where it held ``True``, and the
+    published state holds ``1`` too."""
     scheme = example1_university()
     router = ShardRouter.in_memory(scheme, 2)
+    reference = EngineReference(scheme)
     row = {"C": 1, "S": "s", "G": "g"}
+    ops = [
+        ("insert", "R4", {**row, "C": True}),
+        ("batch", [("delete", "R4", row), ("insert", "R4", row)]),
+    ]
     try:
-        # A bool is not stored as sent, so this insert leaves R4's
-        # copy stale and the gather below fetches ``True`` back.
-        assert router.insert("R4", {**row, "C": True}).consistent
-        router._gather(scheme.names)
-        assert router.apply_batch(
-            [("delete", "R4", row), ("insert", "R4", row)]
-        ).committed
-        copy = router._mirror["R4"]
-        assert_mirror_exact(router, fresh_relations(router))
-        assert [type(values["C"]) for values in copy] == [int]
+        for op in ops:
+            assert apply_op(router, op) == apply_op(reference, op)
+        assert_published_exact(router, reference)
+        assert [type(values["C"]) for values in router.state["R4"]] == [int]
     finally:
         router.close()

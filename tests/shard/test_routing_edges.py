@@ -1,18 +1,22 @@
-"""Routing edge cases: inline collapse, round-robin packing, batches
-that leave some shards untouched, and targets without a plan."""
+"""Routing edge cases: one-shard collapse, round-robin packing, batches
+that leave some shards untouched or fail mid-commit, targets without a
+plan, and shards that all live in the router's process."""
 
 import multiprocessing
 
 import pytest
 
-from repro.foundations.errors import StateError
+from repro.core.engine import WeakInstanceEngine
+from repro.foundations.errors import ServiceError, StateError
 from repro.oracle import chase_state_naive
 from repro.schema.database_scheme import DatabaseScheme
 from repro.shard.router import ShardMap, ShardRouter, shard_map_for
+from repro.state.database_state import DatabaseState
 from repro.workloads.paper import (
     example1_university,
     example3_triangle,
 )
+from repro.workloads.scaling import tiled_university
 
 
 class TestShardMap:
@@ -58,12 +62,11 @@ class TestInlineFastPath:
             assert len(multiprocessing.active_children()) == before
             outcome = router.insert("R1", {"A": "a1", "B": "b1"})
             assert outcome.consistent
-            # The one shard answered in this process: still no worker
-            # process, and its requests (the startup ping, the insert)
-            # went through the in-process channel, counted like RPCs.
+            # The one shard answered in this process: still no child
+            # process, and the insert was its one counted call.
             assert len(multiprocessing.active_children()) == before
             snapshot = router.metrics_snapshot()
-            assert snapshot['shard.rpcs{shard="0"}'] == 2
+            assert snapshot['shard.rpcs{shard="0"}'] == 1
             assert snapshot['ops.insert{shard="0"}'] == 1
         finally:
             router.close()
@@ -165,3 +168,77 @@ class TestOverCapBlock:
         # [A2B] joins the over-cap block (through K and A1) with Q on
         # the other shard; gathering only R2 and Q would answer ∅.
         self._check(True, 2, [["A1", "A2"], ["A2", "B"], ["A1", "B"]])
+
+
+class TestInProcessShards:
+    def test_four_shards_start_no_child_process(self):
+        scheme = tiled_university(4)
+        router = ShardRouter.in_memory(scheme, 4)
+        try:
+            assert router.shards == 4
+            assert multiprocessing.active_children() == []
+            for tile in range(4):
+                assert router.insert(
+                    f"T{tile}R4",
+                    {f"C{tile}": "c", f"S{tile}": "s", f"G{tile}": "A"},
+                ).consistent
+            assert router.query(("C3", "S3")) == {("c", "s")}
+            assert multiprocessing.active_children() == []
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_empty_batch_records_no_shard_span(self, shards):
+        router = ShardRouter.in_memory(example1_university(), shards)
+        try:
+            assert router.apply_batch([]).committed
+            spans = router.tracer.span_summaries()
+            assert "shard.rpc" not in spans
+            assert spans["shard.route"]["count"] == 1
+            assert router.apply_batch(
+                [("insert", "R4", {"C": "c", "S": "s", "G": "A"})]
+            ).committed
+            # Prepare and commit: one span per call into the shard.
+            assert router.tracer.span_summaries()["shard.rpc"]["count"] == 2
+            assert router.metrics.snapshot()["shard.rpcs"] == 2
+        finally:
+            router.close()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failed_commit_republishes_the_stores_state(self, failing):
+        """Shard ``failing``'s commit raises ``OSError``: the batch
+        raises ``ServiceError``, the other shard still commits its
+        slice, the published state is the stores' own, and later
+        queries answer from it."""
+        scheme = example1_university()
+        router = ShardRouter.in_memory(scheme, 2)
+        updates = [
+            ("insert", "R5", {"H": "h", "S": "s", "R": "r"}),  # shard 0
+            ("insert", "R4", {"C": "c", "S": "s", "G": "A"}),  # shard 1
+        ]
+        worker = router._workers[failing]
+
+        def failing_commit():
+            raise OSError("disk full")
+
+        worker.commit = failing_commit
+        try:
+            with pytest.raises(ServiceError, match="partial batch"):
+                router.apply_batch(updates)
+            stores = {}
+            for shard in router._workers:
+                stores.update(shard.store.state)
+            assert router.state == DatabaseState(scheme, stores)
+            committed = updates[1 - failing]
+            assert len(router.state[committed[1]]) == 1
+            assert len(router.state[updates[failing][1]]) == 0
+            engine = WeakInstanceEngine(scheme)
+            for target in ("HSR", "CSG", "CS", "HS"):
+                assert router.query(target) == engine.query(
+                    router.state, target
+                )
+            del worker.commit
+            assert router.apply_batch([updates[failing]]).committed
+            assert router.query("HSR" if failing == 0 else "CSG")
+        finally:
+            router.close()
